@@ -50,22 +50,6 @@ class TestMemoization:
         assert stats["hits"] > 0
         assert stats["convolutions_avoided"] > stats["convolutions"]
 
-    def test_keyed_seed_baseline(self, benchmark, show):
-        """The seed's whole-chain (machine, version, now) keyed cache."""
-        sys = benchmark.pedantic(
-            lambda: _run(
-                pet_matrix(), PruningConfig.paper_default(), _workload(), memoize="keyed"
-            ),
-            rounds=1,
-            iterations=1,
-        )
-        stats = sys.estimator.cache_stats()
-        show(
-            f"memoization KEYED (seed): {stats['hits']} hits / {stats['misses']} misses, "
-            f"{stats['convolutions']} convolutions performed"
-        )
-        assert stats["hits"] > 0
-
     def test_unmemoized(self, benchmark, show):
         sys = benchmark.pedantic(
             lambda: _run(
@@ -81,11 +65,11 @@ class TestMemoization:
         assert sys.estimator.cache_hits == 0
 
     def test_results_identical(self):
-        """Memoization is a pure optimization: identical outcomes across
-        the incremental cache, the seed-style keyed cache, and no cache."""
+        """Memoization is a pure optimization: identical outcomes with the
+        incremental cache and with the from-scratch oracle."""
         runs = {
             mode: _run(pet_matrix(), PruningConfig.paper_default(), _workload(), memoize=mode)
-            for mode in (True, "keyed", False)
+            for mode in (True, False)
         }
         outcomes = {
             mode: (
@@ -97,26 +81,25 @@ class TestMemoization:
             )
             for mode, s in runs.items()
         }
-        assert outcomes[True] == outcomes["keyed"] == outcomes[False]
+        assert outcomes[True] == outcomes[False]
         # And the incremental layer pays strictly fewer convolutions.
-        assert runs[True].estimator.convolutions < runs["keyed"].estimator.convolutions
-        assert runs["keyed"].estimator.convolutions <= runs[False].estimator.convolutions
+        assert runs[True].estimator.convolutions < runs[False].estimator.convolutions
 
     def test_fig7_convolution_ratio(self, show):
         """Acceptance: >= 3x fewer convolutions per mapping event than the
-        seed estimator on the fig7 workload (dropping engaged); see also
+        from-scratch oracle on the fig7 workload (dropping engaged); see also
         benchmarks/bench_sim.py::test_estimator_incremental which records
         the full series in BENCH_estimator.json."""
         from benchmarks.bench_sim import _estimator_cell
 
         per_event = {}
-        for mode in (True, "keyed"):
+        for mode in (True, False):
             sys, _ = _estimator_cell(mode, trial=0)
             per_event[mode] = sys.estimator.convolutions / sys.allocator.mapping_events
-        ratio = per_event["keyed"] / per_event[True]
+        ratio = per_event[False] / per_event[True]
         show(
             f"fig7 convolutions/event: incremental {per_event[True]:.2f} vs "
-            f"seed {per_event['keyed']:.2f}  ->  {ratio:.2f}x fewer"
+            f"naive {per_event[False]:.2f}  ->  {ratio:.2f}x fewer"
         )
         assert ratio >= 3.0
 

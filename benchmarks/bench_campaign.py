@@ -8,8 +8,8 @@ on the Fig. 7b grid (9 cells × N trials):
   On one core this must resolve to the serial plan (no pool can win
   there), so the run may not be slower than serial — the fix for the
   PR 4 artifact's 0.96x parallel pathology, recorded below;
-* **thread** / **process** — the forced pool plans, run for byte-identity
-  (and, for thread, to exercise the pool + result-cache path);
+* **process** — the forced pool plan, run for byte-identity and to
+  exercise the pool + result-cache path;
 * **warm** — an immediate re-run served entirely from the cache.
 
 Emits ``BENCH_campaign.json`` next to this file with the wall-clock
@@ -86,22 +86,17 @@ def test_campaign_sharding(tmp_path, show):
 
     cache = ResultCache(tmp_path / "cache")
     t0 = time.perf_counter()
-    thread = _fig7b(jobs=2, executor="thread", cache=cache)
-    thread_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    process = _fig7b(jobs=2, executor="process")
+    process = _fig7b(jobs=2, executor="process", cache=cache)
     process_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    warm = _fig7b(jobs=2, executor="thread", cache=cache)
+    warm = _fig7b(jobs=2, executor="process", cache=cache)
     warm_s = time.perf_counter() - t0
 
     # Byte-identity of every plan against serial — per-trial, not means.
     reference = _per_trial(serial)
     identical = {
         "auto": _per_trial(auto) == reference,
-        "thread": _per_trial(thread) == reference,
         "process": _per_trial(process) == reference,
         "warm": _per_trial(warm) == reference,
     }
@@ -126,7 +121,6 @@ def test_campaign_sharding(tmp_path, show):
         "serial_s": serial_s,
         "auto_s": auto_s,
         "speedup_auto_over_serial": speedup,
-        "thread_s": thread_s,
         "process_s": process_s,
         "identical": identical,
         "warm_s": warm_s,
@@ -139,7 +133,7 @@ def test_campaign_sharding(tmp_path, show):
     show(
         f"campaign fig7b ({total_trials} trials): serial {serial_s:.1f}s | "
         f"auto(jobs={CAMPAIGN_JOBS} -> {kind}x{workers}) {auto_s:.1f}s "
-        f"({speedup:.2f}x, {cores} cores) | thread {thread_s:.1f}s | "
+        f"({speedup:.2f}x, {cores} cores) | "
         f"process {process_s:.1f}s | warm {warm_s:.2f}s ({warm_fraction:.1%}) "
         f"(JSON: {CAMPAIGN_JSON.name})"
     )

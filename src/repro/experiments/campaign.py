@@ -37,7 +37,7 @@ import re
 import shutil
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from collections.abc import Iterable, Mapping, Sequence
@@ -330,7 +330,7 @@ class ResultCache:
 # ======================================================================
 #: Executor kinds ``run_cell_trials`` accepts.  ``"auto"`` resolves to
 #: a process pool when parallelism can plausibly pay, else serial.
-EXECUTOR_CHOICES = ("auto", "serial", "thread", "process")
+EXECUTOR_CHOICES = ("auto", "serial", "process")
 
 #: Below this many pending trials ``"auto"`` never spins up a pool:
 #: worker startup plus chunk pickling costs more than the trials.
@@ -356,9 +356,9 @@ def resolve_execution_plan(
     cannot win — ``cpu_count == 1`` (a pool only adds pickling and
     scheduling on the same core that runs the trials), fewer than
     :data:`MIN_PARALLEL_PENDING` pending trials, or an effective worker
-    count of 1.  An *explicit* ``"thread"``/``"process"`` request is
-    honored as asked (clamped to ``pending`` only), so the determinism
-    harness can exercise every pool code path on any box.  ``cpu_count``
+    count of 1.  An *explicit* ``"process"`` request is honored as asked
+    (clamped to ``pending`` only), so the determinism harness can
+    exercise the pool code path on any box.  ``cpu_count``
     defaults to live ``os.cpu_count()``.
     """
     if executor not in EXECUTOR_CHOICES:
@@ -390,9 +390,7 @@ def _init_worker(configs: Sequence[ExperimentConfig]) -> None:
     Besides the config table, this pre-builds the frozen PET matrix of
     every heterogeneity kind the campaign touches, so a process worker
     pays the deterministic matrix construction once up front rather
-    than inside its first trial.  Thread workers share the parent's
-    cached instances outright (``pet_matrix`` is an ``lru_cache``), so
-    for them both steps are effectively free.
+    than inside its first trial.
     """
     global _WORKER_CONFIGS
     _WORKER_CONFIGS = configs
@@ -436,9 +434,8 @@ def run_cell_trials(
 
     Cache lookups happen first; only missing (cell, trial) pairs are
     executed.  :func:`resolve_execution_plan` turns ``jobs``/``executor``
-    into a plan: serial in-process, a thread pool (NumPy's convolution
-    kernels release the GIL), or a process pool — submission is chunked
-    (one pickle per chunk), and the configs plus frozen PET matrices
+    into a plan: serial in-process or a process pool — submission is
+    chunked (one pickle per chunk), and the configs plus frozen PET matrices
     reach each worker once via the pool initializer.  Every trial is a
     pure function of ``(config, trial)`` — seeds derive from that pair
     alone — so any plan produces byte-identical results in any
@@ -464,9 +461,8 @@ def run_cell_trials(
             if cache is not None:
                 cache.put(configs[ci], t, results[ci, t])
     else:
-        pool_cls = ThreadPoolExecutor if kind == "thread" else ProcessPoolExecutor
         first_error: BaseException | None = None
-        with pool_cls(
+        with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(configs,)
         ) as pool:
             futures = [pool.submit(_run_chunk, chunk) for chunk in _chunked(todo, workers)]

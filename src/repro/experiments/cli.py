@@ -36,7 +36,7 @@ from pathlib import Path
 from collections.abc import Mapping
 
 from . import scenarios
-from .campaign import DEFAULT_CACHE_DIR, PRESETS, Campaign, ResultCache, SweepGrid
+from .campaign import DEFAULT_CACHE_DIR, EXECUTOR_CHOICES, PRESETS, Campaign, ResultCache, SweepGrid
 from .report import FigureResult
 
 __all__ = ["main", "build_parser"]
@@ -142,11 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--executor",
-        choices=["auto", "serial", "thread", "process"],
+        choices=EXECUTOR_CHOICES,
         default="auto",
         help="how --jobs shards trials: 'auto' picks a process pool only "
         "when it can win (multi-core, enough pending trials) and falls "
-        "back to serial otherwise; 'thread'/'process'/'serial' force "
+        "back to serial otherwise; 'process'/'serial' force "
         "that plan (results are byte-identical under every choice)",
     )
     parser.add_argument(

@@ -127,8 +127,8 @@ def run_experiment(
     Trials are independent (seeded separately), so they parallelize
     embarrassingly — the paper ran its 30-trial campaigns on the LONI
     Queen Bee 2 cluster; ``jobs > 1`` is the local equivalent.
-    ``executor`` picks the pool kind (``auto``/``serial``/``thread``/
-    ``process`` — see :func:`~repro.experiments.campaign.
+    ``executor`` picks the plan (``auto``/``serial``/``process`` —
+    see :func:`~repro.experiments.campaign.
     resolve_execution_plan`); ``jobs=None`` runs serially; ``processes``
     is the same knob under its pre-campaign name, kept for
     compatibility.  ``cache`` is an optional

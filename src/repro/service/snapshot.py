@@ -391,7 +391,7 @@ def _load_estimator(est: CompletionEstimator, payload: dict) -> None:
     for field in _ESTIMATOR_COUNTERS:
         setattr(est, field, payload[field])
     # The combined eviction count lands on one cache; cache_stats() sums.
-    est._scalar_cache.evictions = payload["evictions"]
+    est._product_cache.evictions = payload["evictions"]
 
 
 def _load_pruner(pruner: Pruner, payload: dict) -> None:

@@ -15,7 +15,9 @@ far-future mass into ``tail`` keeps supports bounded while keeping
 chance-of-success values *exact*: tail mass is "certainly late" and never
 counts toward :meth:`PMF.cdf_at`.
 
-All bulk operations are vectorized NumPy (``np.convolve``, cumulative sums);
+All bulk operations are vectorized NumPy (cumulative sums, and
+``np.convolve`` as the one convolution kernel — the hot path phrases it
+as ``np.correlate`` against a cached reversed kernel, bitwise the same);
 no Python-level loops over probability bins.
 
 PMFs are treated as immutable once constructed.  That makes two cheap
@@ -42,22 +44,13 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-try:  # SciPy is an existing dependency; gate anyway so the PMF core
-    from scipy.signal import fftconvolve as _fftconvolve  # stays importable without it.
-except ImportError:  # pragma: no cover - scipy is in the pinned env
-    _fftconvolve = None
-
 __all__ = [
     "PMF",
-    "PMFStack",
     "DEFAULT_MAX_SUPPORT",
     "CDF_REL_EPS",
     "CDF_TOL_CAP",
-    "FFT_MIN_TAPS",
-    "FFT_MIN_OPS",
     "BufferArena",
     "batch_cdf_at",
-    "convolve_probs",
 ]
 
 #: Default cap on the number of finite-support bins a convolution may
@@ -65,38 +58,6 @@ __all__ = [
 DEFAULT_MAX_SUPPORT = 4096
 
 _EPS = 1e-12
-
-#: FFT crossover: a convolution routes through ``scipy.signal.fftconvolve``
-#: only when *both* operands have at least this many taps **and** the
-#: direct multiply-add count ``len(a) * len(b)`` reaches :data:`FFT_MIN_OPS`.
-#: The floor is deliberately far above anything the simulation produces
-#: (chains are horizon-truncated to ~512 bins and PETs span ~150), so every
-#: simulator code path keeps using ``np.convolve`` bit-for-bit — the FFT
-#: path exists for the cross-trial tensor core's wide stacks and for
-#: offline analysis, where exactness-to-the-ulp is not part of the golden
-#: contract.  Above the crossover the two methods agree to ~1e-15 relative
-#: (see ``tests/stochastic/test_pmf_fft.py``).
-FFT_MIN_TAPS = 256
-FFT_MIN_OPS = 1 << 20
-
-
-def convolve_probs(a: np.ndarray, b: np.ndarray, method: str = "auto") -> np.ndarray:
-    """Linear convolution of two probability arrays.
-
-    ``method`` is ``"auto"`` (size crossover), ``"direct"`` or ``"fft"``.
-    The FFT result is clipped at zero: round-off may produce tiny negative
-    values where the true mass is ~0, and downstream code (trimming,
-    cumulative sums, tail folds) assumes non-negative mass.
-    """
-    if method == "direct" or _fftconvolve is None:
-        return np.convolve(a, b)
-    if method == "auto" and (
-        a.size < FFT_MIN_TAPS or b.size < FFT_MIN_TAPS or a.size * b.size < FFT_MIN_OPS
-    ):
-        return np.convolve(a, b)
-    out = _fftconvolve(a, b)
-    np.maximum(out, 0.0, out=out)
-    return out
 
 #: Relative tolerance for grid-boundary CDF queries.  A deadline within
 #: ``CDF_REL_EPS * max(1, |t|, |offset|)`` *below* a grid point counts
@@ -458,7 +419,7 @@ class PMF:
         elif other.probs.size == 1:
             probs = self.probs * float(other.probs[0])
         else:
-            probs = convolve_probs(self.probs, other.probs)
+            probs = np.convolve(self.probs, other.probs)
         out = PMF(probs, self.offset + other.offset, tail)
         if out.probs.size > max_support:
             overflow = float(out.probs[max_support:].sum())
@@ -502,24 +463,19 @@ class PMF:
             probs = op * float(sp[0])
         elif op.size == 1:
             probs = sp * float(op[0])
-        elif sp.size >= op.size and (
-            _fftconvolve is None
-            or sp.size < FFT_MIN_TAPS
-            or op.size < FFT_MIN_TAPS
-            or sp.size * op.size < FFT_MIN_OPS
-        ):
-            # Direct path, phrased as a correlation against the cached
-            # reversed kernel — bit-identical to ``np.convolve(sp, op)``
-            # (correlate with a reversed kernel *is* convolution; numpy
-            # runs the same dot-product loop) but without re-reversing
-            # ``other`` on every call.  ``other`` is the PET in every
-            # chain append, so its reversal is reused thousands of times.
-            # Only taken when the signal is at least kernel-length:
-            # ``np.correlate`` swaps shorter-signal operands internally,
-            # changing summation order (and hence the last ulp).
+        elif sp.size >= op.size:
+            # Phrased as a correlation against the cached reversed kernel —
+            # bit-identical to ``np.convolve(sp, op)`` (correlate with a
+            # reversed kernel *is* convolution; numpy runs the same
+            # dot-product loop) but without re-reversing ``other`` on
+            # every call.  ``other`` is the PET in every chain append, so
+            # its reversal is reused thousands of times.  Only taken when
+            # the signal is at least kernel-length: ``np.correlate`` swaps
+            # shorter-signal operands internally, changing summation order
+            # (and hence the last ulp).
             probs = np.correlate(sp, other.probs_reversed(), "full")
         else:
-            probs = convolve_probs(sp, op)
+            probs = np.convolve(sp, op)
         offset = self.offset + other.offset
         if probs[0] == 0.0 or probs[-1] == 0.0:
             # Endpoint underflow: defer to the trimming constructor so the
@@ -625,52 +581,38 @@ class BufferArena:
     * :meth:`cumsum` / :meth:`take` — a *bump allocator*: exact-size views
       are sliced out of large preallocated blocks, so thousands of small
       cumulative-sum caches cost a handful of real allocations.  Views
-      keep their block alive; without a :meth:`reset`, a block is
-      reclaimed by the garbage collector once every view into it has died
-      (there is no manual free, hence no use-after-free hazard for PMFs
-      that escape).
+      keep their block alive, and the arena holds only the block it is
+      filling, so a spent block is reclaimed by the garbage collector once
+      every view into it has died (there is no manual free, hence no
+      use-after-free hazard for PMFs that escape).
     * :meth:`scratch` — a single growable scratch buffer for *transient*
       work (the flat gather of a batched chance query).  The caller must
       consume the returned view before the next ``scratch`` call; the
       single-threaded simulator makes that discipline trivial.
-
-    Cross-trial reuse (epochs): a campaign worker runs many trials in one
-    process, and each trial's estimator used to build a fresh arena and
-    re-fault fresh blocks.  :meth:`reset` instead *rewinds* the allocator
-    to the first retained block and bumps :attr:`epoch`.  The caller
-    asserts, by calling it, that no view handed out in the previous epoch
-    is still live — true at a trial boundary, where the previous trial's
-    simulation objects are garbage and its results are plain Python data.
     """
 
-    __slots__ = ("block_size", "_blocks", "_block_idx", "_cursor", "_scratch", "blocks_allocated", "epoch")
+    __slots__ = ("block_size", "_block", "_cursor", "_scratch", "blocks_allocated")
 
     def __init__(self, block_size: int = 1 << 16) -> None:
         if block_size <= 0:
             raise ValueError("block_size must be positive")
         self.block_size = block_size
-        self._blocks: list[np.ndarray] = []
-        self._block_idx = -1
+        self._block = np.empty(0, dtype=np.float64)
         self._cursor = 0
         self._scratch = np.empty(0, dtype=np.float64)
         self.blocks_allocated = 0
-        #: Bumped by :meth:`reset`; views from an older epoch are invalid.
-        self.epoch = 0
 
     def take(self, n: int) -> np.ndarray:
         """An uninitialized float64 view of length ``n`` from the arena."""
+        block = self._block
         if n > self.block_size:
-            # Oversized requests get their own dedicated allocation (not
-            # retained across epochs — they would bloat the pool).
+            # Oversized requests get their own dedicated allocation.
             self.blocks_allocated += 1
             return np.empty(n, dtype=np.float64)
-        if self._block_idx < 0 or self._cursor + n > self.block_size:
-            self._block_idx += 1
-            if self._block_idx >= len(self._blocks):
-                self._blocks.append(np.empty(self.block_size, dtype=np.float64))
-                self.blocks_allocated += 1
+        if self._cursor + n > block.size:
+            block = self._block = np.empty(self.block_size, dtype=np.float64)
+            self.blocks_allocated += 1
             self._cursor = 0
-        block = self._blocks[self._block_idx]
         view = block[self._cursor : self._cursor + n]
         self._cursor += n
         return view
@@ -686,18 +628,6 @@ class BufferArena:
         if self._scratch.size < n:
             self._scratch = np.empty(max(n, 256, self._scratch.size * 2), dtype=np.float64)
         return self._scratch[:n]
-
-    def reset(self) -> None:
-        """Start a new epoch: rewind to the first retained block.
-
-        Every block faulted in previous epochs is kept and handed out
-        again, so a worker's steady-state trial allocates nothing.  Only
-        call at a point where no previously returned view can be read
-        again (e.g. between trials).
-        """
-        self._block_idx = -1
-        self._cursor = 0
-        self.epoch += 1
 
 
 def batch_cdf_at(
@@ -760,170 +690,3 @@ def batch_cdf_at(
         flat = np.concatenate(chunks)
     out[valid] = flat[(starts + k)[valid]]
     return out
-
-
-class PMFStack:
-    """Many PMFs on one shared unit grid: an ``(n, width)`` mass matrix.
-
-    The cross-trial tensor core's bulk representation: row ``i`` is the
-    distribution ``probs = mass[i, :lens[i]]`` anchored at ``offsets[i]``
-    with tail mass ``tails[i]``; rows are zero-padded to the common
-    ``width``.  One NumPy (or FFT) pass then advances *every* row at once:
-
-    * :meth:`convolve` — Eq. 1 for the whole stack against one PET;
-    * :meth:`cumulative` — the stacked CDF table, computed once;
-    * :meth:`batch_cdf_at` — Eq. 2 for every row in one fancy-index.
-
-    Row-wise results are value-identical to the scalar :class:`PMF`
-    operations (zero padding contributes exact-zero terms to every
-    convolution sum, and the clipped per-row CDF index never reads the
-    padding), except that convolutions above the FFT crossover agree to
-    round-off rather than bitwise — see ``convolve_probs``.
-
-    The stack is immutable by the same convention as :class:`PMF`.
-    """
-
-    __slots__ = ("mass", "offsets", "tails", "lens", "_cumsum")
-
-    def __init__(
-        self,
-        mass: np.ndarray,
-        offsets: np.ndarray,
-        tails: np.ndarray | None = None,
-        lens: np.ndarray | None = None,
-    ) -> None:
-        mass = np.asarray(mass, dtype=np.float64)
-        if mass.ndim != 2:
-            raise ValueError(f"mass must be 2-D, got shape {mass.shape}")
-        n = mass.shape[0]
-        self.mass = mass
-        self.offsets = np.asarray(offsets, dtype=np.float64)
-        if self.offsets.shape != (n,):
-            raise ValueError("offsets must have one entry per row")
-        self.tails = (
-            np.zeros(n, dtype=np.float64) if tails is None else np.asarray(tails, dtype=np.float64)
-        )
-        if lens is None:
-            # Support length per row: index past the last non-zero bin.
-            nz = mass != 0.0
-            lens = np.where(
-                nz.any(axis=1), mass.shape[1] - np.argmax(nz[:, ::-1], axis=1), 0
-            )
-        self.lens = np.asarray(lens, dtype=np.int64)
-        self._cumsum: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_pmfs(cls, pmfs: Sequence[PMF]) -> PMFStack:
-        """Stack scalar PMFs onto one grid (zero-padded to max support)."""
-        n = len(pmfs)
-        width = max((p.probs.size for p in pmfs), default=0)
-        mass = np.zeros((n, width), dtype=np.float64)
-        offsets = np.empty(n, dtype=np.float64)
-        tails = np.empty(n, dtype=np.float64)
-        lens = np.empty(n, dtype=np.int64)
-        for i, p in enumerate(pmfs):
-            mass[i, : p.probs.size] = p.probs
-            offsets[i] = p.offset
-            tails[i] = p.tail
-            lens[i] = p.probs.size
-        return cls(mass, offsets, tails, lens)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.mass.shape  # type: ignore[return-value]
-
-    def __len__(self) -> int:
-        return self.mass.shape[0]
-
-    def row(self, i: int) -> PMF:
-        """Row ``i`` as a scalar :class:`PMF` (copies the support slice).
-
-        Routed through the trimming constructor: a row whose endpoint
-        products underflowed to zero re-trims exactly like the scalar
-        convolution path would.
-        """
-        return PMF(
-            self.mass[i, : int(self.lens[i])], float(self.offsets[i]), float(self.tails[i])
-        )
-
-    def finite_mass(self) -> np.ndarray:
-        """Per-row finite mass."""
-        return self.mass.sum(axis=1)
-
-    # ------------------------------------------------------------------
-    def convolve(
-        self,
-        other: PMF,
-        max_support: int = DEFAULT_MAX_SUPPORT,
-        method: str = "auto",
-    ) -> PMFStack:
-        """Every row ⊛ ``other`` in one pass (Eq. 1 across the stack).
-
-        Same tail algebra as :meth:`PMF.convolve`, vectorized: mass that
-        involves either operand's tail is tail mass, and any finite
-        support past ``max_support`` is folded into the tail.
-        """
-        n, width = self.mass.shape
-        kernel = other.probs
-        if width == 0 or kernel.size == 0:
-            fin = self.mass.sum(axis=1)
-            tails = (fin + self.tails) * other.total_mass - fin * other.finite_mass
-            return PMFStack(
-                np.zeros((n, 0)), self.offsets + other.offset, np.maximum(tails, 0.0)
-            )
-        out_width = width + kernel.size - 1
-        if method != "fft" and (
-            method == "direct"
-            or _fftconvolve is None
-            or n * width * kernel.size < FFT_MIN_OPS
-            or min(width, kernel.size) < 8
-        ):
-            out = np.empty((n, out_width), dtype=np.float64)
-            for i in range(n):
-                np.copyto(out[i], np.convolve(self.mass[i], kernel))
-        else:
-            out = _fftconvolve(self.mass, kernel[None, :], axes=1)
-            np.maximum(out, 0.0, out=out)
-        fin = self.mass.sum(axis=1)
-        tails = (fin + self.tails) * other.total_mass - fin * other.finite_mass
-        np.maximum(tails, 0.0, out=tails)
-        if out_width > max_support:
-            tails = tails + out[:, max_support:].sum(axis=1)
-            out = out[:, :max_support]
-        lens = np.minimum(
-            np.where(self.lens > 0, self.lens + kernel.size - 1, 0), out.shape[1]
-        )
-        return PMFStack(out, self.offsets + other.offset, tails, lens)
-
-    def cumulative(self) -> np.ndarray:
-        """Cached row-wise cumulative sums (the stacked CDF table)."""
-        cs = self._cumsum
-        if cs is None:
-            cs = self._cumsum = np.cumsum(self.mass, axis=1)
-        return cs
-
-    def batch_cdf_at(self, times: float | Sequence[float] | np.ndarray) -> np.ndarray:
-        """``P(row_i <= times[i])`` for every row in one pass.
-
-        ``times`` may be scalar (broadcast).  Identical values to per-row
-        :meth:`PMF.cdf_at`, including the ``CDF_REL_EPS`` grid-boundary
-        tolerance; tail mass never counts.
-        """
-        n = self.mass.shape[0]
-        times = np.broadcast_to(np.asarray(times, dtype=np.float64), (n,))
-        out = np.zeros(n, dtype=np.float64)
-        if n == 0 or self.mass.shape[1] == 0:
-            return out
-        tol = np.minimum(
-            CDF_REL_EPS * np.maximum(1.0, np.maximum(np.abs(times), np.abs(self.offsets))),
-            CDF_TOL_CAP,
-        )
-        k = np.floor(times - self.offsets + tol)
-        valid = (k >= 0) & (self.lens > 0)
-        if not valid.any():
-            return out
-        k = np.minimum(k, self.lens - 1).astype(np.int64)
-        rows = np.flatnonzero(valid)
-        out[rows] = self.cumulative()[rows, k[rows]]
-        return out

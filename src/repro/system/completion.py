@@ -41,14 +41,11 @@ cache**:
   re-validation is integer arithmetic, not a rebuilt-and-compared PMF
   (see ``docs/architecture.md`` → "the mapping-event hot path").
 
-Three memoization modes are supported for ablation:
+Two modes, one per job:
 
-* ``memoize=True`` (or ``"incremental"``) — the prefix cache above;
-* ``memoize="keyed"`` — the legacy behavior: whole chains cached per
-  ``(machine, version, now)`` in an LRU, any queue change or clock tick
-  discards all partial results (kept as the seed-estimator baseline for
-  ``benchmarks/bench_sim.py``);
-* ``memoize=False`` — every query reconvolves from scratch.
+* ``memoize=True`` — the prefix cache above (the simulator's path);
+* ``memoize=False`` — the from-scratch oracle: every query reconvolves
+  the whole queue, and the incremental mode must match it bitwise.
 
 A running task's completion belief is its start-anchored PCT conditioned
 on it not having finished yet (``PMF.condition_at_least(now)``); the
@@ -70,6 +67,10 @@ from ..stochastic.pmf import _EPS as _PMF_EPS
 from ..stochastic.pmf import _finish_conv
 
 __all__ = ["ExecutionModel", "CompletionEstimator", "LRUCache"]
+
+#: Capacity of the estimator's LRU caches (PET products and conditioned
+#: running-task bases).
+CACHE_CAPACITY = 4096
 
 
 class ExecutionModel(Protocol):
@@ -279,12 +280,8 @@ class CompletionEstimator:
         When True (default) the running task's PCT is conditioned on the
         task still being unfinished at ``now``.
     memoize:
-        ``True``/``"incremental"`` — delta-invalidated prefix cache;
-        ``"keyed"`` — legacy whole-chain LRU keyed on
-        ``(machine, version, now)``; ``False`` — no caching.
-    cache_capacity:
-        Capacity of the keyed LRU caches (scalar chains and, in keyed
-        mode, PCT chains / new-task PCTs).
+        ``True`` — delta-invalidated prefix cache; ``False`` — the
+        from-scratch oracle, no caching.  Anything else is rejected.
     """
 
     def __init__(
@@ -293,30 +290,18 @@ class CompletionEstimator:
         *,
         horizon: float = 512.0,
         condition_running: bool = True,
-        memoize: bool | str = True,
+        memoize: bool = True,
         max_support: int = DEFAULT_MAX_SUPPORT,
-        cache_capacity: int = 4096,
     ) -> None:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
-        if memoize is True:
-            mode = "incremental"
-        elif memoize is False:
-            mode = "off"
-        elif memoize in ("incremental", "keyed"):
-            mode = memoize
-        else:
-            raise ValueError(f"memoize must be bool, 'incremental' or 'keyed': {memoize!r}")
+        if not isinstance(memoize, bool):
+            raise ValueError(f"memoize must be True or False, got {memoize!r}")
         self.model = model
         self.horizon = float(horizon)
         self.condition_running = condition_running
-        self.memo_mode = mode
-        self.memoize = mode != "off"
+        self.memoize = memoize
         self.max_support = max_support
-        self.cache_capacity = cache_capacity
-        self._scalar_cache = LRUCache(cache_capacity)
-        self._chain_cache = LRUCache(cache_capacity)  # keyed mode only
-        self._new_pct_cache = LRUCache(cache_capacity)  # keyed mode only
         #: §V-A "task grouping and memorization of partial results": pure
         #: PET products keyed on (machine type, task-type sequence).  A
         #: chain whose base is an unconditioned shifted PET (or an idle
@@ -329,7 +314,7 @@ class CompletionEstimator:
         #: ``np.convolve``.  Values are the (probs, cumsum) array pair;
         #: offsets/tails are replayed per use with the exact float
         #: arithmetic of the sequential path (see ``_extend_chain``).
-        self._product_cache = LRUCache(cache_capacity)
+        self._product_cache = LRUCache(CACHE_CAPACITY)
         #: Conditioned-base shape cache.  Conditioning a running task's
         #: PCT on "still running at ``now``" (§II) depends on the wall
         #: clock only through the integer cut index ``ceil(now - start -
@@ -339,7 +324,7 @@ class CompletionEstimator:
         #: every mapping event while a long task runs, so the division +
         #: normalization is replayed from here; only the anchor arithmetic
         #: (which tracks the start time) is recomputed per use.
-        self._cond_cache = LRUCache(cache_capacity)
+        self._cond_cache = LRUCache(CACHE_CAPACITY)
         #: Dense scalar means table when the model has one (PETMatrix /
         #: ETCMatrix both do); lets the scalar view index the array
         #: directly instead of bouncing through ``model.mean``.
@@ -420,18 +405,8 @@ class CompletionEstimator:
         ``(version, release time)``: the queue part of the chain is a
         pure function of those two, so the cache survives clock ticks as
         long as the running task's conditioned release mean does (an
-        O(1) field compare instead of LRU bookkeeping).  The other modes
-        keep the keyed LRU.
+        O(1) field compare).  The oracle recomputes it every call.
         """
-        incremental = self.memo_mode == "incremental"
-        if not incremental and self.memoize:
-            key = (machine.machine_id, machine.version, now)
-            cached = self._scalar_cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
-
         if machine.running is None:
             t = now
         elif self.condition_running:
@@ -445,7 +420,7 @@ class CompletionEstimator:
             t = max(now, started + run_mean)
 
         state: _MachineState | None = None
-        if incremental:
+        if self.memoize:
             state = self._state_for(machine)
             if (
                 state.scalar_chain is not None
@@ -475,8 +450,6 @@ class CompletionEstimator:
             state.scalar_chain = chain
             state.scalar_version = machine.version
             state.scalar_release = chain[0]
-        elif self.memoize:
-            self._scalar_cache.put(key, chain)
         return chain
 
     def _release_mean(self, machine: Machine, now: float) -> float:
@@ -490,7 +463,7 @@ class CompletionEstimator:
         starts from it instead of rebuilding.  The returned value is
         identical to the reference computation either way.
         """
-        if self.memo_mode != "incremental":
+        if not self.memoize:
             return self._running_pct(machine, now).finite_mean()
         state = self._states.get(machine.machine_id)
         if (
@@ -547,19 +520,8 @@ class CompletionEstimator:
     def _pct_chain(self, machine: Machine, now: float) -> list[PMF]:
         """``chain[0]`` = availability after the running task (delta(now)
         when idle); ``chain[k]`` = PCT of the k-th queued task."""
-        if self.memo_mode == "incremental":
+        if self.memoize:
             return self._incremental_chain(machine, now)
-        if self.memo_mode == "keyed":
-            key = (machine.machine_id, machine.version, now)
-            cached = self._chain_cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                self.convolutions_avoided += len(machine.queue)
-                return cached
-            self.cache_misses += 1
-            chain = self._build_chain(machine, now)
-            self._chain_cache.put(key, chain)
-            return chain
         return self._build_chain(machine, now)
 
     def _build_chain(self, machine: Machine, now: float) -> list[PMF]:
@@ -987,7 +949,7 @@ class CompletionEstimator:
         type therefore shares this PCT, and across events it survives
         until the machine's queue actually changes.
         """
-        if self.memo_mode == "incremental":
+        if self.memoize:
             chain = self._pct_chain(machine, now)
             state = self._state_for(machine)
             avail = chain[-1]
@@ -1024,21 +986,7 @@ class CompletionEstimator:
             state.new_pct[task_type] = _NewPct(avail, now, pct, reanchorable, pet.offset)
             return pct
 
-        if self.memo_mode == "keyed":
-            key = (machine.machine_id, machine.version, now, task_type)
-            cached = self._new_pct_cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                self.convolutions_avoided += 1
-                return cached
-            self.cache_misses += 1
-            pct = self._convolve_new(self.availability_pct(machine, now), task_type, machine, now)
-            self._new_pct_cache.put(key, pct)
-            return pct
-
-        return self._convolve_new(self.availability_pct(machine, now), task_type, machine, now)
-
-    def _convolve_new(self, avail: PMF, task_type: int, machine: Machine, now: float) -> PMF:
+        avail = self.availability_pct(machine, now)
         pet = self.model.pmf(task_type, machine.machine_type)
         self.convolutions += 1
         return avail.convolve(pet, max_support=self.max_support).truncate(now + self.horizon)
@@ -1351,11 +1299,7 @@ class CompletionEstimator:
             "hits": self.cache_hits,
             "misses": self.cache_misses,
             "invalidations": self.invalidations,
-            "evictions": (
-                self._scalar_cache.evictions
-                + self._chain_cache.evictions
-                + self._new_pct_cache.evictions
-            ),
+            "evictions": self._product_cache.evictions + self._cond_cache.evictions,
             "convolutions": self.convolutions,
             "convolutions_avoided": self.convolutions_avoided,
             "chance_evaluations": self.chance_evaluations,

@@ -69,10 +69,10 @@ class ServerlessSystem:
     seed:
         Root seed for execution-time sampling.
     memoize:
-        Estimator cache mode: ``True`` (incremental prefix-convolution
-        cache, the default), ``"keyed"`` (the legacy whole-chain cache,
-        kept as an ablation baseline), or ``False`` (no caching).  All
-        modes produce identical simulation results.
+        Estimator mode: ``True`` (incremental prefix-convolution cache,
+        the default) or ``False`` (the from-scratch oracle, no caching).
+        Both produce identical simulation results; any non-``bool`` value
+        raises :class:`ValueError`.
     dynamics:
         ``None`` → the paper's static cluster; a
         :class:`~repro.sim.dynamics.DynamicsSpec` → machine failures,
@@ -99,7 +99,7 @@ class ServerlessSystem:
         seed: int = 0,
         horizon: float = 512.0,
         condition_running: bool = True,
-        memoize: bool | str = True,
+        memoize: bool = True,
         dynamics: DynamicsSpec | None = None,
         observer=None,
         sim: Simulator | None = None,

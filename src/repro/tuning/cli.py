@@ -27,7 +27,7 @@ import re
 import sys
 from pathlib import Path
 
-from ..experiments.campaign import DEFAULT_CACHE_DIR, ResultCache, SweepGrid
+from ..experiments.campaign import DEFAULT_CACHE_DIR, EXECUTOR_CHOICES, ResultCache, SweepGrid
 from .ledger import TrialRecord
 from .presets import TUNE_PRESETS, get_preset
 from .space import SearchSpace
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--executor",
-        choices=["auto", "serial", "thread", "process"],
+        choices=EXECUTOR_CHOICES,
         default="auto",
         help="how --jobs shards simulations (byte-identical under every choice)",
     )

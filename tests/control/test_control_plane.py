@@ -151,13 +151,13 @@ class TestDeterminism:
         pruning = PruningConfig.paper_default().with_(controller=cfg)
         pet = pet_matrix()
         payloads = []
-        for memoize in (True, "keyed", False):
+        for memoize in (True, False):
             tasks = generate_workload(SPEC, pet, np.random.default_rng(5))
             system = ServerlessSystem(pet, "MM", pruning=pruning, seed=3, memoize=memoize)
             payload = system.run(tasks).to_dict()
             payload.pop("estimator_stats")  # cache counters differ by design
             payloads.append(payload)
-        assert payloads[0] == payloads[1] == payloads[2]
+        assert payloads[0] == payloads[1]
 
     def test_parallel_vs_serial_byte_identity(self):
         """Every new controller: jobs=2 must reproduce serial trials

@@ -3,7 +3,7 @@
 Three contracts: the ``dag`` grid axis expands/labels/serializes like
 every other axis (and refuses trace levels, which carry their own
 edges); DAG and adapted-trace cells are byte-identical across the
-serial/thread/process executors; campaign rows and CSV output carry the
+serial and process executors; campaign rows and CSV output carry the
 new ``dag``/``cascade_drops``/``depths`` telemetry sparsely.
 """
 
@@ -162,9 +162,8 @@ class TestExecutorByteIdentity:
             ),
         ]
         serial = run_cell_trials(configs, executor="serial")
-        thread = run_cell_trials(configs, jobs=2, executor="thread")
         process = run_cell_trials(configs, jobs=2, executor="process")
-        assert _dumps(serial) == _dumps(thread) == _dumps(process)
+        assert _dumps(serial) == _dumps(process)
         # The DAG cell actually exercised the new machinery…
         assert any(r.dag_stats for r in serial[0])
         # …and the sampled replay is a strict subset of the mini trace.

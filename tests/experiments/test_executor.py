@@ -3,7 +3,7 @@
 The plan resolver's adaptive contract (clamp to ``min(jobs, pending,
 cpu_count)``, auto-serial when a pool cannot win — in particular the
 ``cpu_count == 1`` regression behind BENCH_campaign's 0.96x parallel
-pathology), and byte-identity of every executor kind against serial.
+pathology), and byte-identity of the process pool against serial.
 """
 
 import json
@@ -17,9 +17,12 @@ from repro.experiments.campaign import (
     MIN_PARALLEL_PENDING,
     ResultCache,
     _chunked,
+    _init_worker,
+    _run_chunk,
     resolve_execution_plan,
     run_cell_trials,
 )
+from repro.experiments.runner import run_trial
 from repro.experiments.runner import ExperimentConfig
 from repro.workload.spec import WorkloadSpec
 
@@ -70,32 +73,29 @@ class TestResolveExecutionPlan:
         assert resolve_execution_plan(8, pending, cpu_count=8) == ("serial", 1)
 
     def test_nothing_pending_is_serial_for_every_kind(self):
-        for executor in ("auto", "serial", "thread", "process"):
+        for executor in ("auto", "serial", "process"):
             assert resolve_execution_plan(8, 1, executor=executor, cpu_count=8) == (
                 "serial",
                 1,
             )
 
     def test_explicit_executor_honored_on_one_core(self):
-        """Forcing thread/process must work even at cpu_count == 1 — it
-        is how the determinism harness exercises the pool paths."""
-        assert resolve_execution_plan(2, 10, executor="thread", cpu_count=1) == (
-            "thread",
-            2,
-        )
+        """Forcing process must work even at cpu_count == 1 — it is how
+        the determinism harness exercises the pool path."""
         assert resolve_execution_plan(2, 10, executor="process", cpu_count=1) == (
             "process",
             2,
         )
         # jobs unset: an explicit kind sizes itself from the cpu count.
-        assert resolve_execution_plan(None, 10, executor="thread", cpu_count=4) == (
-            "thread",
+        assert resolve_execution_plan(None, 10, executor="process", cpu_count=4) == (
+            "process",
             4,
         )
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor must be one of"):
-            resolve_execution_plan(2, 10, executor="mpi")
+        for executor in ("mpi", "thread"):
+            with pytest.raises(ValueError, match="executor must be one of"):
+                resolve_execution_plan(2, 10, executor=executor)
 
 
 # ======================================================================
@@ -119,13 +119,12 @@ class TestChunking:
 # ======================================================================
 class TestExecutorByteIdentity:
     def test_all_executors_identical_to_serial(self):
-        """The tentpole determinism guarantee: thread and chunked-process
-        plans reproduce the serial per-trial results byte-for-byte."""
+        """The tentpole determinism guarantee: the chunked-process plan
+        reproduces the serial per-trial results byte-for-byte."""
         configs = _configs(trials=3)
         serial = run_cell_trials(configs, executor="serial")
-        thread = run_cell_trials(configs, jobs=2, executor="thread")
         process = run_cell_trials(configs, jobs=2, executor="process")
-        assert _dumps(serial) == _dumps(thread) == _dumps(process)
+        assert _dumps(serial) == _dumps(process)
 
     def test_pool_failure_caches_completed_siblings(self, tmp_path):
         """The chunked path keeps the per-trial failure contract: one bad
@@ -134,19 +133,25 @@ class TestExecutorByteIdentity:
         bad = ExperimentConfig(heuristic="NOPE", spec=SPEC, trials=1, base_seed=11)
         cache = ResultCache(tmp_path)
         with pytest.raises(KeyError, match="unknown heuristic"):
-            run_cell_trials([good, bad], jobs=2, cache=cache, executor="thread")
+            run_cell_trials([good, bad], jobs=2, cache=cache, executor="process")
         assert cache.get(good, 0) is not None
         assert cache.get(good, 1) is not None
 
     def test_pool_failure_without_cache_fails_fast(self):
         bad = ExperimentConfig(heuristic="NOPE", spec=SPEC, trials=2, base_seed=11)
         with pytest.raises(KeyError, match="unknown heuristic"):
-            run_cell_trials([bad], jobs=2, executor="thread")
+            run_cell_trials([bad], jobs=2, executor="process")
 
-    def test_worker_initializer_installs_shared_inputs(self):
-        """Thread workers read the configs installed by the initializer
-        (the table travels via initargs, not per-submitted chunk)."""
+    def test_worker_initializer_installs_shared_inputs(self, monkeypatch):
+        """Workers read the configs installed by the initializer (the
+        table travels via initargs, not per-submitted chunk): a chunk
+        names cells by index and runs exactly what serial would."""
+        monkeypatch.setattr(campaign_mod, "_WORKER_CONFIGS", None)
         configs = _configs(trials=2)
-        run_cell_trials(configs, jobs=2, executor="thread")
-        assert campaign_mod._WORKER_CONFIGS is not None
+        _init_worker(configs)
         assert list(campaign_mod._WORKER_CONFIGS) == configs
+        out = _run_chunk([(1, 0), (0, 1)])
+        assert [(ci, t, exc) for ci, t, _, exc in out] == [(1, 0, None), (0, 1, None)]
+        assert _dumps([[r for _, _, r, _ in out]]) == _dumps(
+            [[run_trial(configs[1], 0), run_trial(configs[0], 1)]]
+        )

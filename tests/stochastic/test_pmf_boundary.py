@@ -6,12 +6,15 @@ on a grid point can land epsilon below it — and the pre-fix floor-indexed
 CDF then silently dropped the whole bin, flipping tasks across the
 pruning threshold β.  These tests pin the repro from the issue, the
 relative-epsilon semantics on both scalar and batched queries, and the
-bit-identity of the allocation-lean ``convolve_truncated`` hot path.
+bit-identity of the allocation-lean ``convolve_truncated`` hot path,
+including the ``np.correlate`` ≡ ``np.convolve`` identity it relies on.
 """
 
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.stochastic.pmf import PMF, BufferArena, batch_cdf_at
 
@@ -176,3 +179,61 @@ class TestConvolveTruncated:
         b = PMF([0.5, 0.5])
         got = a.convolve_truncated(b, cutoff=100.0)
         assert got.allclose(a.convolve(b), atol=0.0)
+
+
+# ----------------------------------------------------------------------
+# The correlate fast-path invariant (PMF.convolve_truncated)
+# ----------------------------------------------------------------------
+@st.composite
+def prob_arrays(draw, min_size=1, max_size=64):
+    n = draw(st.integers(min_value=min_size, max_value=max_size))
+    weights = draw(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=1e-6, max_value=1.0, allow_nan=False),
+            ),
+            min_size=n,
+            max_size=n,
+        ).filter(lambda w: sum(w) > 1e-6)
+    )
+    arr = np.asarray(weights, dtype=np.float64)
+    return arr / arr.sum()
+
+
+@st.composite
+def pmfs(draw, max_support=12):
+    # Weights exactly-zero-or->=1e-6 so endpoint products never underflow
+    # (underflow would legitimately trim the support and change shapes).
+    arr = draw(prob_arrays(max_size=max_support))
+    offset = draw(st.integers(min_value=-5, max_value=30))
+    tail_frac = draw(st.floats(min_value=0.0, max_value=0.5))
+    return PMF(arr * (1.0 - tail_frac), offset=float(offset), tail=tail_frac)
+
+
+@given(prob_arrays(min_size=2), prob_arrays(min_size=2))
+def test_correlate_is_bitwise_convolve_when_signal_at_least_kernel(a, b):
+    """``convolve_truncated`` phrases the direct path as a correlation
+    against the cached reversed PET — valid only for a.size >= b.size
+    (numpy swaps shorter-signal operands internally, changing summation
+    order and hence the last ulp).  Pinned so a numpy upgrade that
+    breaks it fails loudly."""
+    if a.size < b.size:
+        a, b = b, a
+    via_correlate = np.correlate(a, np.ascontiguousarray(b[::-1]), "full")
+    assert np.array_equal(via_correlate, np.convolve(a, b))
+
+
+@given(pmfs(), pmfs(), st.floats(min_value=0.0, max_value=80.0))
+@example(PMF([0.2, 0.3, 0.5], offset=1.0), PMF(np.full(7, 1 / 7), offset=2.0), 6.0)
+def test_convolve_truncated_bitwise_equals_reference(a, b, cutoff):
+    """The fused hot path must be bit-identical to convolve-then-truncate
+    in both operand orders, so draws with distinct supports exercise both
+    arms: signal >= kernel (cached-reversed correlate) and signal < kernel
+    (plain ``np.convolve``)."""
+    for x, y in ((a, b), (b, a)):
+        ref = x.convolve(y).truncate(cutoff)
+        out = x.convolve_truncated(y, cutoff=cutoff)
+        assert np.array_equal(out.probs, ref.probs)
+        assert out.offset == ref.offset
+        assert out.tail == ref.tail

@@ -184,17 +184,6 @@ class TestMemoization:
         fresh = CompletionEstimator(est.model, memoize=False)
         assert pct.allclose(fresh.availability_pct(cluster[0], 1.0), atol=0.0)
 
-    def test_now_change_invalidates_keyed_mode(self, det_env):
-        """The legacy keyed mode keeps the seed behavior: any clock tick
-        is a cache miss."""
-        pet, cluster, sim, _ = det_env
-        est = CompletionEstimator(pet, memoize="keyed")
-        put(cluster, sim, 0, 0)
-        est.availability_pct(cluster[0], 0.0)
-        misses = est.cache_misses
-        est.availability_pct(cluster[0], 1.0)
-        assert est.cache_misses > misses
-
     def test_memoize_off(self, det_env):
         pet, cluster, sim, _ = det_env
         est = CompletionEstimator(pet, memoize=False)
@@ -220,17 +209,6 @@ class TestMemoization:
         assert with_cache.chance_of_success(t, cluster[0], 0.0) == pytest.approx(
             without.chance_of_success(t, cluster[0], 0.0)
         )
-
-    def test_cache_capacity_bounds_memory(self, det_env):
-        """Keyed caches are real LRUs: bounded size, one eviction per
-        insert once full (not the old clear-everything policy)."""
-        pet, cluster, sim, _ = det_env
-        est = CompletionEstimator(pet, memoize="keyed", cache_capacity=4)
-        put(cluster, sim, 0, 0)
-        for now in range(20):
-            est.availability_pct(cluster[0], float(now))
-        assert len(est._chain_cache) <= 4
-        assert est._chain_cache.evictions >= 16
 
     def test_lru_evicts_coldest_not_everything(self, det_env):
         pet, _, _, _ = det_env

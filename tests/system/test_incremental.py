@@ -49,7 +49,7 @@ def assert_chains_equal(est_inc, est_ref, cluster, now):
 
 class TestClusterWideQueries:
     """The cluster-wide pipeline must be a pure batching of the
-    per-machine queries: same values, any memoize mode."""
+    per-machine queries: same values, either memoize mode."""
 
     def _loaded_cluster(self, pet, mode):
         cluster = Cluster.heterogeneous(2)
@@ -59,7 +59,7 @@ class TestClusterWideQueries:
             put(cluster, sim, i % 2, i, ttype=i % 2, deadline=12.0 + 6 * i)
         return cluster, est
 
-    @pytest.mark.parametrize("mode", [True, "keyed", False])
+    @pytest.mark.parametrize("mode", [True, False])
     def test_cluster_queue_chances_matches_per_machine(self, pet, mode):
         cluster, est = self._loaded_cluster(pet, mode)
         per_machine = [
@@ -68,7 +68,7 @@ class TestClusterWideQueries:
         got = est.cluster_queue_chances(cluster.machines, 0.0)
         assert [list(map(float, g)) for g in got] == per_machine
 
-    @pytest.mark.parametrize("mode", [True, "keyed", False])
+    @pytest.mark.parametrize("mode", [True, False])
     def test_queue_chances_start_is_suffix_of_full(self, pet, mode):
         cluster, est = self._loaded_cluster(pet, mode)
         machine = cluster[0]
@@ -79,7 +79,7 @@ class TestClusterWideQueries:
             raw = est.queue_chances_suffix(machine, 0.0, start=start)
             assert [float(c) for c in raw] == [c for _, c in part]
 
-    @pytest.mark.parametrize("mode", [True, "keyed", False])
+    @pytest.mark.parametrize("mode", [True, False])
     def test_chances_for_pairs_dedupe_matches_pointwise(self, pet, mode):
         cluster, est = self._loaded_cluster(pet, mode)
         probes = [
@@ -100,13 +100,13 @@ class TestClusterWideQueries:
 
     def test_cluster_query_identical_across_modes(self, pet):
         results = {}
-        for mode in (True, "keyed", False):
+        for mode in (True, False):
             cluster, est = self._loaded_cluster(pet, mode)
-            results[str(mode)] = [
+            results[mode] = [
                 list(map(float, g))
                 for g in est.cluster_queue_chances(cluster.machines, 1.5)
             ]
-        assert results["True"] == results["keyed"] == results["False"]
+        assert results[True] == results[False]
 
 
 class TestExactEquivalence:
@@ -151,7 +151,7 @@ class TestExactEquivalence:
         assert_chains_equal(inc, ref, cluster, 5.9)
 
     def test_full_simulation_outcomes_identical(self, pet):
-        """End-to-end: incremental / keyed / uncached runs are identical."""
+        """End-to-end: incremental and uncached runs are identical."""
         spec = WorkloadSpec(num_tasks=150, time_span=80.0, num_task_types=2)
 
         def run(mode):
@@ -164,7 +164,7 @@ class TestExactEquivalence:
             return (r.on_time, r.late, r.dropped_missed, r.dropped_proactive,
                     r.defer_decisions, r.makespan)
 
-        assert run(True) == run("keyed") == run(False)
+        assert run(True) == run(False)
 
     def test_chances_identical_at_every_event(self, pet):
         """Shadow estimator: at every task event of a live simulation the
@@ -343,12 +343,14 @@ class TestBatchedQueries:
 
 class TestModesAndStats:
     def test_invalid_memoize_mode_rejected(self, pet):
-        with pytest.raises(ValueError):
-            CompletionEstimator(pet, memoize="turbo")
-
-    def test_memoize_strings_accepted(self, pet):
-        assert CompletionEstimator(pet, memoize="incremental").memoize
-        assert CompletionEstimator(pet, memoize="keyed").memoize
+        """Only a bool selects a mode: truthy strings such as the removed
+        mode names must not silently select the incremental cache."""
+        for value in ('turbo', 'keyed', 'incremental', '', 1, 0, None):
+            with pytest.raises(ValueError, match=repr(value)):
+                CompletionEstimator(pet, memoize=value)
+            with pytest.raises(ValueError, match=repr(value)):
+                ServerlessSystem(pet, "MM", memoize=value)
+        assert CompletionEstimator(pet, memoize=True).memoize
         assert not CompletionEstimator(pet, memoize=False).memoize
 
     def test_invalidation_counter_moves(self, pet):

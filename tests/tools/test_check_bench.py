@@ -75,14 +75,14 @@ class TestNamedFailures:
         assert errors == ["BENCH_campaign.json: missing provenance key 'cpu_count'"]
 
     def test_non_mapping_parent_is_named_not_a_crash(self, check_bench, tmp_path):
-        payload = json.loads((BENCH_DIR / "BENCH_pmf.json").read_text())
-        payload["crossover"] = "oops"
-        path = tmp_path / "BENCH_pmf.json"
+        payload = json.loads((BENCH_DIR / "BENCH_estimator.json").read_text())
+        payload["events_per_sec"] = "oops"
+        path = tmp_path / "BENCH_estimator.json"
         path.write_text(json.dumps(payload))
         errors = check_bench.check_provenance(path)
         assert sorted(errors) == [
-            "BENCH_pmf.json: missing provenance key 'crossover.fft_min_ops'",
-            "BENCH_pmf.json: missing provenance key 'crossover.fft_min_taps'",
+            "BENCH_estimator.json: missing provenance key 'events_per_sec.incremental'",
+            "BENCH_estimator.json: missing provenance key 'events_per_sec.naive'",
         ]
 
     def test_unregistered_artifact_is_rejected(self, check_bench, tmp_path):

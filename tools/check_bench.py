@@ -7,16 +7,13 @@ them (each has a re-run gate in its own pytest entry):
 * ``BENCH_control.json`` — shape, internal consistency, and the ISSUE-5
   acceptance inequalities (adaptive ≥ best static β, adaptive
   materially above worst static β);
-* ``BENCH_pmf.json`` — the ISSUE-6 tensor-core artifact: FFT crossover
-  classification, FFT-vs-direct error bound, stacked-vs-looped
-  ``batch_cdf_at`` identity, and both internal speedups ≥ 1x;
 * ``BENCH_campaign.json`` — executor byte-identity flags, cache
   effectiveness, and (on one core) the serial-resolved plan with the
   auto leg no slower than serial — the ISSUE-6 fix for PR 4's 0.96x
   parallel pathology;
 * ``BENCH_estimator.json`` — the committed anchors: identical
-  outcomes, convolution ratio ≥ 3x, and ≥ 2x the session-matched PR 4
-  events/sec baseline (the ISSUE-6 acceptance bar);
+  outcomes, naive-over-incremental convolution ratio ≥ 3x, and ≥ 2x the
+  committed session-matched events/sec anchor;
 * ``BENCH_tuning.json`` — the ISSUE-10 auto-tuner artifact: the
   searched hysteresis configuration matches-or-beats the committed
   hand-set contender and beats the best static β, and its copied
@@ -62,7 +59,6 @@ if str(REPO_ROOT) not in sys.path:
 
 BASELINE = REPO_ROOT / "benchmarks" / "BENCH_estimator.json"
 CONTROL = REPO_ROOT / "benchmarks" / "BENCH_control.json"
-PMF = REPO_ROOT / "benchmarks" / "BENCH_pmf.json"
 CAMPAIGN = REPO_ROOT / "benchmarks" / "BENCH_campaign.json"
 TUNING = REPO_ROOT / "benchmarks" / "BENCH_tuning.json"
 
@@ -107,11 +103,6 @@ PROVENANCE_KEYS: dict[str, tuple[str, ...]] = {
         "workload.heuristic",
         "static_grid",
         "controller",
-    ),
-    "BENCH_pmf.json": (
-        "benchmark",
-        "crossover.fft_min_taps",
-        "crossover.fft_min_ops",
     ),
     "BENCH_campaign.json": (
         "benchmark",
@@ -247,76 +238,6 @@ def check_control_payload(path: Path) -> list[str]:
     return errors
 
 
-def check_pmf_payload(path: Path) -> list[str]:
-    """Shape + acceptance errors of the tensor-core artifact
-    (``benchmarks/bench_pmf.py`` → ``BENCH_pmf.json``)."""
-    errors: list[str] = []
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        return [f"{path.name}: unreadable ({exc})"]
-
-    for key in ("benchmark", "crossover", "convolution_scaling", "batch_cdf"):
-        if key not in payload:
-            errors.append(f"{path.name}: missing top-level key {key!r}")
-    if errors:
-        return errors
-    if payload["benchmark"] != "pmf-tensor-core":
-        errors.append(
-            f"{path.name}: benchmark is {payload['benchmark']!r}, not 'pmf-tensor-core'"
-        )
-    curve = payload["convolution_scaling"]
-    if not curve:
-        errors.append(f"{path.name}: convolution_scaling is empty")
-        return errors
-    min_taps = payload["crossover"].get("fft_min_taps")
-    min_ops = payload["crossover"].get("fft_min_ops")
-    for point in curve:
-        for field in ("n", "direct_s", "fft_s", "auto_method", "max_abs_err"):
-            if field not in point:
-                errors.append(f"{path.name}: scaling point lacks {field!r}")
-                break
-        else:
-            expected = (
-                "fft"
-                if point["n"] >= min_taps and point["n"] ** 2 >= min_ops
-                else "direct"
-            )
-            if point["auto_method"] != expected:
-                errors.append(
-                    f"{path.name}: auto crossover misclassified n={point['n']}"
-                )
-            if point["max_abs_err"] >= 1e-12:
-                errors.append(
-                    f"{path.name}: FFT error {point['max_abs_err']:.2e} at "
-                    f"n={point['n']}"
-                )
-    ns = [point["n"] for point in curve]
-    if not (min(ns) < min_taps <= max(ns)):
-        errors.append(f"{path.name}: scaling curve does not straddle the crossover")
-    batch = payload["batch_cdf"]
-    for field in ("rows", "looped_s", "stacked_s", "speedup_stacked_over_looped",
-                  "values_identical"):
-        if field not in batch:
-            errors.append(f"{path.name}: batch_cdf lacks {field!r}")
-    if errors:
-        return errors
-    # The acceptance flags the artifact exists to witness.
-    if not batch["values_identical"]:
-        errors.append(f"{path.name}: stacked batch_cdf_at diverged from scalar loop")
-    if payload.get("fft_speedup_at_largest", 0) < 1.0:
-        errors.append(
-            f"{path.name}: FFT lost to direct at the largest size "
-            f"({payload.get('fft_speedup_at_largest'):.2f}x)"
-        )
-    if batch["speedup_stacked_over_looped"] < 1.0:
-        errors.append(
-            f"{path.name}: stacked batch_cdf_at lost to the scalar loop "
-            f"({batch['speedup_stacked_over_looped']:.2f}x)"
-        )
-    return errors
-
-
 def check_campaign_payload(path: Path) -> list[str]:
     """Shape + acceptance errors of the executor-layer artifact
     (``benchmarks/bench_campaign.py`` → ``BENCH_campaign.json``)."""
@@ -338,7 +259,7 @@ def check_campaign_payload(path: Path) -> list[str]:
             f"{path.name}: benchmark is {payload['benchmark']!r}, not 'campaign-sharding'"
         )
     identical = payload["identical"]
-    for leg in ("auto", "thread", "process", "warm"):
+    for leg in ("auto", "process", "warm"):
         if not identical.get(leg):
             errors.append(f"{path.name}: {leg} executor diverged from serial")
     total = payload["workload"].get("total_trials")
@@ -456,7 +377,7 @@ def check_estimator_payload(path: Path) -> list[str]:
     except (OSError, ValueError) as exc:
         return [f"{path.name}: unreadable ({exc})"]
 
-    for key in ("events_per_sec", "ratio_seed_over_incremental",
+    for key in ("events_per_sec", "ratio_naive_over_incremental",
                 "speedup_pr4_session_matched", "identical_outcomes"):
         if key not in payload:
             errors.append(f"{path.name}: missing key {key!r}")
@@ -464,10 +385,10 @@ def check_estimator_payload(path: Path) -> list[str]:
         return errors
     if not payload["identical_outcomes"]:
         errors.append(f"{path.name}: committed run had divergent outcomes")
-    if payload["ratio_seed_over_incremental"] < 3.0:
+    if payload["ratio_naive_over_incremental"] < 3.0:
         errors.append(
-            f"{path.name}: seed-over-incremental ratio "
-            f"{payload['ratio_seed_over_incremental']:.2f}x < 3x"
+            f"{path.name}: naive-over-incremental ratio "
+            f"{payload['ratio_naive_over_incremental']:.2f}x < 3x"
         )
     if payload["speedup_pr4_session_matched"] < MIN_SPEEDUP_PR4:
         errors.append(
@@ -502,9 +423,6 @@ def main(argv: list[str] | None = None) -> int:
         "--control", type=Path, default=CONTROL, help="committed BENCH_control.json"
     )
     parser.add_argument(
-        "--pmf", type=Path, default=PMF, help="committed BENCH_pmf.json"
-    )
-    parser.add_argument(
         "--campaign", type=Path, default=CAMPAIGN, help="committed BENCH_campaign.json"
     )
     parser.add_argument(
@@ -516,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     # Provenance first: every committed BENCH_*.json (plus whichever
     # paths this invocation points at) must name its anchors before the
     # shape checkers dereference them.
-    provenance_paths = {args.control, args.pmf, args.campaign, args.baseline, args.tuning}
+    provenance_paths = {args.control, args.campaign, args.baseline, args.tuning}
     provenance_paths.update((REPO_ROOT / "benchmarks").glob("BENCH_*.json"))
     for path in sorted(provenance_paths):
         errors = check_provenance(path)
@@ -525,7 +443,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"provenance OK ({path.name})")
     for label, checker, path in (
         ("control", check_control_payload, args.control),
-        ("pmf", check_pmf_payload, args.pmf),
         ("campaign", check_campaign_payload, args.campaign),
         ("estimator", check_estimator_payload, args.baseline),
         ("tuning", lambda p: check_tuning_payload(p, args.control), args.tuning),
@@ -559,8 +476,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if not fresh["identical_outcomes"]:
         print(
-            "FAIL: memoization modes diverged — the estimation layers are "
-            "no longer correctness-invisible.",
+            "FAIL: incremental and memoize=False outcomes diverged — the "
+            "estimation layers are no longer correctness-invisible.",
             file=sys.stderr,
         )
         return 1
