@@ -210,6 +210,24 @@ class TestMemoization:
             without.chance_of_success(t, cluster[0], 0.0)
         )
 
+    def test_cache_capacity_bounds_memory(self, monkeypatch):
+        """The estimator's caches are real LRUs: bounded size, one eviction
+        per insert once full (not the old clear-everything policy)."""
+        import repro.system.completion as completion
+
+        monkeypatch.setattr(completion, "CACHE_CAPACITY", 4)
+        pet = PETMatrix([[PMF.from_dict({k: 1.0 / 30 for k in range(1, 31)})]])
+        cluster = Cluster.heterogeneous(1)
+        sim = Simulator()
+        est = CompletionEstimator(pet)
+        put(cluster, sim, 0, 0, duration=30.0)
+        # Each clock tick inside the running task's support conditions it
+        # at a new cut, i.e. a new conditioned-shape cache entry.
+        for now in range(2, 22):
+            est.availability_pct(cluster[0], float(now))
+        assert len(est._cond_cache) <= 4
+        assert est._cond_cache.evictions >= 16
+
     def test_lru_evicts_coldest_not_everything(self, det_env):
         pet, _, _, _ = det_env
         from repro.system.completion import LRUCache
