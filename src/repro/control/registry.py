@@ -183,13 +183,15 @@ def _split_spec_items(text: str) -> list[str]:
     return items
 
 
-def _convert(key: str, raw: str) -> object:
+def _convert(key: str, raw: object) -> object:
+    """Coerce one parameter of either spelling: a spec string's raw
+    ``k=v`` text or a mapping entry's (JSON-typed) value."""
     if key not in _FIELD_TYPES:
         raise ValueError(
             f"unknown controller parameter {key!r}; allowed: {sorted(_FIELD_TYPES)}"
         )
-    value: object = raw
-    if raw[:1] in "[{":
+    value = raw
+    if isinstance(raw, str) and raw[:1] in "[{":
         try:
             value = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -269,9 +271,9 @@ def resolve_controller(entry: object) -> tuple[str, ControllerConfig | None]:
         "hysteresis:high=0.4,label=hot"  spec string with an explicit label,
                                        so two tunings of one kind can share
                                        a grid axis without colliding
-        {"kind": "schedule",           fully explicit variant; "label"
-         "schedule": [[0, 0.25],       overrides the derived name
-          [120, 0.75]],
+        {"kind": "schedule",           fully explicit variant; values are
+         "schedule": [[0, 0.25],       coerced as spec-string values are;
+          [120, 0.75]],                "label" overrides the derived name
          "label": "ramp"}
     """
     if entry is None or entry == "none":
@@ -302,9 +304,9 @@ def resolve_controller(entry: object) -> tuple[str, ControllerConfig | None]:
                 f"unknown controller keys {sorted(unknown)}; allowed: "
                 f"{sorted(allowed | {'label'})}"
             )
-        for key in ("schedule", "alpha_schedule"):
-            if key in fields:
-                fields[key] = tuple(tuple(point) for point in fields[key])
+        for key in fields:
+            if key != "kind":
+                fields[key] = _convert(key, fields[key])
         config = ControllerConfig(**fields)
         return str(label) if label else config.kind, config
     raise ValueError(f"unrecognized controller entry: {entry!r}")

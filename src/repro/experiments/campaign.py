@@ -30,17 +30,19 @@ Three guarantees, enforced by ``tests/experiments/test_campaign.py``:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import numbers
 import os
 import re
 import shutil
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy
 import scipy
@@ -515,254 +517,234 @@ def run_cells(
 # ======================================================================
 # Declarative sweep grids
 # ======================================================================
-def _strict_bool(value: object) -> bool:
+def _as_int(value: object) -> int:
+    """A count: an int or an integral float (JSON producers emit 2 as
+    2.0) — never a bool or a fractional number."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"must be an integer, got {value!r}")
+
+
+def _as_float(value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_bool(value: object) -> bool:
     """Only real booleans — ``bool("false")`` is True, which would
     silently run the opposite configuration."""
     if not isinstance(value, bool):
-        raise ValueError(f"expected true/false, got {value!r}")
+        raise ValueError(f"must be a boolean (expected true/false), got {value!r}")
     return value
 
 
-def _resolve_pruning(entry: object) -> tuple[str, PruningConfig | None]:
-    """Resolve one grid ``pruning`` entry to (label, config).
-
-    Accepted forms::
-
-        "none"                         baseline, no pruning mechanism
-        "paper"                        PruningConfig.paper_default()
-        "defer-only"                   Fig. 8 setting at the 50% threshold
-        "drop-only"                    Fig. 7 reactive-Toggle setting
-        {"threshold": 0.75,            fully explicit variant; every key
-         "toggle": "reactive",         is optional and defaults to the
-         "defer": true, "drop": true,  paper values; "label" overrides
-         "fairness": true,             the derived name
-         "label": "P75"}
-    """
-    if entry is None or entry == "none":
-        return "base", None
-    if entry == "paper":
-        return "P", PruningConfig.paper_default()
-    if entry == "defer-only":
-        return "D50", PruningConfig.defer_only()
-    if entry == "drop-only":
-        return "T", PruningConfig.drop_only()
-    if isinstance(entry, Mapping):
-        # Only keys actually present are passed through — the paper
-        # defaults live in PruningConfig alone, never duplicated here.
-        converters = {
-            "threshold": ("pruning_threshold", float),
-            "toggle": ("toggle_mode", ToggleMode),
-            "dropping_toggle": ("dropping_toggle", int),
-            "fairness_factor": ("fairness_factor", float),
-            "defer": ("enable_deferring", _strict_bool),
-            "drop": ("enable_dropping", _strict_bool),
-            "fairness": ("enable_fairness", _strict_bool),
-        }
-        allowed = set(converters) | {"label"}
-        unknown = set(entry) - allowed
-        if unknown:
-            raise ValueError(
-                f"unknown pruning keys {sorted(unknown)}; allowed: {sorted(allowed)}"
-            )
-        kwargs = {
-            field: convert(entry[key])
-            for key, (field, convert) in converters.items()
-            if key in entry
-        }
-        config = PruningConfig(**kwargs)
-        label = entry.get("label")
-        if not label:
-            label = f"P{int(round(config.pruning_threshold * 100))}"
-            if config.toggle_mode is not ToggleMode.REACTIVE:
-                label += f"-{config.toggle_mode.value}"
-            # Non-default switches must be visible, or two distinct
-            # variants would collide on the same derived label.
-            if not config.enable_deferring:
-                label += "-nodefer"
-            if not config.enable_dropping:
-                label += "-nodrop"
-            if not config.enable_fairness:
-                label += "-nofair"
-        return str(label), config
-    raise ValueError(f"unrecognized pruning entry: {entry!r}")
+def _as_window(value: object) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"must be a [lo, hi] pair, got {value!r}")
+    return tuple(_as_float(v) for v in value)
 
 
-def _resolve_dynamics(entry: object) -> tuple[str, DynamicsSpec | None]:
-    """Resolve one grid ``dynamics`` entry to (label, spec).
+def _as_params(value: object) -> dict:
+    if not isinstance(value, Mapping) or not value:
+        raise ValueError(f"must be a non-empty mapping, got {value!r}")
+    return dict(value)
 
-    Accepted forms::
 
-        "none" / None                  static cluster (the paper's setup)
-        "churn"                        3 failures at the DynamicsSpec
-                                       default downtime (mean 60.0)
-        {"failures": 3,                fully explicit variant; every key is
-         "mean_downtime": 40.0,        optional and defaults to the
-         "scale_up": 1,                DynamicsSpec values; "label"
-         "scale_down": 1,              overrides the derived name
-         "window": [0.05, 0.85],
-         "min_online": 1,
-         "label": "churn3"}
-    """
-    if entry is None or entry == "none":
+def _build_pruning(fields: dict) -> tuple[str, PruningConfig]:
+    # Only keys actually present are passed through — the paper
+    # defaults live in PruningConfig alone, never duplicated here.
+    config = PruningConfig(**fields)
+    label = f"P{round(config.pruning_threshold * 100)}"
+    if config.toggle_mode is not ToggleMode.REACTIVE:
+        label += f"-{config.toggle_mode.value}"
+    # Non-default switches must be visible, or two distinct variants
+    # would collide on the same derived label.
+    off = {"enable_deferring": "-nodefer", "enable_dropping": "-nodrop", "enable_fairness": "-nofair"}
+    label += "".join(tag for name, tag in off.items() if not getattr(config, name))
+    return label, config
+
+
+def _build_dynamics(fields: dict) -> tuple[str, DynamicsSpec | None]:
+    spec = DynamicsSpec(**fields)
+    if spec.is_static:
+        # All-zero event counts are the static cluster: same cell
+        # identity (label and cache key) as the "none" entry, so the
+        # grid cannot silently double-compute identical cells.
         return "static", None
-    if entry == "churn":
-        return "churn", DynamicsSpec(failures=3)
-    if isinstance(entry, Mapping):
+    parts = []
+    if spec.failures:
+        parts.append(f"f{spec.failures}")
+        if spec.mean_downtime != DynamicsSpec.mean_downtime:
+            # Distinct downtimes are distinct scenarios; without this
+            # the derived labels would collide.
+            parts.append(f"d{spec.mean_downtime:g}")
+    if spec.scale_up:
+        parts.append(f"up{spec.scale_up}")
+    if spec.scale_down:
+        parts.append(f"down{spec.scale_down}")
+    return "dyn-" + "-".join(parts), spec
+
+
+def _build_dag(fields: dict) -> tuple[str, dict]:
+    """DAG entries resolve to WorkloadSpec field overrides."""
+    if not fields.get("dag_layers"):
+        raise ValueError('a dag entry must set "layers" >= 2 (use "none" for independent tasks)')
+    label = f"dag{fields['dag_layers']}"
+    # Non-default wiring knobs must be visible, or two distinct
+    # variants would collide on the same derived label.
+    if fields.get("dag_edge_prob", WorkloadSpec.dag_edge_prob) != WorkloadSpec.dag_edge_prob:
+        label += f"-p{fields['dag_edge_prob']:g}"
+    if fields.get("dag_max_parents", WorkloadSpec.dag_max_parents) != WorkloadSpec.dag_max_parents:
+        label += f"-m{fields['dag_max_parents']}"
+    return label, fields
+
+
+def _build_tuning(fields: dict) -> tuple[str, dict]:
+    """Tuning entries resolve to a knob patch (:mod:`repro.tuning.params`),
+    spelled out or replayed from a tuner trial ledger."""
+    # Deferred: repro.tuning imports this module.
+    from ..tuning.ledger import ledger_best
+    from ..tuning.params import params_label
+
+    if ("params" in fields) == ("ledger" in fields):
+        raise ValueError(
+            f'a tuning entry needs exactly one of "params" or "ledger", '
+            f"got {sorted(fields)}"
+        )
+    if "params" in fields:
+        if "rank" in fields:
+            raise ValueError("unknown tuning-entry keys ['rank']; allowed: ['label', 'params']")
+        params = fields["params"]
+    else:
+        params = ledger_best(fields["ledger"], rank=fields.get("rank", 0))
+    return params_label(params), params
+
+
+@dataclass(frozen=True)
+class _Axis:
+    """One row of :data:`_AXES`: how entries of one grid axis resolve."""
+
+    #: Label of the ``"none"``/``None`` entry, whose value is ``None``.
+    none_label: str
+    #: Mapping-entry key → (field handed to ``build``, converter).
+    keys: Mapping[str, tuple[str, Callable[[object], object]]] = field(default_factory=dict)
+    #: ``build(fields) -> (derived label, value)`` over converted fields.
+    build: Callable[[dict], tuple[str, object]] | None = None
+    #: String shortcut → the mapping entry it stands for.
+    shortcuts: Mapping[str, Mapping] = field(default_factory=dict)
+    #: The axis only varies pruned cells: baseline cells are emitted
+    #: once, not once per entry of this axis.
+    pruned_only: bool = False
+    #: Resolves every non-``none`` entry itself instead.
+    resolve: Callable[[object], tuple[str, object]] | None = None
+
+
+#: The grid axes with ``"none"``/shortcut/mapping entries, in
+#: :meth:`SweepGrid.expand`'s emission order.  The field table in
+#: ``docs/experiments.md`` documents every key.
+_AXES: dict[str, _Axis] = {
+    "dag": _Axis(
+        none_label="none",
+        shortcuts={"layered": {"layers": 4}},
+        keys={
+            "layers": ("dag_layers", _as_int),
+            "edge_prob": ("dag_edge_prob", _as_float),
+            "max_parents": ("dag_max_parents", _as_int),
+        },
+        build=_build_dag,
+    ),
+    "pruning": _Axis(
+        none_label="base",
+        shortcuts={
+            "paper": {"label": "P"},
+            "defer-only": {"label": "D50", "toggle": "never", "drop": False},
+            "drop-only": {"label": "T", "defer": False},
+        },
+        keys={
+            "threshold": ("pruning_threshold", _as_float),
+            "toggle": ("toggle_mode", ToggleMode),
+            "dropping_toggle": ("dropping_toggle", _as_int),
+            "fairness_factor": ("fairness_factor", _as_float),
+            "defer": ("enable_deferring", _as_bool),
+            "drop": ("enable_dropping", _as_bool),
+            "fairness": ("enable_fairness", _as_bool),
+        },
+        build=_build_pruning,
+    ),
+    "controller": _Axis(none_label="", resolve=resolve_controller, pruned_only=True),
+    "tuning": _Axis(
+        none_label="none",
+        keys={
+            "params": ("params", _as_params),
+            "ledger": ("ledger", str),
+            "rank": ("rank", _as_int),
+        },
+        build=_build_tuning,
+        pruned_only=True,
+    ),
+    "dynamics": _Axis(
+        none_label="static",
+        shortcuts={"churn": {"label": "churn", "failures": 3}},
+        keys={
+            "failures": ("failures", _as_int),
+            "mean_downtime": ("mean_downtime", _as_float),
+            "scale_up": ("scale_up", _as_int),
+            "scale_down": ("scale_down", _as_int),
+            "window": ("window", _as_window),
+            "min_online": ("min_online", _as_int),
+        },
+        build=_build_dynamics,
+    ),
+}
+
+
+def _resolve(axis: str, entry: object) -> tuple[str, object]:
+    """Resolve one entry of a table axis to ``(label, value)``.
+
+    ``"none"``/``None``, then a string shortcut, then a mapping: its
+    optional ``"label"`` overrides the derived one, and every other key
+    must be one the row converts.  Errors are prefixed ``<axis> axis:``.
+    """
+    row = _AXES[axis]
+    try:
+        if entry is None or entry == "none":
+            return row.none_label, None
+        if row.resolve is not None:
+            return row.resolve(entry)
+        if isinstance(entry, str) and entry in row.shortcuts:
+            entry = row.shortcuts[entry]
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"unrecognized {axis} entry: {entry!r}")
         fields = dict(entry)
         label = fields.pop("label", None)
-        allowed = set(DynamicsSpec.__dataclass_fields__)
-        unknown = set(fields) - allowed
+        unknown = set(fields) - set(row.keys)
         if unknown:
             raise ValueError(
-                f"unknown dynamics keys {sorted(unknown)}; allowed: "
-                f"{sorted(allowed | {'label'})}"
+                f"unknown {axis} keys {sorted(unknown)}; allowed: "
+                f"{sorted({*row.keys, 'label'})}"
             )
-        if "window" in fields:
-            fields["window"] = tuple(float(v) for v in fields["window"])
-        for key in ("failures", "scale_up", "scale_down", "min_online"):
-            value = fields.get(key)
-            if isinstance(value, float):
-                if not value.is_integer():
-                    raise ValueError(f"dynamics {key} must be an integer, got {value!r}")
-                fields[key] = int(value)
-        spec = DynamicsSpec(**fields)
-        if spec.is_static:
-            # All-zero event counts are the static cluster: same cell
-            # identity (label and cache key) as the "none" entry, so the
-            # grid cannot silently double-compute identical cells.
-            return str(label) if label else "static", None
-        if not label:
-            parts = []
-            if spec.failures:
-                parts.append(f"f{spec.failures}")
-                if spec.mean_downtime != DynamicsSpec.mean_downtime:
-                    # Distinct downtimes are distinct scenarios; without
-                    # this the derived labels would collide.
-                    parts.append(f"d{spec.mean_downtime:g}")
-            if spec.scale_up:
-                parts.append(f"up{spec.scale_up}")
-            if spec.scale_down:
-                parts.append(f"down{spec.scale_down}")
-            label = "dyn-" + "-".join(parts) if parts else "static"
-        return str(label), spec
-    raise ValueError(f"unrecognized dynamics entry: {entry!r}")
+        converted: dict[str, object] = {}
+        for key, value in fields.items():
+            target, convert = row.keys[key]
+            try:
+                converted[target] = convert(value)
+            except ValueError as exc:
+                raise ValueError(f'"{key}" {exc}') from None
+        assert row.build is not None
+        derived, value = row.build(converted)
+    except ValueError as exc:
+        raise ValueError(f"{axis} axis: {exc}") from exc
+    return (str(label) if label else derived), value
 
 
-def _resolve_dag(entry: object) -> tuple[str, dict | None]:
-    """Resolve one grid ``dag`` entry to (label, spec-field overrides).
-
-    Accepted forms::
-
-        "none" / None                  independent tasks (the paper's setup)
-        "layered"                      4-layer random DAG at the
-                                       WorkloadSpec defaults
-        {"layers": 3,                  fully explicit variant; every key
-         "edge_prob": 0.7,             except ``layers`` is optional and
-         "max_parents": 2,             defaults to the WorkloadSpec
-         "label": "deep"}              values; "label" overrides the
-                                       derived name
-
-    The axis applies to *synthetic* levels only — trace files carry
-    explicit dependency edges (JSON v3), so :meth:`SweepGrid.expand`
-    rejects a grid combining trace levels with a non-``none`` entry.
-    """
-    if entry is None or entry == "none":
-        return "none", None
-    if entry == "layered":
-        return "dag4", {"dag_layers": 4}
-    if isinstance(entry, Mapping):
-        fields = dict(entry)
-        label = fields.pop("label", None)
-        renames = {
-            "layers": "dag_layers",
-            "edge_prob": "dag_edge_prob",
-            "max_parents": "dag_max_parents",
-        }
-        unknown = set(fields) - set(renames)
-        if unknown:
-            raise ValueError(
-                f"unknown dag keys {sorted(unknown)}; allowed: "
-                f"{sorted(set(renames) | {'label'})}"
-            )
-        overrides: dict = {}
-        for key, fname in renames.items():
-            if key not in fields:
-                continue
-            value = fields[key]
-            if key == "edge_prob":
-                value = float(value)
-            elif isinstance(value, float):
-                if not value.is_integer():
-                    raise ValueError(f"dag {key} must be an integer, got {value!r}")
-                value = int(value)
-            overrides[fname] = value
-        if not overrides.get("dag_layers"):
-            raise ValueError(
-                'a dag entry must set "layers" >= 2 (use "none" for '
-                "independent tasks)"
-            )
-        if not label:
-            label = f"dag{overrides['dag_layers']}"
-            # Non-default wiring knobs must be visible, or two distinct
-            # variants would collide on the same derived label.
-            if overrides.get("dag_edge_prob", WorkloadSpec.dag_edge_prob) != WorkloadSpec.dag_edge_prob:
-                label += f"-p{overrides['dag_edge_prob']:g}"
-            if overrides.get("dag_max_parents", WorkloadSpec.dag_max_parents) != WorkloadSpec.dag_max_parents:
-                label += f"-m{overrides['dag_max_parents']}"
-        return str(label), overrides
-    raise ValueError(f"unrecognized dag entry: {entry!r}")
-
-
-def _resolve_tuning(entry: object) -> tuple[str, dict | None]:
-    """Resolve one grid ``tuning`` entry to (label, params-or-None).
-
-    ``"none"``/``None`` runs the cell exactly as the grid defines it.
-    A mapping patches the offline tuner's knob vocabulary
-    (:mod:`repro.tuning.params`) onto each pruned cell — either spelled
-    out (``{"params": {"beta": 0.7, "controller.high": 0.2}}``) or
-    replayed from a tuner trial ledger (``{"ledger": "path.json"}``,
-    optional ``"rank"`` for the rank-th best record).  The label
-    defaults to the deterministic ``tuned-<hex>`` params digest.
-    """
-    if entry is None or entry == "none":
-        return "none", None
-    if isinstance(entry, Mapping):
-        fields = dict(entry)
-        label = fields.pop("label", None)
-        if ("params" in fields) == ("ledger" in fields):
-            raise ValueError(
-                f'a tuning entry needs exactly one of "params" or "ledger", '
-                f"got {sorted(fields)}"
-            )
-        if "params" in fields:
-            params = fields.pop("params")
-            if fields:
-                raise ValueError(
-                    f"unknown tuning-entry keys {sorted(fields)}; allowed: "
-                    f"['label', 'params']"
-                )
-            if not isinstance(params, Mapping) or not params:
-                raise ValueError(
-                    f'tuning "params" must be a non-empty mapping, got {params!r}'
-                )
-            params = dict(params)
-        else:
-            path = str(fields.pop("ledger"))
-            rank = fields.pop("rank", 0)
-            if fields:
-                raise ValueError(
-                    f"unknown tuning-entry keys {sorted(fields)}; allowed: "
-                    f"['label', 'ledger', 'rank']"
-                )
-            if isinstance(rank, bool) or not isinstance(rank, int):
-                raise ValueError(f'tuning "rank" must be an integer, got {rank!r}')
-            from ..tuning.ledger import ledger_best  # deferred: tuning imports this module
-
-            params = ledger_best(path, rank=rank)
-        from ..tuning.params import params_label  # deferred: tuning imports this module
-
-        return (str(label) if label else params_label(params)), params
-    raise ValueError(f"unrecognized tuning entry: {entry!r}")
+#: SweepGrid's entry-list fields, in the order expand() crosses them.
+_GRID_AXES = (
+    "heuristics", "levels", "patterns", "dag", "heterogeneity", "pruning", "controller",
+    "tuning", "dynamics",
+)
 
 
 def _resolve_level(
@@ -810,14 +792,14 @@ def _resolve_level(
         explicit_name = fields.pop("name", None)
         fields.setdefault("num_tasks", 300)
         fields.setdefault("time_span", 200.0)
-        # JSON producers emit 40 as 40.0; the count fields feed RNG
-        # stream names and cache keys, so 40.0 must mean exactly 40.
+        # The count fields feed RNG stream names and cache keys, so a
+        # JSON 40.0 must mean exactly 40.
         for key in ("num_tasks", "num_task_types", "num_spikes", "trim_edge_tasks"):
-            value = fields.get(key)
-            if isinstance(value, float):
-                if not value.is_integer():
-                    raise ValueError(f"level {key} must be an integer, got {value!r}")
-                fields[key] = int(value)
+            if fields.get(key) is not None:
+                try:
+                    fields[key] = _as_int(fields[key])
+                except ValueError as exc:
+                    raise ValueError(f"level {key} {exc}") from None
         spec = WorkloadSpec(pattern=pattern, **fields).scaled(scale)
         if "num_spikes" in fields and spec.num_spikes != fields["num_spikes"]:
             # An explicitly pinned spike count survives scaling.
@@ -832,27 +814,22 @@ def _resolve_level(
 class SweepGrid:
     """A declarative parameter grid that expands to experiment cells.
 
-    The cross product of ``heuristics × levels × patterns ×
-    heterogeneity × pruning × dynamics × controller × dag`` defines the
-    campaign's cells; ``trials``, ``base_seed`` and ``scale`` apply to
-    every cell.  Grids are plain data — build them in code, load them
-    with :meth:`from_json`, or pick a named :meth:`preset`.
+    The cross product of ``heuristics × levels × patterns × dag ×
+    heterogeneity × pruning × controller × tuning × dynamics`` (the
+    order cells are emitted in) defines the campaign's cells;
+    ``trials``, ``base_seed`` and ``scale`` apply to every cell.  Grids
+    are plain data — build them in code, load them with
+    :meth:`from_json`, or pick a named :meth:`preset`.
 
     The ``controller`` axis attaches an adaptive β/α control plane
-    (:mod:`repro.control`) to each *pruned* variant; baseline cells
-    (``pruning: "none"``) have nothing to control, so they are emitted
-    exactly once instead of once per controller entry.
-
-    The ``dag`` axis wires a layered random dependency graph over each
-    synthetic workload (see :func:`_resolve_dag`); trace levels carry
-    explicit edges in the file itself, so combining them with a
-    non-``none`` dag entry is an error.
-
-    The ``tuning`` axis patches tuned parameter sets (explicit
-    ``params`` or a tuner trial ledger — see :func:`_resolve_tuning`)
-    onto each *pruned* variant, so an offline search's winner can run
-    head-to-head against the hand-set grid inside one campaign.
-    Baseline cells have no knobs to patch and are emitted once.
+    (:mod:`repro.control`) and the ``tuning`` axis patches tuned
+    parameter sets (explicit ``params`` or a tuner trial ledger) onto
+    each *pruned* variant; baseline cells (``pruning: "none"``) have
+    nothing to control or tune, so they are emitted exactly once
+    instead of once per entry of those axes.  The ``dag`` axis wires a
+    layered random dependency graph over each synthetic workload; trace
+    levels carry explicit edges in the file itself, so combining them
+    with a non-``none`` dag entry is an error.
     """
 
     name: str = "campaign"
@@ -870,17 +847,7 @@ class SweepGrid:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        for fname in (
-            "heuristics",
-            "levels",
-            "patterns",
-            "heterogeneity",
-            "pruning",
-            "dynamics",
-            "controller",
-            "dag",
-            "tuning",
-        ):
+        for fname in _GRID_AXES:
             value = getattr(self, fname)
             if isinstance(value, (str, Mapping)):
                 value = (value,)
@@ -889,62 +856,45 @@ class SweepGrid:
                 # (or a shared source like PRESETS) can't corrupt the grid.
                 value = tuple(dict(v) if isinstance(v, Mapping) else v for v in value)
             except TypeError:
-                raise ValueError(
-                    f"{fname} must be a list of entries, got {value!r}"
-                ) from None
+                raise ValueError(f"{fname} must be a list of entries, got {value!r}") from None
             if not value:
                 raise ValueError(f"{fname} must not be empty")
             object.__setattr__(self, fname, value)
-        # JSON producers don't distinguish 2 from 2.0 — coerce integral
-        # floats here so the mistake doesn't surface as an opaque
-        # TypeError deep in the executor.
-        for fname in ("trials", "base_seed"):
-            value = getattr(self, fname)
-            if not isinstance(value, int):
-                if isinstance(value, float) and value.is_integer():
-                    object.__setattr__(self, fname, int(value))
-                else:
-                    raise ValueError(f"{fname} must be an integer, got {value!r}")
+        for fname, convert in (("trials", _as_int), ("base_seed", _as_int), ("scale", _as_float)):
+            try:
+                object.__setattr__(self, fname, convert(getattr(self, fname)))
+            except ValueError as exc:
+                raise ValueError(f"{fname} {exc}") from None
         if self.trials <= 0:
             raise ValueError("trials must be positive")
-        if not isinstance(self.scale, (int, float)) or isinstance(self.scale, bool):
-            raise ValueError(f"scale must be a number, got {self.scale!r}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
     # ------------------------------------------------------------------
     @property
     def num_cells(self) -> int:
-        # Trace levels replay a fixed file, so expand() emits them once
-        # instead of once per pattern — count them the same way.
-        trace_levels = sum(
-            1
-            for entry in self.levels
-            if isinstance(entry, Mapping) and "trace" in entry
-        )
-        synthetic_levels = len(self.levels) - trace_levels
-        # Baseline pruning entries have no β/α to control (and no knobs
-        # to tune): expand() emits them once, not once per controller or
-        # tuning entry.
-        base_pruning = sum(
-            1 for entry in self.pruning if entry is None or entry == "none"
-        )
-        pruning_variants = base_pruning + (
-            len(self.pruning) - base_pruning
-        ) * len(self.controller) * len(self.tuning)
-        # The dag axis applies to synthetic levels only (expand() rejects
-        # the mixed case before any counting discrepancy could matter).
-        return (
-            len(self.heuristics)
-            * (synthetic_levels * len(self.patterns) * len(self.dag) + trace_levels)
-            * len(self.heterogeneity)
-            * pruning_variants
-            * len(self.dynamics)
-        )
+        return sum(1 for _ in self._cell_indices())
 
     @property
     def total_trials(self) -> int:
         return self.num_cells * self.trials
+
+    def _cell_indices(self) -> Iterator[dict[str, int]]:
+        """Per-axis entry indices of every cell, in emission order."""
+        pruned_only = [axis for axis, row in _AXES.items() if row.pruned_only]
+        for combo in itertools.product(*(range(len(getattr(self, a))) for a in _GRID_AXES)):
+            index = dict(zip(_GRID_AXES, combo))
+            level = self.levels[index["levels"]]
+            pruning = self.pruning[index["pruning"]]
+            # Trace levels replay a fixed file: the pattern axis does not
+            # apply, so each trace cell is emitted for the first pattern
+            # only.  Baseline cells have no β/α to control and no knobs
+            # to tune: emitted for the first entry of those axes only.
+            if (isinstance(level, Mapping) and "trace" in level and index["patterns"]) or (
+                (pruning is None or pruning == "none") and any(index[a] for a in pruned_only)
+            ):
+                continue
+            yield index
 
     def expand(self) -> list[CampaignCell]:
         """The grid's cells, in deterministic cross-product order.
@@ -970,48 +920,36 @@ class SweepGrid:
                 raise ValueError(
                     f"unknown heterogeneity kind {kind!r}; choose from {list(kinds)}"
                 )
-        if "trace" in self.patterns:
+        trace_levels = [
+            entry for entry in self.levels if isinstance(entry, Mapping) and "trace" in entry
+        ]
+        if "trace" in self.patterns and len(trace_levels) < len(self.levels):
             # "trace" is not a generator: it only describes trace levels
             # (which carry it implicitly).  Resolving it against a
             # synthetic level would surface a confusing WorkloadSpec
             # error from deep inside the library.
-            synthetic = [
-                entry
-                for entry in self.levels
-                if not (isinstance(entry, Mapping) and "trace" in entry)
-            ]
-            if synthetic:
-                raise ValueError(
-                    f"pattern 'trace' applies only to trace levels, but the "
-                    f"grid has synthetic level(s) {synthetic!r}; give levels "
-                    f'as {{"trace": "path.csv"}} mappings or drop the pattern'
-                )
-        # Resolve each axis once — a level/pruning/dynamics/controller
-        # entry's meaning does not depend on the combination it lands in
-        # (levels only on pattern and scale).
-        pruning_variants = [_resolve_pruning(entry) for entry in self.pruning]
-        dynamics_variants = [_resolve_dynamics(entry) for entry in self.dynamics]
-        dag_variants = [_resolve_dag(entry) for entry in self.dag]
-        if any(fields is not None for _, fields in dag_variants):
-            trace_entries = [
-                entry
-                for entry in self.levels
-                if isinstance(entry, Mapping) and "trace" in entry
-            ]
-            if trace_entries:
-                raise ValueError(
-                    "the dag axis applies only to synthetic levels — trace "
-                    "files carry explicit dependency edges (JSON v3) — but "
-                    f"the grid has trace level(s) {trace_entries!r}"
-                )
-        try:
-            controller_variants = [resolve_controller(entry) for entry in self.controller]
-        except ValueError as exc:
-            raise ValueError(f"controller axis: {exc}") from exc
-        try:
-            tuning_variants = [_resolve_tuning(entry) for entry in self.tuning]
-        except ValueError as exc:
-            raise ValueError(f"tuning axis: {exc}") from exc
+            synthetic = [entry for entry in self.levels if entry not in trace_levels]
+            raise ValueError(
+                f"pattern 'trace' applies only to trace levels, but the "
+                f"grid has synthetic level(s) {synthetic!r}; give levels "
+                f'as {{"trace": "path.csv"}} mappings or drop the pattern'
+            )
+        # Resolve each entry once — its meaning does not depend on the
+        # combination it lands in (levels only on pattern and scale).
+        choices: dict[str, Sequence] = {
+            "heuristics": heuristics,
+            "levels": self.levels,
+            "patterns": self.patterns,
+            "heterogeneity": self.heterogeneity,
+        }
+        for axis in _AXES:
+            choices[axis] = [_resolve(axis, entry) for entry in getattr(self, axis)]
+        if trace_levels and any(fields is not None for _, fields in choices["dag"]):
+            raise ValueError(
+                "the dag axis applies only to synthetic levels — trace "
+                "files carry explicit dependency edges (JSON v3) — but "
+                f"the grid has trace level(s) {trace_levels!r}"
+            )
         specs = {
             (pattern_name, li): _resolve_level(
                 entry, ArrivalPattern(pattern_name), self.scale
@@ -1020,119 +958,70 @@ class SweepGrid:
             for li, entry in enumerate(self.levels)
         }
         cells: list[CampaignCell] = []
-        for heuristic in heuristics:
-            for li, _level_entry in enumerate(self.levels):
-                for pi, pattern_name in enumerate(self.patterns):
-                    level, spec = specs[pattern_name, li]
-                    # Trace levels replay a fixed file — the pattern axis
-                    # does not apply to them, so emit each trace cell
-                    # once instead of duplicating it per pattern.
-                    if spec.pattern is ArrivalPattern.TRACE and pi > 0:
-                        continue
-                    # Trace levels carry their own pattern; labels and
-                    # summary rows report what actually runs.
-                    pattern_label = spec.pattern.value
-                    for glabel, gfields in dag_variants:
-                        cell_spec = spec if gfields is None else spec.with_(**gfields)
-                        for het in self.heterogeneity:
-                            for plabel, pconfig in pruning_variants:
-                                for ci, (clabel, cconfig) in enumerate(controller_variants):
-                                    # Baseline cells have no β/α to control:
-                                    # emit them once (with the axis's first
-                                    # entry slot), not once per controller.
-                                    if pconfig is None and ci > 0:
-                                        continue
-                                    if pconfig is None:
-                                        variant, vlabel = None, plabel
-                                    elif cconfig is None:
-                                        variant, vlabel = pconfig, plabel
-                                    else:
-                                        variant = pconfig.with_(controller=cconfig)
-                                        vlabel = f"{plabel}+{clabel}"
-                                    controller_label = (
-                                        "" if variant is None or cconfig is None else clabel
-                                    )
-                                    for ti, (tlabel, tparams) in enumerate(tuning_variants):
-                                        # Baseline cells have no knobs to
-                                        # tune: emit them once, untouched.
-                                        if pconfig is None and ti > 0:
-                                            continue
-                                        tuned = tparams is not None and pconfig is not None
-                                        for dlabel, dspec in dynamics_variants:
-                                            label = (
-                                                f"{heuristic}/{vlabel}"
-                                                f"{f'~{tlabel}' if tuned else ''}@{level}"
-                                                f"/{pattern_label}/{het}"
-                                            )
-                                            if gfields is not None:
-                                                label += f"/{glabel}"
-                                            if dspec is not None:
-                                                label += f"/{dlabel}"
-                                            config = ExperimentConfig(
-                                                heuristic=heuristic,
-                                                spec=cell_spec,
-                                                pruning=variant,
-                                                heterogeneity=het,
-                                                trials=self.trials,
-                                                base_seed=self.base_seed,
-                                                label=label,
-                                                dynamics=dspec,
-                                            )
-                                            if tuned:
-                                                from ..tuning.params import apply_params
+        for index in self._cell_indices():
+            pick = {axis: choices[axis][i] for axis, i in index.items()}
+            level, spec = specs[pick["patterns"], index["levels"]]
+            plabel, pconfig = pick["pruning"]
+            glabel, gfields = pick["dag"]
+            clabel, cconfig = pick["controller"]
+            tlabel, tparams = pick["tuning"]
+            dlabel, dspec = pick["dynamics"]
+            controlled = pconfig is not None and cconfig is not None
+            tuned = pconfig is not None and tparams is not None
+            vlabel = f"{plabel}+{clabel}" if controlled else plabel
+            # Trace levels carry their own pattern; labels and summary
+            # rows report what actually runs.
+            pattern = spec.pattern.value
+            label = (
+                f"{pick['heuristics']}/{vlabel}{f'~{tlabel}' if tuned else ''}"
+                f"@{level}/{pattern}/{pick['heterogeneity']}"
+            )
+            if gfields is not None:
+                label += f"/{glabel}"
+            if dspec is not None:
+                label += f"/{dlabel}"
+            config = ExperimentConfig(
+                heuristic=pick["heuristics"],
+                spec=spec if gfields is None else spec.with_(**gfields),
+                pruning=pconfig.with_(controller=cconfig) if controlled else pconfig,
+                heterogeneity=pick["heterogeneity"],
+                trials=self.trials,
+                base_seed=self.base_seed,
+                label=label,
+                dynamics=dspec,
+            )
+            if tuned:
+                from ..tuning.params import apply_params
 
-                                                try:
-                                                    config = apply_params(config, tparams)
-                                                except ValueError as exc:
-                                                    raise ValueError(
-                                                        f"tuning entry {tlabel!r}: {exc}"
-                                                    ) from exc
-                                            cells.append(
-                                                CampaignCell(
-                                                    config=config,
-                                                    level=level,
-                                                    pattern=pattern_label,
-                                                    pruning_label=vlabel,
-                                                    dynamics_label=dlabel,
-                                                    controller_label=controller_label,
-                                                    dag_label=glabel,
-                                                    tuning_label=tlabel if tuned else "none",
-                                                )
-                                            )
+                try:
+                    config = apply_params(config, tparams)
+                except ValueError as exc:
+                    raise ValueError(f"tuning entry {tlabel!r}: {exc}") from exc
+            cells.append(
+                CampaignCell(
+                    config=config,
+                    level=level,
+                    pattern=pattern,
+                    pruning_label=vlabel,
+                    dynamics_label=dlabel,
+                    controller_label=clabel if controlled else "",
+                    dag_label=glabel,
+                    tuning_label=tlabel if tuned else "none",
+                )
+            )
         _check_unique_labels(
             cells,
-            "give the colliding pruning/dynamics/controller entries explicit "
-            "'label' keys (or level entries explicit 'name' keys)",
+            f"give the colliding {'/'.join(_AXES)} entries explicit 'label' "
+            "keys (or level entries explicit 'name' keys)",
         )
         return cells
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "heuristics": list(self.heuristics),
-            "levels": [
-                dict(lv) if isinstance(lv, Mapping) else lv for lv in self.levels
-            ],
-            "patterns": list(self.patterns),
-            "heterogeneity": list(self.heterogeneity),
-            "pruning": [
-                dict(p) if isinstance(p, Mapping) else p for p in self.pruning
-            ],
-            "dynamics": [
-                dict(d) if isinstance(d, Mapping) else d for d in self.dynamics
-            ],
-            "controller": [
-                dict(c) if isinstance(c, Mapping) else c for c in self.controller
-            ],
-            "dag": [dict(g) if isinstance(g, Mapping) else g for g in self.dag],
-            "tuning": [
-                dict(t) if isinstance(t, Mapping) else t for t in self.tuning
-            ],
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "scale": self.scale,
-        }
+        payload = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        for name in _GRID_AXES:
+            payload[name] = [dict(e) if isinstance(e, Mapping) else e for e in payload[name]]
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> SweepGrid:

@@ -354,3 +354,14 @@ class TestRegistry:
     def test_resolve_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown controller keys"):
             resolve_controller({"kind": "static", "gain": 1.0})
+        # Mapping values go through the spec-string converters: a bool
+        # is not a number, and a non-numeric count fails as ValueError
+        # by name instead of as a TypeError from a comparison.
+        with pytest.raises(ValueError, match="high=True: expected a number"):
+            resolve_controller({"kind": "hysteresis", "high": True})
+        with pytest.raises(ValueError, match="controller parameter window='eight'"):
+            resolve_controller({"kind": "hysteresis", "window": "eight"})
+        # ... and a numeric string means what it means in a spec string.
+        assert resolve_controller({"kind": "hysteresis", "window": "8"}) == (
+            resolve_controller("hysteresis:window=8")
+        )

@@ -221,6 +221,24 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match="expected true/false"):
             SweepGrid(pruning=({"defer": "false"},), trials=1).expand()
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"pruning": ({"dropping_toggle": 2.7},)}, "pruning axis: .*dropping_toggle"),
+            ({"pruning": ({"dropping_toggle": True},)}, "pruning axis: .*dropping_toggle"),
+            ({"pruning": ({"threshold": True},)}, "pruning axis: .*threshold"),
+            ({"dynamics": ({"failures": True},)}, "dynamics axis: .*failures"),
+            ({"dag": ({"layers": 3, "edge_prob": True},)}, "dag axis: .*edge_prob"),
+            ({"trials": True}, "trials must be an integer"),
+        ],
+    )
+    def test_non_numbers_rejected_by_axis_and_key(self, overrides, match):
+        """A bool is never a number and a fractional float never a count:
+        each fails loudly, naming its axis and key, instead of being
+        truncated or carried into a label."""
+        with pytest.raises(ValueError, match=match):
+            SweepGrid(**{"pruning": ("paper",), "trials": 1, **overrides}).expand()
+
     def test_mutating_loaded_grid_does_not_corrupt_presets(self):
         grid = SweepGrid.preset("smoke")
         grid.levels[0]["num_tasks"] = 9999

@@ -16,7 +16,7 @@ from repro.experiments.campaign import (
     PRESETS,
     Campaign,
     SweepGrid,
-    _resolve_dag,
+    _resolve,
     run_cell_trials,
 )
 from repro.experiments.cli import main
@@ -44,40 +44,40 @@ def _dumps(cells):
 # ======================================================================
 class TestResolveDag:
     def test_none_forms(self):
-        assert _resolve_dag("none") == ("none", None)
-        assert _resolve_dag(None) == ("none", None)
+        assert _resolve("dag", "none") == ("none", None)
+        assert _resolve("dag", None) == ("none", None)
 
     def test_layered_shorthand(self):
-        assert _resolve_dag("layered") == ("dag4", {"dag_layers": 4})
+        assert _resolve("dag", "layered") == ("dag4", {"dag_layers": 4})
 
     def test_mapping_with_derived_label(self):
-        label, fields = _resolve_dag({"layers": 3})
+        label, fields = _resolve("dag", {"layers": 3})
         assert (label, fields) == ("dag3", {"dag_layers": 3})
         # Non-default knobs surface in the label so variants don't collide.
-        label, fields = _resolve_dag({"layers": 3, "edge_prob": 0.25})
+        label, fields = _resolve("dag", {"layers": 3, "edge_prob": 0.25})
         assert label == "dag3-p0.25"
         assert fields == {"dag_layers": 3, "dag_edge_prob": 0.25}
-        label, _ = _resolve_dag({"layers": 2, "max_parents": 1})
+        label, _ = _resolve("dag", {"layers": 2, "max_parents": 1})
         assert label == "dag2-m1"
 
     def test_explicit_label_wins(self):
-        label, _ = _resolve_dag({"layers": 5, "label": "deep"})
+        label, _ = _resolve("dag", {"layers": 5, "label": "deep"})
         assert label == "deep"
 
     def test_integral_floats_coerced(self):
-        _, fields = _resolve_dag({"layers": 3.0, "max_parents": 2.0})
+        _, fields = _resolve("dag", {"layers": 3.0, "max_parents": 2.0})
         assert fields == {"dag_layers": 3, "dag_max_parents": 2}
         assert all(isinstance(v, int) for v in fields.values())
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="unknown dag keys"):
-            _resolve_dag({"layers": 3, "depth": 9})
+            _resolve("dag", {"layers": 3, "depth": 9})
         with pytest.raises(ValueError, match='must set "layers"'):
-            _resolve_dag({"edge_prob": 0.5})
+            _resolve("dag", {"edge_prob": 0.5})
         with pytest.raises(ValueError, match="must be an integer"):
-            _resolve_dag({"layers": 2.5})
+            _resolve("dag", {"layers": 2.5})
         with pytest.raises(ValueError, match="unrecognized dag entry"):
-            _resolve_dag(7)
+            _resolve("dag", 7)
 
 
 # ======================================================================

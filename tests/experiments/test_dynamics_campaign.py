@@ -15,7 +15,7 @@ from repro.experiments.campaign import (
     Campaign,
     ResultCache,
     SweepGrid,
-    _resolve_dynamics,
+    _resolve,
     run_cell_trials,
     trial_key,
 )
@@ -105,27 +105,27 @@ class TestCacheKeysCoverDynamics:
 
 class TestGridDynamicsAxis:
     def test_resolve_named_and_mapping_entries(self):
-        label, spec = _resolve_dynamics("churn")
+        label, spec = _resolve("dynamics", "churn")
         assert label == "churn" and spec.failures == 3
-        label, spec = _resolve_dynamics(
+        label, spec = _resolve("dynamics", 
             {"failures": 1, "scale_up": 2, "window": [0.1, 0.5]}
         )
         assert label == "dyn-f1-up2"
         assert spec.window == (0.1, 0.5)
-        assert _resolve_dynamics("none") == ("static", None)
+        assert _resolve("dynamics", "none") == ("static", None)
 
     def test_unknown_dynamics_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown dynamics keys"):
-            _resolve_dynamics({"failure": 3})
+            _resolve("dynamics", {"failure": 3})
 
     def test_all_zero_mapping_is_the_static_cell(self):
         # {"failures": 0} must share identity with "none" — otherwise a
         # grid double-computes byte-identical cells under two labels.
-        assert _resolve_dynamics({"failures": 0}) == ("static", None)
+        assert _resolve("dynamics", {"failures": 0}) == ("static", None)
 
     def test_distinct_downtimes_get_distinct_derived_labels(self):
-        a, _ = _resolve_dynamics({"failures": 2, "mean_downtime": 10.0})
-        b, _ = _resolve_dynamics({"failures": 2, "mean_downtime": 99.0})
+        a, _ = _resolve("dynamics", {"failures": 2, "mean_downtime": 10.0})
+        b, _ = _resolve("dynamics", {"failures": 2, "mean_downtime": 99.0})
         assert a != b
         grid = SweepGrid(
             levels=({"num_tasks": 50, "time_span": 30.0},),

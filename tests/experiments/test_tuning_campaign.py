@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.experiments.campaign import Campaign, SweepGrid, _resolve_tuning
+from repro.experiments.campaign import Campaign, SweepGrid, _resolve
 from repro.experiments.report import CAMPAIGN_CSV_FIELDS, CampaignRow, CampaignSummary
 from repro.metrics.robustness import AggregateStats
 from repro.tuning.ledger import TrialRecord, write_ledger
@@ -40,17 +40,17 @@ def grid(**overrides):
 
 class TestResolveTuning:
     def test_none_forms(self):
-        assert _resolve_tuning("none") == ("none", None)
-        assert _resolve_tuning(None) == ("none", None)
+        assert _resolve("tuning", "none") == ("none", None)
+        assert _resolve("tuning", None) == ("none", None)
 
     def test_params_entry_with_derived_label(self):
         params = {"beta": 0.7, "alpha": 2}
-        label, resolved = _resolve_tuning({"params": params})
+        label, resolved = _resolve("tuning", {"params": params})
         assert resolved == params
         assert label == params_label(params)
 
     def test_explicit_label_wins(self):
-        label, _ = _resolve_tuning({"params": {"beta": 0.7}, "label": "hot"})
+        label, _ = _resolve("tuning", {"params": {"beta": 0.7}, "label": "hot"})
         assert label == "hot"
 
     def test_ledger_entry_replays_ranked_params(self, tmp_path):
@@ -64,27 +64,27 @@ class TestResolveTuning:
                 TrialRecord(index=1, params={"beta": 0.6}, score=44.0),
             ],
         )
-        label, params = _resolve_tuning({"ledger": str(path)})
+        label, params = _resolve("tuning", {"ledger": str(path)})
         assert params == {"beta": 0.6}
         assert label == params_label({"beta": 0.6})
-        _, second = _resolve_tuning({"ledger": str(path), "rank": 1, "label": "x"})
+        _, second = _resolve("tuning", {"ledger": str(path), "rank": 1, "label": "x"})
         assert second == {"beta": 0.3}
 
     def test_rejections_name_the_problem(self, tmp_path):
         with pytest.raises(ValueError, match='exactly one of "params" or "ledger"'):
-            _resolve_tuning({})
+            _resolve("tuning", {})
         with pytest.raises(ValueError, match='exactly one of "params" or "ledger"'):
-            _resolve_tuning({"params": {"beta": 0.7}, "ledger": "x.json"})
+            _resolve("tuning", {"params": {"beta": 0.7}, "ledger": "x.json"})
         with pytest.raises(ValueError, match="unknown tuning-entry keys"):
-            _resolve_tuning({"params": {"beta": 0.7}, "rank": 0})
+            _resolve("tuning", {"params": {"beta": 0.7}, "rank": 0})
         with pytest.raises(ValueError, match="non-empty mapping"):
-            _resolve_tuning({"params": {}})
+            _resolve("tuning", {"params": {}})
         with pytest.raises(ValueError, match='"rank" must be an integer'):
-            _resolve_tuning({"ledger": "x.json", "rank": 0.5})
+            _resolve("tuning", {"ledger": "x.json", "rank": 0.5})
         with pytest.raises(ValueError, match="unrecognized tuning entry"):
-            _resolve_tuning(7)
+            _resolve("tuning", 7)
         with pytest.raises(ValueError, match="cannot read"):
-            _resolve_tuning({"ledger": str(tmp_path / "missing.json")})
+            _resolve("tuning", {"ledger": str(tmp_path / "missing.json")})
 
 
 class TestTuningAxis:
