@@ -106,7 +106,7 @@ def _exec_mean_matrix(
         mtypes = np.fromiter(
             (m.machine_type for m in machines), dtype=np.int64, count=len(machines)
         )
-        return np.asarray(means)[np.ix_(ttypes, mtypes)]
+        return np.asarray(means)[ttypes][:, mtypes]
     # Fallback for models without a dense means table.
     return np.array(
         [[model.mean(t.task_type, m.machine_type) for m in machines] for t in tasks]
@@ -161,39 +161,54 @@ class TwoPhaseBatchHeuristic(BatchHeuristic):
                 np.ones(1, dtype=bool),
             )
             return [(tasks[w], machines[best_m])]
-        slots = np.array(
-            [np.inf if m.free_slots() is None else m.free_slots() for m in machines],
-            dtype=np.float64,
-        )
-        if not np.any(slots > 0):
+        free = [m.free_slots() for m in machines]
+        slots = np.array([np.inf if f is None else f for f in free], dtype=np.float64)
+        open_machines = int(np.count_nonzero(slots > 0))
+        if not open_machines:
             return []
         avail = estimator.cluster_expected_available(machines, now)
         exec_means = _exec_mean_matrix(tasks, machines, estimator)
         deadlines = np.fromiter((t.deadline for t in tasks), dtype=np.float64, count=len(tasks))
         active = np.ones(len(tasks), dtype=bool)
+        # With finite availabilities and means every active task has a
+        # finite completion on any open machine, so the plan length and
+        # the open-machine count alone decide when planning stops;
+        # otherwise each step also checks that some active task can
+        # still finish.
+        finite = bool(np.isfinite(avail).all() and np.isfinite(exec_means).all())
 
         plan: Plan = []
         # The completion matrix is built once; each virtual assignment
         # only moves one machine's availability, so the loop refreshes
         # that single column in place instead of rebuilding (T, M) —
-        # values (and argmin tie-breaks) are identical to a rebuild.
+        # values (and argmin tie-breaks) are identical to a rebuild.  A
+        # planned task's row is set to ``inf`` in place, and so is its
+        # ``exec_means`` row, which keeps later column refreshes from
+        # reviving it.
         completion = np.where(slots[None, :] > 0, avail[None, :] + exec_means, np.inf)
         task_ids = np.arange(len(tasks))
-        while np.any(active) and np.any(slots > 0):
+        while len(plan) < len(tasks) and open_machines:
             # Phase 1: best machine (min expected completion) per task.
-            best_m = np.argmin(completion, axis=1)
+            best_m = completion.argmin(axis=1)
             best_completion = completion[task_ids, best_m]
-            best_completion = np.where(active, best_completion, np.inf)
-            if not np.any(np.isfinite(best_completion)):
-                break
+            if not finite:
+                best_completion[~active] = np.inf
+                if not np.any(np.isfinite(best_completion)):
+                    break
             # Phase 2: heuristic-specific winner among (task, best machine).
             w = self.select_winner(best_completion, deadlines, active)
             m = int(best_m[w])
             plan.append((tasks[w], machines[m]))
             avail[m] += exec_means[w, m]
             slots[m] -= 1
-            completion[:, m] = avail[m] + exec_means[:, m] if slots[m] > 0 else np.inf
             active[w] = False
+            exec_means[w] = np.inf
+            completion[w] = np.inf
+            if slots[m] > 0:
+                completion[:, m] = avail[m] + exec_means[:, m]
+            else:
+                completion[:, m] = np.inf
+                open_machines -= 1
         return plan
 
     @abc.abstractmethod

@@ -25,8 +25,8 @@ tricks safe: :meth:`PMF.shift` re-anchors a distribution *zero-copy*
 (sharing the probability array of the original), and the cumulative-sum
 array backing :meth:`PMF.cdf_at` is computed lazily once and shared across
 shifted copies.  :func:`batch_cdf_at` evaluates many PMFs at many
-deadlines in a single NumPy pass over those cached cumulative arrays —
-the substrate of the estimation layer's batched chance-of-success
+deadlines over those cached cumulative arrays (one NumPy gather for a
+large batch, one lookup per query for a small one) — the substrate of the estimation layer's batched chance-of-success
 queries (see ``docs/architecture.md``).
 
 Because anchors travel through chains of float additions, CDF queries
@@ -313,13 +313,16 @@ class PMF:
         success is invariant under algebraically-equivalent ``shift``
         chains whose anchors differ only by accumulated float error.
         """
-        if self.probs.size == 0:
+        size = self.probs.size
+        if size == 0:
             return 0.0
         tol = min(CDF_REL_EPS * max(1.0, abs(t), abs(self.offset)), CDF_TOL_CAP)
-        k = math.floor(t - self.offset + tol)
-        if k < 0:
+        x = t - self.offset + tol
+        # ``floor(x) < 0`` exactly when ``x < 0``; NaN fails the test and
+        # +inf takes the clamp, as in :func:`batch_cdf_at`.
+        if not x >= 0.0:
             return 0.0
-        k = min(k, self.probs.size - 1)
+        k = size - 1 if x >= size - 1 else math.floor(x)
         return float(self.cumulative()[k])
 
     def sf_at(self, t: float) -> float:
@@ -630,6 +633,15 @@ class BufferArena:
         return self._scratch[:n]
 
 
+#: Largest batch :func:`batch_cdf_at` answers with per-query
+#: :meth:`PMF.cdf_at` calls.  The flat gather costs ~35 µs before its
+#: first query and ~0.7 µs per query after; a scalar query costs
+#: ~1.5 µs, so the two break even near 30 queries (2-vCPU Xeon, NumPy
+#: 2.4, PMFs of 60–250 bins).  Half that keeps the scalar path a clear
+#: win.  The allocator's defer check asks about 2 queries per round.
+_SCALAR_BATCH_MAX = 16
+
+
 def batch_cdf_at(
     pmfs: Sequence[PMF],
     times: float | Sequence[float] | np.ndarray,
@@ -637,7 +649,7 @@ def batch_cdf_at(
     *,
     arena: BufferArena | None = None,
 ) -> np.ndarray:
-    """Evaluate ``pmfs[i].cdf_at(times[i])`` for all ``i`` in one NumPy pass.
+    """Evaluate ``pmfs[i].cdf_at(times[i])`` for all ``i``.
 
     ``times`` may be a scalar (broadcast to every PMF) or a sequence of the
     same length as ``pmfs``.  Returns a float64 array of chances.
@@ -650,7 +662,7 @@ def batch_cdf_at(
     transient flat gather in the arena's reusable scratch buffer instead
     of a fresh allocation; the buffer is consumed before the call returns.
 
-    The evaluation gathers each PMF's cached :meth:`PMF.cumulative` array
+    A large batch gathers each PMF's cached :meth:`PMF.cumulative` array
     into one flat buffer and answers every query with a single fancy-index
     operation, so a pruner scan over hundreds of (task, machine) pairs
     costs one vector op instead of hundreds of Python-level partial sums.
@@ -658,13 +670,47 @@ def batch_cdf_at(
     same cumulative arrays), including the ``CDF_REL_EPS`` grid-boundary
     tolerance: deadlines within a relative epsilon below a grid point
     count that bin's mass.
+
+    Batches of at most :data:`_SCALAR_BATCH_MAX` queries skip the gather
+    and call :meth:`PMF.cdf_at` per query: the same values, without the
+    gather's fixed cost.
     """
     m = len(pmfs)
     n = m if index is None else len(index)
-    out = np.zeros(n, dtype=np.float64)
     if n == 0 or m == 0:
-        return out
-    times = np.broadcast_to(np.asarray(times, dtype=np.float64), (n,))
+        return np.zeros(n, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    if times.shape != (n,):
+        times = np.broadcast_to(times, (n,))
+    if n <= _SCALAR_BATCH_MAX:
+        return _scalar_cdf_at(pmfs, times, index)
+    return _gather_cdf_at(pmfs, times, index, arena)
+
+
+def _scalar_cdf_at(
+    pmfs: Sequence[PMF], times: np.ndarray, index: Sequence[int] | np.ndarray | None
+) -> np.ndarray:
+    """Small-batch :func:`batch_cdf_at`: one :meth:`PMF.cdf_at` per query."""
+    if index is None:
+        chosen: Iterable[PMF] = pmfs
+    else:
+        chosen = [pmfs[i] for i in np.asarray(index, dtype=np.int64).tolist()]
+    return np.array(
+        [p.cdf_at(t) for p, t in zip(chosen, times.tolist())], dtype=np.float64
+    )
+
+
+def _gather_cdf_at(
+    pmfs: Sequence[PMF],
+    times: np.ndarray,
+    index: Sequence[int] | np.ndarray | None,
+    arena: BufferArena | None,
+) -> np.ndarray:
+    """Large-batch :func:`batch_cdf_at`: one fancy index into the
+    concatenated cumulative arrays."""
+    m = len(pmfs)
+    n = times.size
+    out = np.zeros(n, dtype=np.float64)
     lens = np.fromiter((p.probs.size for p in pmfs), dtype=np.int64, count=m)
     offs = np.fromiter((p.offset for p in pmfs), dtype=np.float64, count=m)
     starts = np.cumsum(lens) - lens

@@ -330,6 +330,9 @@ class CompletionEstimator:
         #: directly instead of bouncing through ``model.mean``.
         self._means = getattr(model, "means", None)
         self._states: dict[int, _MachineState] = {}
+        #: Last ``cluster_expected_available`` answer with its key
+        #: ``(now, machines, versions)``; incremental mode only.
+        self._avail_memo: tuple[tuple, np.ndarray] | None = None
         #: Pooled storage for chain-entry cumulative sums and batched-query
         #: gathers (see :class:`~repro.stochastic.pmf.BufferArena`).
         self._arena = BufferArena()
@@ -369,12 +372,30 @@ class CompletionEstimator:
     ) -> np.ndarray:
         """Scalar availability of every machine in one array — phase 1 of
         the batch heuristics' virtual-queue planner consumes this (the
-        cluster-wide face of the scalar view)."""
-        return np.fromiter(
+        cluster-wide face of the scalar view).
+
+        Incremental mode remembers the last answer, keyed on ``now``, the
+        machines and their versions: a batch mapping event re-plans with
+        no machine touched between rounds whenever the pruner defers the
+        whole plan.  A repeat costs one key compare and counts one cache
+        hit per machine — the hits the per-machine scalar chains would
+        have scored.  Callers get a fresh copy (planners mutate it).
+        """
+        if self.memoize:
+            key = (now, tuple(machines), tuple([m.version for m in machines]))
+            memo = self._avail_memo
+            if memo is not None and memo[0] == key:
+                self.cache_hits += len(machines)
+                return memo[1].copy()
+        avail = np.fromiter(
             (self._scalar_chain(m, now)[-1] for m in machines),
             dtype=np.float64,
             count=len(machines),
         )
+        if not self.memoize:
+            return avail
+        self._avail_memo = (key, avail)
+        return avail.copy()
 
     def expected_release(self, machine: Machine, now: float) -> float:
         """Expected time the *running* task (if any) finishes."""
@@ -1052,21 +1073,12 @@ class CompletionEstimator:
             return _EMPTY_CHANCES
         queue = machine.queue
         self.chance_evaluations += count
-        if count <= 4:
-            # Batch machinery costs more than it saves on a short suffix;
-            # scalar cdf_at reads the same cumulative arrays with the
-            # same boundary tolerance, so values are identical.
-            chances = np.array(
-                [chain[start + 1 + i].cdf_at(queue[start + i].deadline) for i in range(count)],
-                dtype=np.float64,
-            )
-        else:
-            deadlines = np.fromiter(
-                (queue[i].deadline for i in range(start, len(queue))),
-                dtype=np.float64,
-                count=count,
-            )
-            chances = batch_cdf_at(chain[start + 1 :], deadlines, arena=self._arena)
+        deadlines = np.fromiter(
+            (queue[i].deadline for i in range(start, len(queue))),
+            dtype=np.float64,
+            count=count,
+        )
+        chances = batch_cdf_at(chain[start + 1 :], deadlines, arena=self._arena)
         if self.dag is not None:
             # Queued tasks have completed parents (factor 1) — nothing
             # to multiply — but their own estimates feed their

@@ -11,7 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stochastic.pmf import CDF_REL_EPS, PMF, batch_cdf_at
+from repro.stochastic import pmf as pmf_mod
+from repro.stochastic.pmf import CDF_REL_EPS, CDF_TOL_CAP, PMF, BufferArena, batch_cdf_at
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -202,3 +203,76 @@ def test_delta_cdf_step(t):
     assert d.cdf_at(t) == 1.0
     assert d.cdf_at(t - 1e-3) == 0.0
     assert d.cdf_at(t - 0.5 * CDF_REL_EPS * max(1.0, t)) == 1.0
+
+
+# ----------------------------------------------------------------------
+# batch_cdf_at: the small-batch path equals the flat gather bitwise
+# ----------------------------------------------------------------------
+_EMPTY = PMF.from_dict({}, tail=1.0)
+
+
+@st.composite
+def cdf_queries(draw):
+    """A PMF pool, an optional ``index`` (with repeats) and deadlines.
+
+    Each deadline sits near its PMF's grid: below it (``k < 0``), past
+    it (``k >= len``), on a grid point, inside or just outside the
+    ``CDF_REL_EPS`` window below one — at clock magnitudes where the
+    absolute cap applies too — or anywhere.  ``times`` is either one
+    scalar broadcast to every query or one float per query.
+    """
+    magnitude = draw(st.sampled_from([0.0, 1e3, 1e6, 1e8]))
+    pool = [
+        p.shift(magnitude)
+        for p in draw(st.lists(st.one_of(pmfs(max_support=8), st.just(_EMPTY)), min_size=1, max_size=6))
+    ]
+    n = draw(st.integers(min_value=1, max_value=2 * pmf_mod._SCALAR_BATCH_MAX + 4))
+    if draw(st.booleans()):
+        index = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        chosen = [pool[i] for i in index]
+    else:
+        index = None
+        pool = [pool[i % len(pool)] for i in range(n)]
+        chosen = pool
+
+    def deadline(p):
+        k = draw(st.integers(min_value=-3, max_value=p.probs.size + 3))
+        grid = p.offset + k
+        window = CDF_REL_EPS * max(1.0, abs(grid), abs(p.offset))
+        return draw(
+            st.sampled_from(
+                [grid, grid - 0.5 * min(window, CDF_TOL_CAP), grid - 2.0 * CDF_TOL_CAP]
+            )
+            | st.floats(min_value=grid - 5.0, max_value=grid + 5.0)
+        )
+
+    if draw(st.booleans()):
+        times = deadline(chosen[0])
+    else:
+        times = np.array([deadline(p) for p in chosen], dtype=np.float64)
+    return pool, times, index
+
+
+@settings(max_examples=300, deadline=None)
+@given(cdf_queries())
+def test_small_batch_path_equals_gather_bitwise(query):
+    pool, times, index = query
+    n = len(pool) if index is None else len(index)
+    flat = np.broadcast_to(np.asarray(times, dtype=np.float64), (n,))
+    gathered = pmf_mod._gather_cdf_at(pool, flat, index, BufferArena())
+    scalar = pmf_mod._scalar_cdf_at(pool, flat, index)
+    assert scalar.tobytes() == gathered.tobytes()
+    # The public entry point picks a path by batch size and agrees too.
+    assert batch_cdf_at(pool, times, index).tobytes() == gathered.tobytes()
+
+
+def test_small_batch_path_handles_non_finite_deadlines():
+    """The scalar ``cdf_at`` answers ±inf and NaN like the gather:
+    clamped to the last bin, zero, zero."""
+    p = PMF(np.array([0.25, 0.5]), offset=3.0, tail=0.25)
+    times = np.array([math.inf, -math.inf, math.nan])
+    with np.errstate(invalid="ignore"):  # the gather casts its NaN index
+        gathered = pmf_mod._gather_cdf_at([p, p, p], times, None, None)
+    assert gathered.tolist() == [0.75, 0.0, 0.0]
+    assert pmf_mod._scalar_cdf_at([p, p, p], times, None).tolist() == [0.75, 0.0, 0.0]
+    assert [p.cdf_at(t) for t in times] == [0.75, 0.0, 0.0]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Simulator
+from repro.sim.machine import Machine
 from repro.sim.task import Task
 from repro.stochastic.etc import ETCMatrix
 from repro.stochastic.pet import PETMatrix
@@ -253,6 +254,107 @@ class TestMemoization:
             "convolutions_avoided",
             "chance_evaluations",
         }
+
+
+class TestAvailabilityMemo:
+    """``cluster_expected_available`` remembers its last answer, keyed on
+    the clock, the machines and their versions."""
+
+    @staticmethod
+    def count_walks(monkeypatch, est):
+        """Count the per-machine scalar-chain walks the estimator makes."""
+        calls = []
+        walk = est._scalar_chain
+
+        def counted(machine, now):
+            calls.append(machine.machine_id)
+            return walk(machine, now)
+
+        monkeypatch.setattr(est, "_scalar_chain", counted)
+        return calls
+
+    def test_repeat_query_reuses_the_answer(self, det_env, monkeypatch):
+        _, cluster, sim, est = det_env
+        put(cluster, sim, 0, 0)
+        put(cluster, sim, 0, 1)
+        walks = self.count_walks(monkeypatch, est)
+        first = est.cluster_expected_available(cluster.machines, 0.0)
+        assert walks == [0, 1]
+        again = est.cluster_expected_available(cluster.machines, 0.0)
+        assert walks == [0, 1]
+        assert again.tolist() == first.tolist() == [20.0, 0.0]
+
+    def test_dispatch_invalidates(self, det_env, monkeypatch):
+        _, cluster, sim, est = det_env
+        put(cluster, sim, 0, 0)
+        walks = self.count_walks(monkeypatch, est)
+        est.cluster_expected_available(cluster.machines, 0.0)
+        put(cluster, sim, 1, 1)  # version bump on machine 1
+        avail = est.cluster_expected_available(cluster.machines, 0.0)
+        assert walks == [0, 1, 0, 1]
+        assert avail.tolist() == [10.0, 4.0]
+
+    def test_clock_tick_invalidates(self, det_env, monkeypatch):
+        _, cluster, sim, est = det_env
+        put(cluster, sim, 0, 0)
+        walks = self.count_walks(monkeypatch, est)
+        est.cluster_expected_available(cluster.machines, 0.0)
+        avail = est.cluster_expected_available(cluster.machines, 3.0)
+        assert walks == [0, 1, 0, 1]
+        assert avail.tolist() == [10.0, 3.0]  # the idle machine tracks the clock
+
+    def test_add_machine_invalidates(self, det_env, monkeypatch):
+        _, cluster, sim, est = det_env
+        put(cluster, sim, 0, 0)
+        walks = self.count_walks(monkeypatch, est)
+        est.cluster_expected_available(cluster.machines, 0.0)
+        cluster.add_machine(Machine(cluster.next_machine_id(), 1))
+        avail = est.cluster_expected_available(cluster.machines, 0.0)
+        assert walks == [0, 1, 0, 1, 2]
+        assert avail.tolist() == [10.0, 0.0, 0.0]
+
+    def test_mutating_the_answer_does_not_poison_the_memo(self, det_env):
+        _, cluster, sim, est = det_env
+        put(cluster, sim, 0, 0)
+        first = est.cluster_expected_available(cluster.machines, 0.0)
+        first += 100.0  # the batch planner accumulates into its copy
+        assert est.cluster_expected_available(cluster.machines, 0.0).tolist() == [10.0, 0.0]
+
+    def test_counters_equal_the_per_machine_walk(self, det_env):
+        """A memo hit scores the hits the skipped scalar-chain walks
+        would have scored, so ``cache_stats`` cannot tell the two apart."""
+        pet, cluster, sim, est = det_env
+        walker = CompletionEstimator(pet)
+
+        def both(now):
+            got = est.cluster_expected_available(cluster.machines, now)
+            want = [walker._scalar_chain(m, now)[-1] for m in cluster.machines]
+            assert got.tolist() == want
+
+        put(cluster, sim, 0, 0)
+        both(0.0)
+        both(0.0)
+        put(cluster, sim, 1, 1)
+        both(0.0)
+        both(0.0)
+        both(2.0)
+        both(2.0)
+        cluster.add_machine(Machine(cluster.next_machine_id(), 0))
+        both(2.0)
+        both(2.0)
+        assert est.cache_stats() == walker.cache_stats()
+        assert est.cache_hits > 0 and est.cache_misses > 0
+
+    def test_memoize_false_never_memoizes(self, det_env, monkeypatch):
+        pet, cluster, sim, _ = det_env
+        est = CompletionEstimator(pet, memoize=False)
+        put(cluster, sim, 0, 0)
+        walks = self.count_walks(monkeypatch, est)
+        for _ in range(3):
+            assert est.cluster_expected_available(cluster.machines, 0.0).tolist() == [10.0, 0.0]
+        assert walks == [0, 1] * 3
+        assert est._avail_memo is None
+        assert est.cache_hits == 0
 
 
 class TestValidation:
