@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .collector import SimulationResult
 from .robustness import AggregateStats, confidence_interval
@@ -100,6 +99,8 @@ def _compare_pcts(
     if len(deltas) < 2 or np.allclose(deltas, deltas[0]):
         p = float("nan")
     else:
+        from scipy import stats  # deferred: scipy.stats costs ~1 s to import
+
         p = float(stats.ttest_rel(b, a).pvalue)
     return PairedComparison(
         mean_delta_pp=mean,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .collector import SimulationResult
 
@@ -28,6 +27,11 @@ def confidence_interval(
     A single sample has an undefined interval; we report half-width 0 so
     downstream tables stay printable.
     """
+    # Deferred: scipy.stats is ~1 s of import, and only aggregation needs
+    # it.  Loaded before the early returns so that the first call of a
+    # process pays it whatever its input, e.g. a single-trial warm-up.
+    from scipy import stats
+
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("no values to aggregate")

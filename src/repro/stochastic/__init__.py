@@ -7,13 +7,12 @@ from .pet import (
     PETMatrix,
     generate_pet_matrix,
 )
-from .pmf import CDF_REL_EPS, DEFAULT_MAX_SUPPORT, PMF, BufferArena, batch_cdf_at
+from .pmf import CDF_REL_EPS, DEFAULT_MAX_SUPPORT, PMF, batch_cdf_at
 
 __all__ = [
     "PMF",
     "DEFAULT_MAX_SUPPORT",
     "CDF_REL_EPS",
-    "BufferArena",
     "batch_cdf_at",
     "PETMatrix",
     "ETCMatrix",

@@ -33,8 +33,6 @@ Because anchors travel through chains of float additions, CDF queries
 apply a relative grid-boundary tolerance (:data:`CDF_REL_EPS`): a
 deadline epsilon-below a grid point counts that bin's mass, keeping
 chance of success invariant under algebraically-equivalent shift chains.
-:class:`BufferArena` supplies pooled storage for the completion
-estimator's convolution hot path (:meth:`PMF.convolve_truncated`).
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ __all__ = [
     "DEFAULT_MAX_SUPPORT",
     "CDF_REL_EPS",
     "CDF_TOL_CAP",
-    "BufferArena",
     "batch_cdf_at",
 ]
 
@@ -285,8 +282,7 @@ class PMF:
         """
         cs = self._cumsum
         if cs is None:
-            cs = np.cumsum(self.probs)
-            self._cumsum = cs
+            cs = self._cumsum = np.add.accumulate(self.probs)
         return cs
 
     def probs_reversed(self) -> np.ndarray:
@@ -323,7 +319,10 @@ class PMF:
         if not x >= 0.0:
             return 0.0
         k = size - 1 if x >= size - 1 else math.floor(x)
-        return float(self.cumulative()[k])
+        cs = self._cumsum
+        if cs is None:
+            cs = self.cumulative()
+        return float(cs[k])
 
     def sf_at(self, t: float) -> float:
         """Survival function ``P(X > t)`` including tail mass."""
@@ -441,7 +440,6 @@ class PMF:
         *,
         cutoff: float,
         max_support: int = DEFAULT_MAX_SUPPORT,
-        arena: BufferArena | None = None,
     ) -> PMF:
         """``(self ⊛ other).truncate(cutoff)`` without intermediate objects.
 
@@ -451,13 +449,15 @@ class PMF:
         endpoint checks (the convolution of trimmed, non-negative inputs
         can only need trimming when an endpoint product underflows to
         zero — in that rare case this falls back to the reference path),
-        and the cumulative-sum cache is populated eagerly, into ``arena``
-        storage when one is supplied, because every chain entry is about
-        to be cdf-queried anyway.
+        and two tail-free operands skip the finite-mass sums, since the
+        reference tail ``(fx + 0) * (fy + 0) - fx * fy`` is exactly 0.0.
         """
         sp, op = self.probs, other.probs
-        fx, fy = self.finite_mass, other.finite_mass
-        tail = (fx + self.tail) * (fy + other.tail) - fx * fy
+        if self.tail == 0.0 and other.tail == 0.0:
+            tail = 0.0
+        else:
+            fx, fy = self.finite_mass, other.finite_mass
+            tail = (fx + self.tail) * (fy + other.tail) - fx * fy
         if sp.size == 0 or op.size == 0:
             return PMF(np.zeros(0), self.offset + other.offset, tail)
         if tail < 0.0:
@@ -488,7 +488,7 @@ class PMF:
                 overflow = float(out.probs[max_support:].sum())
                 out = PMF(out.probs[:max_support], out.offset, out.tail + overflow)
             return out.truncate(cutoff)
-        return _finish_conv(probs, offset, tail, cutoff, max_support, arena)
+        return _finish_conv(probs, offset, tail, cutoff, max_support)
 
     # ------------------------------------------------------------------
     # Sampling
@@ -548,18 +548,19 @@ def _finish_conv(
     tail: float,
     cutoff: float,
     max_support: int,
-    arena: BufferArena | None,
 ) -> PMF:
     """Shared finishing half of :meth:`PMF.convolve_truncated`.
 
     Takes a raw, endpoint-positive convolution product and applies the
-    max-support fold, the cutoff truncation, and the eager cumulative-sum
-    population — exactly the arithmetic the hot path performs inline.
-    Split out so the estimator's product cache can replay a memoized
-    convolution product through the *same* code and stay bit-identical
-    to the uncached computation.
+    max-support fold and the cutoff truncation — exactly the arithmetic
+    the hot path performs inline.  Split out so the estimator's product
+    cache can replay a memoized convolution product through the *same*
+    code and stay bit-identical to the uncached computation.
     """
-    if probs.size > max_support:
+    size = probs.size
+    if size <= max_support and offset + size - 1 <= cutoff:
+        return PMF._from_parts(probs, offset, tail)
+    if size > max_support:
         tail = tail + float(probs[max_support:].sum())
         probs = probs[:max_support]
         if probs[-1] == 0.0:
@@ -572,65 +573,7 @@ def _finish_conv(
         probs = probs[:keep]
         if probs[-1] == 0.0:
             return PMF(probs, offset, tail)
-    cumsum = arena.cumsum(probs) if arena is not None else None
-    return PMF._from_parts(probs, offset, tail, cumsum)
-
-
-class BufferArena:
-    """Reusable float64 storage for the estimation layer's hot loops.
-
-    Two allocation disciplines behind one object:
-
-    * :meth:`cumsum` / :meth:`take` — a *bump allocator*: exact-size views
-      are sliced out of large preallocated blocks, so thousands of small
-      cumulative-sum caches cost a handful of real allocations.  Views
-      keep their block alive, and the arena holds only the block it is
-      filling, so a spent block is reclaimed by the garbage collector once
-      every view into it has died (there is no manual free, hence no
-      use-after-free hazard for PMFs that escape).
-    * :meth:`scratch` — a single growable scratch buffer for *transient*
-      work (the flat gather of a batched chance query).  The caller must
-      consume the returned view before the next ``scratch`` call; the
-      single-threaded simulator makes that discipline trivial.
-    """
-
-    __slots__ = ("block_size", "_block", "_cursor", "_scratch", "blocks_allocated")
-
-    def __init__(self, block_size: int = 1 << 16) -> None:
-        if block_size <= 0:
-            raise ValueError("block_size must be positive")
-        self.block_size = block_size
-        self._block = np.empty(0, dtype=np.float64)
-        self._cursor = 0
-        self._scratch = np.empty(0, dtype=np.float64)
-        self.blocks_allocated = 0
-
-    def take(self, n: int) -> np.ndarray:
-        """An uninitialized float64 view of length ``n`` from the arena."""
-        block = self._block
-        if n > self.block_size:
-            # Oversized requests get their own dedicated allocation.
-            self.blocks_allocated += 1
-            return np.empty(n, dtype=np.float64)
-        if self._cursor + n > block.size:
-            block = self._block = np.empty(self.block_size, dtype=np.float64)
-            self.blocks_allocated += 1
-            self._cursor = 0
-        view = block[self._cursor : self._cursor + n]
-        self._cursor += n
-        return view
-
-    def cumsum(self, probs: np.ndarray) -> np.ndarray:
-        """``np.cumsum(probs)`` computed into arena storage."""
-        out = self.take(probs.size)
-        np.cumsum(probs, out=out)
-        return out
-
-    def scratch(self, n: int) -> np.ndarray:
-        """A transient scratch view of length ``n`` (reused across calls)."""
-        if self._scratch.size < n:
-            self._scratch = np.empty(max(n, 256, self._scratch.size * 2), dtype=np.float64)
-        return self._scratch[:n]
+    return PMF._from_parts(probs, offset, tail)
 
 
 #: Largest batch :func:`batch_cdf_at` answers with per-query
@@ -646,8 +589,6 @@ def batch_cdf_at(
     pmfs: Sequence[PMF],
     times: float | Sequence[float] | np.ndarray,
     index: Sequence[int] | np.ndarray | None = None,
-    *,
-    arena: BufferArena | None = None,
 ) -> np.ndarray:
     """Evaluate ``pmfs[i].cdf_at(times[i])`` for all ``i``.
 
@@ -658,9 +599,7 @@ def batch_cdf_at(
     query ``i`` evaluates ``pmfs[index[i]].cdf_at(times[i])``, so a grid of
     N queries over M << N *distinct* PMFs gathers each cumulative array
     once — the substrate of the estimator's deduplicated cluster-wide
-    chance queries.  ``arena`` (optional :class:`BufferArena`) hosts the
-    transient flat gather in the arena's reusable scratch buffer instead
-    of a fresh allocation; the buffer is consumed before the call returns.
+    chance queries.
 
     A large batch gathers each PMF's cached :meth:`PMF.cumulative` array
     into one flat buffer and answers every query with a single fancy-index
@@ -684,7 +623,7 @@ def batch_cdf_at(
         times = np.broadcast_to(times, (n,))
     if n <= _SCALAR_BATCH_MAX:
         return _scalar_cdf_at(pmfs, times, index)
-    return _gather_cdf_at(pmfs, times, index, arena)
+    return _gather_cdf_at(pmfs, times, index)
 
 
 def _scalar_cdf_at(
@@ -704,7 +643,6 @@ def _gather_cdf_at(
     pmfs: Sequence[PMF],
     times: np.ndarray,
     index: Sequence[int] | np.ndarray | None,
-    arena: BufferArena | None,
 ) -> np.ndarray:
     """Large-batch :func:`batch_cdf_at`: one fancy index into the
     concatenated cumulative arrays."""
@@ -728,11 +666,6 @@ def _gather_cdf_at(
     if not valid.any():
         return out
     k = np.minimum(k, lens - 1).astype(np.int64)
-    chunks = [p.cumulative() for p in pmfs if p.probs.size]
-    if arena is not None:
-        total = sum(c.size for c in chunks)
-        flat = np.concatenate(chunks, out=arena.scratch(total))
-    else:
-        flat = np.concatenate(chunks)
+    flat = np.concatenate([p.cumulative() for p in pmfs if p.probs.size])
     out[valid] = flat[(starts + k)[valid]]
     return out

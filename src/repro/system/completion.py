@@ -34,11 +34,12 @@ cache**:
   any distribution work, ``queue_chances(start=i)`` resumes a drop scan
   from the drop index, and ``cluster_expected_available`` is the scalar
   mirror for the batch heuristics' phase 1.
-* Chain extensions run through the allocation-lean
-  :meth:`~repro.stochastic.pmf.PMF.convolve_truncated` fast path with
-  cumulative sums placed in a :class:`~repro.stochastic.pmf.BufferArena`,
-  and the running task's base records how it depends on ``now`` so
-  re-validation is integer arithmetic, not a rebuilt-and-compared PMF
+* Every real chain convolution runs through
+  :meth:`~repro.stochastic.pmf.PMF.convolve_truncated`, which pays only
+  the arithmetic of one step (no intermediate PMF, no mass sums for
+  tail-free operands, cumulative sums built lazily on the first CDF
+  query), and the running task's base records how it depends on ``now``
+  so re-validation is integer arithmetic, not a rebuilt-and-compared PMF
   (see ``docs/architecture.md`` → "the mapping-event hot path").
 
 Two modes, one per job:
@@ -62,7 +63,7 @@ import numpy as np
 
 from ..sim.machine import Machine
 from ..sim.task import Task
-from ..stochastic.pmf import DEFAULT_MAX_SUPPORT, PMF, BufferArena, batch_cdf_at
+from ..stochastic.pmf import DEFAULT_MAX_SUPPORT, PMF, batch_cdf_at
 from ..stochastic.pmf import _EPS as _PMF_EPS
 from ..stochastic.pmf import _finish_conv
 
@@ -86,7 +87,8 @@ class LRUCache:
     ``dict`` preserves insertion order; :meth:`get` re-inserts on hit so
     the front of the dict is always the coldest entry.  Unlike the old
     clear-everything-at-capacity policy, a full cache evicts exactly one
-    victim per insert and hot entries survive.
+    victim per insert and hot entries survive.  ``None`` is the miss
+    value of :meth:`get`, so it is never stored.
     """
 
     __slots__ = ("capacity", "evictions", "_data")
@@ -99,11 +101,12 @@ class LRUCache:
         self._data: dict = {}
 
     def get(self, key):
-        try:
-            value = self._data.pop(key)
-        except KeyError:
-            return None
-        self._data[key] = value
+        # Most lookups miss, and a default-``pop`` miss costs far less
+        # than a raised and caught ``KeyError``.
+        data = self._data
+        value = data.pop(key, None)
+        if value is not None:
+            data[key] = value
         return value
 
     def put(self, key, value) -> None:
@@ -333,9 +336,6 @@ class CompletionEstimator:
         #: Last ``cluster_expected_available`` answer with its key
         #: ``(now, machines, versions)``; incremental mode only.
         self._avail_memo: tuple[tuple, np.ndarray] | None = None
-        #: Pooled storage for chain-entry cumulative sums and batched-query
-        #: gathers (see :class:`~repro.stochastic.pmf.BufferArena`).
-        self._arena = BufferArena()
         # Stats counters (exposed through cache_stats / SimulationResult).
         self.cache_hits = 0
         self.cache_misses = 0
@@ -786,8 +786,7 @@ class CompletionEstimator:
         its naive cost, this helper does not).
 
         The real convolutions go through the allocation-lean
-        :meth:`~repro.stochastic.pmf.PMF.convolve_truncated` fast path,
-        with cumulative sums landing in the estimator's buffer arena —
+        :meth:`~repro.stochastic.pmf.PMF.convolve_truncated` fast path —
         bit-identical to ``convolve(...).truncate(...)``.
         """
         if (
@@ -799,9 +798,7 @@ class CompletionEstimator:
         ):
             return pet.shift(prev.offset).truncate(cutoff)
         self.convolutions += 1
-        return prev.convolve_truncated(
-            pet, cutoff=cutoff, max_support=self.max_support, arena=self._arena
-        )
+        return prev.convolve_truncated(pet, cutoff=cutoff, max_support=self.max_support)
 
     def _extend_chain(self, state: _MachineState, machine: Machine, cutoff: float) -> None:
         """Convolve PETs for queued tasks not yet covered by the chain.
@@ -860,9 +857,7 @@ class CompletionEstimator:
                         if offset + probs.size - 1 <= cutoff:
                             nxt = PMF._from_parts(probs, offset, 0.0, cumsum)
                         else:
-                            nxt = _finish_conv(
-                                probs, offset, 0.0, cutoff, self.max_support, self._arena
-                            )
+                            nxt = _finish_conv(probs, offset, 0.0, cutoff, self.max_support)
             if nxt is None:
                 nxt = self._append_pet(prev, pet, cutoff)
                 if (
@@ -1078,7 +1073,7 @@ class CompletionEstimator:
             dtype=np.float64,
             count=count,
         )
-        chances = batch_cdf_at(chain[start + 1 :], deadlines, arena=self._arena)
+        chances = batch_cdf_at(chain[start + 1 :], deadlines)
         if self.dag is not None:
             # Queued tasks have completed parents (factor 1) — nothing
             # to multiply — but their own estimates feed their
@@ -1160,9 +1155,7 @@ class CompletionEstimator:
             deadlines.extend(t.deadline for t in machine.queue)
         if fresh:
             self.chance_evaluations += len(deadlines)
-            flat = batch_cdf_at(
-                pmfs, np.asarray(deadlines, dtype=np.float64), arena=self._arena
-            )
+            flat = batch_cdf_at(pmfs, np.asarray(deadlines, dtype=np.float64))
             pos = 0
             for (i, state), c in zip(fresh, counts):
                 chances = flat[pos : pos + c]
@@ -1251,7 +1244,7 @@ class CompletionEstimator:
             len(machines),
         )
         self.chance_evaluations += index.size
-        grid = batch_cdf_at(pmfs, deadlines, index, arena=self._arena).reshape(
+        grid = batch_cdf_at(pmfs, deadlines, index).reshape(
             len(tasks), len(machines)
         )
         if self.dag is not None:
@@ -1293,7 +1286,7 @@ class CompletionEstimator:
             index[pos] = slot
             deadlines[pos] = task.deadline
         self.chance_evaluations += index.size
-        chances = batch_cdf_at(pmfs, deadlines, index, arena=self._arena)
+        chances = batch_cdf_at(pmfs, deadlines, index)
         if self.dag is not None:
             # Planned placements are released tasks (parents completed,
             # factor 1); recording their estimates keeps dependents'

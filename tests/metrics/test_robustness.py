@@ -1,5 +1,10 @@
 """Tests for cross-trial aggregation (mean ± 95 % CI)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -80,3 +85,19 @@ class TestAggregate:
         agg = aggregate_robustness([result_with_robustness(50)])
         assert "50.0" in str(agg)
         assert "n=1" in str(agg)
+
+
+def test_program_import_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` costs ~1 s to import, so the statistics helpers
+    import it on first use: importing the program, the service and the
+    campaign layer must not load it."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, repro, repro.service, repro.experiments.campaign; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,4 +1,4 @@
-"""Grid-boundary CDF tolerance, the buffer arena, and the fused convolve.
+"""Grid-boundary CDF tolerance and the fused convolve.
 
 The ISSUE-4 bug class: anchors travel through chains of float additions
 (zero-copy ``shift`` re-anchoring), so a deadline that is *algebraically*
@@ -6,17 +6,20 @@ on a grid point can land epsilon below it — and the pre-fix floor-indexed
 CDF then silently dropped the whole bin, flipping tasks across the
 pruning threshold β.  These tests pin the repro from the issue, the
 relative-epsilon semantics on both scalar and batched queries, and the
-bit-identity of the allocation-lean ``convolve_truncated`` hot path,
-including the ``np.correlate`` ≡ ``np.convolve`` identity it relies on.
+bit-identity of the allocation-lean ``convolve_truncated`` hot path —
+its tail-free and no-fold fast paths, the product-cache replay through
+``_finish_conv``, and the ``np.correlate`` ≡ ``np.convolve`` identity it
+relies on.
 """
 
 
+import math
+
 import numpy as np
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.stochastic.pmf import PMF, BufferArena, batch_cdf_at
+from repro.stochastic.pmf import DEFAULT_MAX_SUPPORT, PMF, _finish_conv, batch_cdf_at
 
 
 class TestGridBoundaryTolerance:
@@ -100,43 +103,6 @@ class TestGridBoundaryTolerance:
         assert p.cdf_at(t) >= 0.5
 
 
-class TestBufferArena:
-    def test_cumsum_values(self):
-        arena = BufferArena(64)
-        probs = np.array([0.1, 0.2, 0.3, 0.4])
-        assert np.array_equal(arena.cumsum(probs), np.cumsum(probs))
-
-    def test_views_are_disjoint(self):
-        arena = BufferArena(64)
-        a = arena.cumsum(np.ones(10))
-        b = arena.cumsum(np.ones(10))
-        b[:] = 7.0
-        assert np.array_equal(a, np.arange(1.0, 11.0))
-
-    def test_block_rollover(self):
-        arena = BufferArena(16)
-        views = [arena.take(10) for _ in range(5)]
-        assert arena.blocks_allocated >= 3
-        assert all(v.size == 10 for v in views)
-
-    def test_oversized_request_gets_dedicated_buffer(self):
-        arena = BufferArena(8)
-        v = arena.take(100)
-        assert v.size == 100
-
-    def test_scratch_reuse_and_growth(self):
-        arena = BufferArena()
-        s1 = arena.scratch(10)
-        s2 = arena.scratch(8)
-        assert s1.base is s2.base  # same backing buffer reused
-        s3 = arena.scratch(100_000)
-        assert s3.size == 100_000
-
-    def test_rejects_nonpositive_block(self):
-        with pytest.raises(ValueError):
-            BufferArena(0)
-
-
 class TestConvolveTruncated:
     def _random_pmf(self, rng, tail_ok=True):
         probs = rng.random(int(rng.integers(1, 40)))
@@ -145,16 +111,13 @@ class TestConvolveTruncated:
 
     def test_bit_identical_to_reference(self):
         rng = np.random.default_rng(42)
-        arena = BufferArena(1024)
         for _ in range(300):
             a = self._random_pmf(rng)
             b = self._random_pmf(rng)
             cutoff = float(rng.normal() * 20 + 10)
             max_support = int(rng.integers(4, 64))
             ref = a.convolve(b, max_support=max_support).truncate(cutoff)
-            got = a.convolve_truncated(
-                b, cutoff=cutoff, max_support=max_support, arena=arena
-            )
+            got = a.convolve_truncated(b, cutoff=cutoff, max_support=max_support)
             assert got.offset == ref.offset
             assert got.tail == ref.tail
             assert np.array_equal(got.probs, ref.probs)
@@ -237,3 +200,114 @@ def test_convolve_truncated_bitwise_equals_reference(a, b, cutoff):
         assert np.array_equal(out.probs, ref.probs)
         assert out.offset == ref.offset
         assert out.tail == ref.tail
+
+
+# ----------------------------------------------------------------------
+# Fast paths of one chain step (tail-free operands, no fold/truncation)
+# ----------------------------------------------------------------------
+_TAILS = ("neither", "left", "right", "both")
+
+
+@st.composite
+def conv_cases(draw, tails=st.sampled_from(_TAILS), min_size=1):
+    """``(a, b, cutoff, max_support)`` aimed at the fast-path boundaries:
+    the tail pattern of the operands, a ``max_support`` equal to or one
+    short of the raw product size, and a cutoff landing exactly on the
+    product's last bin."""
+    pattern = draw(tails)
+
+    def operand(with_tail):
+        arr = draw(prob_arrays(min_size=min_size, max_size=24))
+        offset = draw(st.integers(min_value=-5, max_value=30)) + draw(
+            st.sampled_from([0.0, 0.25, 0.5])
+        )
+        tail = draw(st.floats(min_value=1e-3, max_value=0.5)) if with_tail else 0.0
+        return PMF(arr * (1.0 - tail), offset=offset, tail=tail)
+
+    a = operand(pattern in ("left", "both"))
+    b = operand(pattern in ("right", "both"))
+    full = a.support_size + b.support_size - 1
+    max_support = max(
+        1,
+        draw(
+            st.sampled_from([full, full - 1, DEFAULT_MAX_SUPPORT])
+            | st.integers(min_value=1, max_value=full + 1)
+        ),
+    )
+    end = a.offset + b.offset + min(full, max_support) - 1
+    cutoff = draw(
+        st.sampled_from([end, end - 1.0, end + 0.5, math.inf])
+        | st.floats(min_value=-10.0, max_value=100.0)
+    )
+    return a, b, cutoff, max_support
+
+
+def _edge_case(tails, support_delta, at_end):
+    """One named boundary: both operands of 5 and 4 bins, the given tail
+    pattern, ``max_support = size - support_delta`` and a cutoff either
+    exactly on the last kept bin or two bins before it."""
+    ta = 0.125 if tails in ("left", "both") else 0.0
+    tb = 0.25 if tails in ("right", "both") else 0.0
+    a = PMF(np.array([0.1, 0.2, 0.3, 0.2, 0.2]) * (1.0 - ta), offset=1.5, tail=ta)
+    b = PMF(np.array([0.4, 0.3, 0.2, 0.1]) * (1.0 - tb), offset=2.0, tail=tb)
+    max_support = 8 - support_delta
+    end = a.offset + b.offset + min(8, max_support) - 1
+    return a, b, end if at_end else end - 2.0, max_support
+
+
+def _assert_bitwise(out, ref):
+    assert out.probs.tobytes() == ref.probs.tobytes()
+    assert out.offset.hex() == ref.offset.hex()
+    assert float(out.tail).hex() == float(ref.tail).hex()
+    assert out.cumulative().tobytes() == ref.cumulative().tobytes()
+    # ``cumulative`` is ``np.add.accumulate``: bitwise ``np.cumsum``.
+    assert ref.cumulative().tobytes() == np.cumsum(ref.probs).tobytes()
+
+
+_EDGE_EXAMPLES = [
+    _edge_case(tails, delta, at_end)
+    for tails in _TAILS
+    for delta in (0, 1)  # size == max_support, size == max_support + 1
+    for at_end in (True, False)
+]
+
+
+def _with_examples(cases):
+    def wrap(fn):
+        for case in cases:
+            fn = example(case)(fn)
+        return fn
+
+    return wrap
+
+
+@_with_examples(_EDGE_EXAMPLES)
+@given(conv_cases())
+def test_convolve_truncated_fast_paths_bitwise(case):
+    """``convolve_truncated`` ≡ ``convolve(...).truncate(...)`` bitwise in
+    ``probs``, ``offset``, ``tail`` and ``cumulative()`` across every tail
+    pattern (the tail-free arm skips the finite-mass sums), and at the
+    fold/truncation boundaries where ``_finish_conv`` returns at once."""
+    a, b, cutoff, max_support = case
+    for x, y in ((a, b), (b, a)):
+        ref = x.convolve(y, max_support=max_support).truncate(cutoff)
+        out = x.convolve_truncated(y, cutoff=cutoff, max_support=max_support)
+        _assert_bitwise(out, ref)
+
+
+@_with_examples([c for c in _EDGE_EXAMPLES if c[0].tail == c[1].tail == 0.0])
+@given(conv_cases(tails=st.just("neither"), min_size=2))
+def test_product_cache_replay_bitwise(case):
+    """The estimator's product-cache replay: a stored full product
+    re-finished by ``_finish_conv`` at a new cutoff (or reused with its
+    stored cumulative sums when the cutoff keeps it whole) equals the
+    uncached reference bitwise."""
+    a, b, cutoff, max_support = case
+    stored = a.convolve_truncated(b, cutoff=math.inf)
+    assert stored.support_size == a.support_size + b.support_size - 1
+    probs, cumsum = stored.probs, stored.cumulative()
+    offset = a.offset + b.offset
+    ref = a.convolve(b, max_support=max_support).truncate(cutoff)
+    _assert_bitwise(_finish_conv(probs, offset, 0.0, cutoff, max_support), ref)
+    if offset + probs.size - 1 <= cutoff and probs.size <= max_support:
+        _assert_bitwise(PMF._from_parts(probs, offset, 0.0, cumsum), ref)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stochastic import pmf as pmf_mod
-from repro.stochastic.pmf import CDF_REL_EPS, CDF_TOL_CAP, PMF, BufferArena, batch_cdf_at
+from repro.stochastic.pmf import CDF_REL_EPS, CDF_TOL_CAP, PMF, batch_cdf_at
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -259,7 +259,7 @@ def test_small_batch_path_equals_gather_bitwise(query):
     pool, times, index = query
     n = len(pool) if index is None else len(index)
     flat = np.broadcast_to(np.asarray(times, dtype=np.float64), (n,))
-    gathered = pmf_mod._gather_cdf_at(pool, flat, index, BufferArena())
+    gathered = pmf_mod._gather_cdf_at(pool, flat, index)
     scalar = pmf_mod._scalar_cdf_at(pool, flat, index)
     assert scalar.tobytes() == gathered.tobytes()
     # The public entry point picks a path by batch size and agrees too.
@@ -272,7 +272,7 @@ def test_small_batch_path_handles_non_finite_deadlines():
     p = PMF(np.array([0.25, 0.5]), offset=3.0, tail=0.25)
     times = np.array([math.inf, -math.inf, math.nan])
     with np.errstate(invalid="ignore"):  # the gather casts its NaN index
-        gathered = pmf_mod._gather_cdf_at([p, p, p], times, None, None)
+        gathered = pmf_mod._gather_cdf_at([p, p, p], times, None)
     assert gathered.tolist() == [0.75, 0.0, 0.0]
     assert pmf_mod._scalar_cdf_at([p, p, p], times, None).tolist() == [0.75, 0.0, 0.0]
     assert [p.cdf_at(t) for t in times] == [0.75, 0.0, 0.0]

@@ -241,6 +241,43 @@ class TestMemoization:
         assert "b" not in lru and "a" in lru and "c" in lru
         assert lru.evictions == 1
 
+    def test_lru_miss_leaves_order_alone(self):
+        from repro.system.completion import LRUCache
+
+        lru = LRUCache(3)
+        for k in "abc":
+            lru.put(k, (k,))
+        assert lru.get("z") is None
+        assert list(lru._data) == ["a", "b", "c"]
+        assert len(lru) == 3 and lru.evictions == 0
+
+    def test_lru_hit_moves_key_to_most_recent(self):
+        from repro.system.completion import LRUCache
+
+        lru = LRUCache(3)
+        for k in "abc":
+            lru.put(k, (k,))
+        assert lru.get("a") == ("a",)
+        assert list(lru._data) == ["b", "c", "a"]
+
+    def test_lru_eviction_order(self):
+        """Inserts past capacity evict coldest-first, with hits and misses
+        interleaved: the victims are exactly the least recently used."""
+        from repro.system.completion import LRUCache
+
+        lru = LRUCache(3)
+        evicted = []
+        for step, k in enumerate("abcadbefa"):
+            if lru.get(k) is None:
+                before = set(lru._data)
+                lru.put(k, (step,))
+                evicted.extend(sorted(before - set(lru._data)))
+        # a b c fill; a hits; d evicts b; b misses and evicts c; e evicts
+        # a; f evicts d; a misses and evicts b.
+        assert evicted == ["b", "c", "a", "d", "b"]
+        assert lru.evictions == 5
+        assert list(lru._data) == ["e", "f", "a"]
+
     def test_cache_stats(self, det_env):
         _, cluster, _, est = det_env
         est.availability_pct(cluster[0], 0.0)
