@@ -26,7 +26,7 @@ from pathlib import Path
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
 from repro.experiments.campaign import ResultCache, resolve_execution_plan
-from repro.experiments.scenarios import fig7b
+from repro.experiments.scenarios import run_figure
 
 CAMPAIGN_JSON = Path(__file__).resolve().parent / "BENCH_campaign.json"
 
@@ -55,8 +55,8 @@ PR4_ARTIFACT = {
 
 
 def _fig7b(**kwargs):
-    return fig7b(
-        trials=CAMPAIGN_TRIALS, base_seed=BENCH_SEED, scale=BENCH_SCALE, **kwargs
+    return run_figure(
+        "fig7b", trials=CAMPAIGN_TRIALS, base_seed=BENCH_SEED, scale=BENCH_SCALE, **kwargs
     )
 
 

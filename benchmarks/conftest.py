@@ -10,6 +10,8 @@ import os
 
 import pytest
 
+from repro.experiments import scenarios
+
 #: Workload scale for figure benches (1.0 = the library's default scale,
 #: ~1/16.7 of the paper's trace length; see DESIGN.md).
 BENCH_SCALE = float(os.environ.get("BENCH_SCALE", "0.4"))
@@ -21,13 +23,15 @@ BENCH_TRIALS = int(os.environ.get("BENCH_TRIALS", "2"))
 BENCH_SEED = int(os.environ.get("BENCH_SEED", "7"))
 
 
-def run_figure(benchmark, fn, **kwargs):
-    """Benchmark one figure-regeneration callable (single round — these
+def run_figure(benchmark, name, **kwargs):
+    """Benchmark regenerating one registry figure (single round — these
     are end-to-end simulation campaigns, not microbenchmarks)."""
     kwargs.setdefault("trials", BENCH_TRIALS)
     kwargs.setdefault("base_seed", BENCH_SEED)
     kwargs.setdefault("scale", BENCH_SCALE)
-    return benchmark.pedantic(lambda: fn(**kwargs), rounds=1, iterations=1)
+    return benchmark.pedantic(
+        lambda: scenarios.run_figure(name, **kwargs), rounds=1, iterations=1
+    )
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 """Experiment harness (§V): scenarios, trial runner, campaigns, CLI.
 
 * :mod:`~repro.experiments.runner` — seeded single-cell trial execution;
-* :mod:`~repro.experiments.scenarios` — the paper's per-figure grids;
+* :mod:`~repro.experiments.scenarios` — the paper's figures, one
+  registry entry (grid + row/column projection) each;
 * :mod:`~repro.experiments.campaign` — declarative sweep grids sharded
   across a process pool with an on-disk result cache;
 * :mod:`~repro.experiments.report` — figure grids and campaign
@@ -10,30 +11,20 @@
 """
 
 from .campaign import (
+    BASE_TIME_SPAN,
+    LEVELS,
     PRESETS,
     Campaign,
     CampaignCell,
     ResultCache,
     SweepGrid,
+    level_spec,
     run_cell_trials,
-    run_cells,
     trial_key,
 )
 from .report import CampaignRow, CampaignSummary, FigureResult
 from .runner import PET_SEED, ExperimentConfig, pet_matrix, run_experiment, run_trial
-from .scenarios import (
-    ALL_FIGURES,
-    BASE_TIME_SPAN,
-    LEVELS,
-    fig6,
-    fig7a,
-    fig7b,
-    fig8,
-    fig9,
-    fig10,
-    headline_summary,
-    level_spec,
-)
+from .scenarios import ALL_FIGURES, FIGURES, fig6, headline_summary, run_figure
 
 __all__ = [
     "FigureResult",
@@ -48,7 +39,6 @@ __all__ = [
     "CampaignCell",
     "SweepGrid",
     "ResultCache",
-    "run_cells",
     "run_cell_trials",
     "trial_key",
     "PRESETS",
@@ -56,11 +46,8 @@ __all__ = [
     "BASE_TIME_SPAN",
     "level_spec",
     "fig6",
-    "fig7a",
-    "fig7b",
-    "fig8",
-    "fig9",
-    "fig10",
+    "run_figure",
     "headline_summary",
+    "FIGURES",
     "ALL_FIGURES",
 ]

@@ -36,19 +36,21 @@ from pathlib import Path
 from collections.abc import Mapping
 
 from . import scenarios
-from .campaign import DEFAULT_CACHE_DIR, EXECUTOR_CHOICES, PRESETS, Campaign, ResultCache, SweepGrid
+from .campaign import (
+    DEFAULT_CACHE_DIR,
+    EXECUTOR_CHOICES,
+    LEVELS,
+    PRESETS,
+    Campaign,
+    ResultCache,
+    SweepGrid,
+)
 from .report import FigureResult
 
 __all__ = ["main", "build_parser"]
 
 #: scale factor matching the paper's trace length (15000 tasks / 900).
-PAPER_SCALE = 15000 / scenarios.LEVELS["15k"]
-
-#: Run-time defaults for figure commands.  The parser defaults are
-#: ``None`` sentinels so a sweep can tell "not given" (grid values win)
-#: from an explicit ``--trials 10`` (user wins).
-_DEFAULT_TRIALS = 10
-_DEFAULT_SEED = 42
+PAPER_SCALE = 15000 / LEVELS["15k"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,14 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials",
         type=int,
         default=None,
-        help=f"workload trials per cell (default: {_DEFAULT_TRIALS}, "
-        "or the sweep grid's own value)",
+        help="workload trials per cell (default: 10, or the sweep grid's own value)",
     )
     parser.add_argument(
         "--seed",
         type=int,
         default=None,
-        help=f"base seed (default: {_DEFAULT_SEED}, or the sweep grid's own value)",
+        help="base seed (default: 42, or the sweep grid's own value)",
     )
     parser.add_argument(
         "--scale",
@@ -192,71 +193,19 @@ def _figure_scale(args: argparse.Namespace) -> float:
     return 1.0 if args.scale is None else args.scale
 
 
-def _parse_controller(args: argparse.Namespace):
-    """``--controller`` spec → ControllerConfig (``None`` when absent)."""
-    if args.controller is None:
-        return None
-    from ..control.registry import parse_controller_spec
-
-    return parse_controller_spec(args.controller)
-
-
-def _run_one(name: str, args: argparse.Namespace, cache: ResultCache | None) -> FigureResult | str:
-    fn = scenarios.ALL_FIGURES[name]
-    trials = _DEFAULT_TRIALS if args.trials is None else args.trials
-    seed = _DEFAULT_SEED if args.seed is None else args.seed
-    if name == "fig6":
-        # Fig. 6 plots the arrival pattern itself — no pruning to override.
-        return fn(base_seed=seed, scale=_figure_scale(args))
-    return fn(
-        trials=trials,
-        base_seed=seed,
-        scale=_figure_scale(args),
-        jobs=args.jobs,
-        cache=cache,
-        executor=args.executor,
-        pruning_threshold=args.pruning_threshold,
-        toggle_alpha=args.toggle_alpha,
-        controller=_parse_controller(args),
-    )
-
-
-def _run_sweep(args: argparse.Namespace) -> int:
-    if args.grid is None:
-        print(
-            "sweep needs a grid: a preset "
-            f"({', '.join(sorted(PRESETS))}) or a JSON path",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        grid = SweepGrid.load(args.grid)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+def _with_overrides(grid: SweepGrid, args: argparse.Namespace) -> SweepGrid:
+    """The grid with the run-time flags applied; values are validated
+    when the grid is rebuilt and expanded, like the grid's own."""
     overrides = {}
     if args.trials is not None:
         overrides["trials"] = args.trials
     if args.seed is not None:
         overrides["base_seed"] = args.seed
-    if args.paper_scale:
-        overrides["scale"] = PAPER_SCALE
-    elif args.scale is not None:
-        overrides["scale"] = args.scale
-    if args.controller is not None:
-        # Replace the grid's controller axis with the one requested —
-        # the spec string is validated at expand() time like any other
-        # axis entry.
-        overrides["controller"] = (args.controller,)
+    if args.paper_scale or args.scale is not None:
+        overrides["scale"] = _figure_scale(args)
     if args.trace_sample is not None:
-        if not any(
-            isinstance(lv, Mapping) and "trace" in lv for lv in grid.levels
-        ):
-            print(
-                "--trace-sample applies to trace levels, but the grid has none",
-                file=sys.stderr,
-            )
-            return 2
+        if not any(isinstance(lv, Mapping) and "trace" in lv for lv in grid.levels):
+            raise ValueError("--trace-sample applies to trace levels, but the grid has none")
         # Stamp the rate onto every trace level; the value is validated
         # at expand() time by the workload spec (must be in (0, 1]).
         overrides["levels"] = tuple(
@@ -265,31 +214,31 @@ def _run_sweep(args: argparse.Namespace) -> int:
             else lv
             for lv in grid.levels
         )
-    try:
-        if overrides:
-            grid = dataclasses.replace(grid, **overrides)
-        # expand() is where grid *content* errors surface (bad axis
-        # values, colliding labels) — same clean exit as load errors.
-        # KeyError covers unknown level names from level_spec.
-        campaign = Campaign.from_grid(grid)
-    except (ValueError, KeyError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(str(message), file=sys.stderr)
-        return 2
-
-    summary = campaign.run(
-        jobs=args.jobs, cache=_cache_from(args), executor=args.executor
+    if overrides:
+        grid = dataclasses.replace(grid, **overrides)
+    # --controller replaces the grid's controller axis; β/α (figures
+    # only) are set on every pruned entry.
+    return grid.with_pruning(
+        threshold=args.pruning_threshold,
+        dropping_toggle=args.toggle_alpha,
+        controller=args.controller,
     )
-    print(summary.to_text())
-    if args.json_dir is not None:
-        # Grid names are unconstrained user input — keep them out of
-        # path semantics when building the output filename.
-        safe_name = re.sub(r"[^\w.-]", "_", summary.name) or "campaign"
-        json_path = args.json_dir / f"campaign-{safe_name}.json"
-        summary.save_json(json_path)
-        summary.save_csv(json_path.with_suffix(".csv"))
-        print(f"[written: {json_path} + .csv]")
-    return 0
+
+
+def _prepare(name: str, args: argparse.Namespace) -> tuple[SweepGrid, Campaign]:
+    """Load → override → expand one command's grid.
+
+    Every grid error (bad axis values, colliding labels, non-positive
+    trials or scale, out-of-range β/α) surfaces here as a ``ValueError``
+    — or a ``KeyError`` for an unknown level name — before any trial
+    runs.
+    """
+    if name == "sweep":
+        grid = SweepGrid.load(args.grid)
+    else:
+        grid = scenarios.figure_grid(name, _figure_scale(args))
+    grid = _with_overrides(grid, args)
+    return grid, Campaign.from_grid(grid)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -315,6 +264,13 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.figure == "sweep" and args.grid is None:
+        print(
+            "sweep needs a grid: a preset "
+            f"({', '.join(sorted(PRESETS))}) or a JSON path",
+            file=sys.stderr,
+        )
+        return 2
     if args.figure == "sweep" and args.chart:
         print("--chart applies to figure grids, not sweeps", file=sys.stderr)
         return 2
@@ -330,18 +286,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.figure != "sweep" and args.trace_sample is not None:
         print("--trace-sample applies to sweeps over trace levels", file=sys.stderr)
         return 2
-    if args.figure != "sweep" and args.controller is not None:
-        # Fail on a bad spec before any trial runs.
-        try:
-            _parse_controller(args)
-        except ValueError as exc:
-            print(f"--controller: {exc}", file=sys.stderr)
-            return 2
-    if args.json_dir is not None:
-        args.json_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.figure == "sweep":
-        return _run_sweep(args)
 
     if args.figure == "headline":
         names = ["fig9b", "fig10b"]
@@ -349,15 +293,48 @@ def main(argv: list[str] | None = None) -> int:
         names = sorted(scenarios.ALL_FIGURES)
     else:
         names = [args.figure]
-
+    # Every command is validated before any trial runs.  Fig. 6 plots
+    # the arrival pattern itself (no grid, nothing to override) and
+    # costs milliseconds, so its text is simply made here.
+    fig6_text = ""
+    prepared: dict[str, tuple[SweepGrid, Campaign]] = {}
+    try:
+        for name in names:
+            if name == "fig6":
+                seed = {} if args.seed is None else {"base_seed": args.seed}
+                fig6_text = scenarios.fig6_text(scale=_figure_scale(args), **seed)
+            else:
+                prepared[name] = _prepare(name, args)
+    except (ValueError, KeyError) as exc:
+        message = exc.args[0] if exc.args else str(exc)
+        print(str(message), file=sys.stderr)
+        return 2
+    if args.json_dir is not None:
+        args.json_dir.mkdir(parents=True, exist_ok=True)
     cache = _cache_from(args)
+
+    if args.figure == "sweep":
+        summary = prepared["sweep"][1].run(jobs=args.jobs, cache=cache, executor=args.executor)
+        print(summary.to_text())
+        if args.json_dir is not None:
+            # Grid names are unconstrained user input — keep them out of
+            # path semantics when building the output filename.
+            safe_name = re.sub(r"[^\w.-]", "_", summary.name) or "campaign"
+            json_path = args.json_dir / f"campaign-{safe_name}.json"
+            summary.save_json(json_path)
+            summary.save_csv(json_path.with_suffix(".csv"))
+            print(f"[written: {json_path} + .csv]")
+        return 0
+
     results: dict[str, FigureResult] = {}
     for name in names:
         t0 = time.time()  # reprolint: ignore[D001] operator-facing elapsed display
-        out = _run_one(name, args, cache)
-        elapsed = time.time() - t0  # reprolint: ignore[D001] operator-facing elapsed display
-        if isinstance(out, FigureResult):
-            results[name] = out
+        if name == "fig6":
+            print(fig6_text)
+        else:
+            grid, campaign = prepared[name]
+            summary = campaign.run(jobs=args.jobs, cache=cache, executor=args.executor)
+            out = results[name] = scenarios.project_figure(name, grid, summary)
             if args.chart:
                 from ..analysis.charts import grouped_bars
 
@@ -366,11 +343,10 @@ def main(argv: list[str] | None = None) -> int:
             print(out.to_text())
             if args.json_dir is not None:
                 out.save_json(args.json_dir / f"{name}.json")
-        else:
-            print(out)
+        elapsed = time.time() - t0  # reprolint: ignore[D001] operator-facing elapsed display
         print(f"[{name} regenerated in {elapsed:.1f}s]\n")
 
-    if args.figure == "headline" and {"fig9b", "fig10b"} <= results.keys():
+    if args.figure == "headline":
         print(scenarios.headline_summary(results["fig9b"], results["fig10b"]))
     return 0
 

@@ -3,8 +3,8 @@
 Two result containers live here:
 
 * :class:`FigureResult` — a labelled grid of robustness statistics, one
-  per paper figure.  Every scenario in
-  :mod:`repro.experiments.scenarios` returns one; it prints as an
+  per paper figure.
+  :func:`~repro.experiments.scenarios.run_figure` returns one; it prints as an
   aligned text table (the textual equivalent of the paper's bar/line
   charts) and serializes to JSON.
 * :class:`CampaignSummary` — the flat per-cell record of a

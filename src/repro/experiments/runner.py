@@ -116,7 +116,6 @@ def run_trial(config: ExperimentConfig, trial: int) -> SimulationResult:
 
 def run_experiment(
     config: ExperimentConfig,
-    processes: int | None = None,
     *,
     jobs: int | None = None,
     cache=None,
@@ -129,9 +128,8 @@ def run_experiment(
     Queen Bee 2 cluster; ``jobs > 1`` is the local equivalent.
     ``executor`` picks the plan (``auto``/``serial``/``process`` —
     see :func:`~repro.experiments.campaign.
-    resolve_execution_plan`); ``jobs=None`` runs serially; ``processes``
-    is the same knob under its pre-campaign name, kept for
-    compatibility.  ``cache`` is an optional
+    resolve_execution_plan`); ``jobs=None`` runs serially.  ``cache``
+    is an optional
     :class:`~repro.experiments.campaign.ResultCache`.
 
     This is the single-cell convenience wrapper over the campaign
@@ -143,6 +141,6 @@ def run_experiment(
     from .campaign import run_cell_trials  # deferred: campaign imports this module
 
     results = run_cell_trials(
-        [config], jobs=jobs or processes, cache=cache, executor=executor
+        [config], jobs=jobs, cache=cache, executor=executor
     )[0]
     return aggregate_robustness(results)

@@ -1,152 +1,54 @@
-"""Per-figure experiment scenarios (§V).
+"""The paper's evaluation figures (§V) as declarations over ``SweepGrid``.
 
-Each ``figN`` function regenerates the data behind one figure of the
-paper's evaluation and returns a :class:`~repro.experiments.report.
-FigureResult` whose rows/columns mirror the figure's axes.
+A figure is a registry grid plus a row/column projection.  Each
+:class:`Figure` in :data:`FIGURES` names the
+:class:`~repro.experiments.campaign.SweepGrid` it runs — a
+:data:`~repro.experiments.campaign.PRESETS` entry (``fig7b``,
+``thresholds`` and ``oversub`` are the Fig. 7b, 8 and 9b grids) or a
+one-field variant of one — and how each grid cell lands in the figure's
+table: the row is the cell's heuristic (``-P`` suffixed when pruned, for
+the pruning-vs-baseline figures) and the column is the display name of
+the cell's pruning, level or dynamics entry, given positionally.
 
-Scale calibration (see docs/experiments.md): the paper runs 15k/20k/25k tasks
-over ~3000 time units against eight SPECint-profiled machines.  Our PET
-means are synthetic, so absolute counts are not transferable; what defines
-the regime is the *oversubscription ratio* — offered load over cluster
-capacity.  The default levels keep the paper's 15:20:25 load ratios at
-ratios ≈ 2.2 / 2.9 / 3.7, which lands the baseline heuristics in the same
-robustness bands the paper reports (moderate → heavy oversubscription).
-``scale`` stretches the workload at a constant arrival rate (scale 16.7 ≈
-the paper's trace length).
+:func:`run_figure` expands the grid, runs it as one
+:class:`~repro.experiments.campaign.Campaign` — so figures share the
+sweeps' result cache, trial sharding and serial ≡ process identity — and
+projects the per-cell statistics into a
+:class:`~repro.experiments.report.FigureResult`.  β/α/controller
+overrides are a grid rewrite (:meth:`SweepGrid.with_pruning
+<repro.experiments.campaign.SweepGrid.with_pruning>`) applied before
+expansion.  The oversubscription levels and their scale calibration
+live in :mod:`~repro.experiments.campaign` (:data:`LEVELS`,
+:func:`level_spec`).
 """
 
 from __future__ import annotations
 
-import dataclasses
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core.config import ControllerConfig, PruningConfig, ToggleMode
 from ..metrics.robustness import AggregateStats
-from ..sim.dynamics import DynamicsSpec
 from ..sim.rng import stream_seed
 from ..workload.arrivals import arrival_rate_series, generate_type_arrivals
-from ..workload.spec import ArrivalPattern, WorkloadSpec
-from .campaign import ResultCache, run_cells
-from .report import FigureResult
-from .runner import ExperimentConfig, pet_matrix
+from ..workload.spec import ArrivalPattern
+from .campaign import LEVELS, PRESETS, Campaign, ResultCache, SweepGrid, level_spec
+from .report import CampaignSummary, FigureResult
+from .runner import pet_matrix
 
 __all__ = [
-    "LEVELS",
-    "BASE_TIME_SPAN",
-    "level_spec",
-    "fig6",
-    "fig7a",
-    "fig7b",
-    "fig8",
-    "fig9",
-    "fig10",
-    "churn_impact",
-    "headline_summary",
+    "level_spec",  # re-exported: lives in campaign next to the level resolver
+    "Figure",
+    "FIGURES",
     "ALL_FIGURES",
+    "figure_grid",
+    "project_figure",
+    "run_figure",
+    "fig6",
+    "fig6_text",
+    "headline_summary",
 ]
-
-#: Scaled task counts per oversubscription level, preserving the paper's
-#: 15 : 20 : 25 arrival-rate ratios.
-LEVELS: dict[str, int] = {"15k": 900, "20k": 1200, "25k": 1500}
-
-#: Scaled workload time span (paper: ~3000 time units).
-BASE_TIME_SPAN = 600.0
-
-#: One demand spike per this many time units (paper's Fig. 6 spacing,
-#: scaled: ~4 spikes over the base span).
-SPIKE_PERIOD = 150.0
-
-
-def level_spec(
-    level: str,
-    pattern: ArrivalPattern = ArrivalPattern.SPIKY,
-    scale: float = 1.0,
-) -> WorkloadSpec:
-    """Workload spec of one oversubscription level at a given scale."""
-    if level not in LEVELS:
-        raise KeyError(f"unknown level {level!r}; choose from {sorted(LEVELS)}")
-    base = WorkloadSpec(
-        num_tasks=LEVELS[level],
-        time_span=BASE_TIME_SPAN,
-        pattern=pattern,
-        num_spikes=max(int(round(BASE_TIME_SPAN / SPIKE_PERIOD)), 1),
-    )
-    return base.scaled(scale)
-
-
-def _apply_pruning_overrides(
-    config: ExperimentConfig,
-    pruning_threshold: float | None,
-    toggle_alpha: int | None,
-    controller: ControllerConfig | None,
-) -> ExperimentConfig:
-    """Re-run a figure cell at non-default β/α (CLI override support).
-
-    Baseline cells (no pruning mechanism) are untouched — the overrides
-    change how pruning prunes, they never *add* pruning, so a figure's
-    baseline-vs-pruned contrast stays meaningful.
-    """
-    if config.pruning is None:
-        return config
-    changes = {}
-    if pruning_threshold is not None:
-        changes["pruning_threshold"] = pruning_threshold
-    if toggle_alpha is not None:
-        changes["dropping_toggle"] = toggle_alpha
-    if controller is not None:
-        changes["controller"] = controller
-    if not changes:
-        return config
-    return dataclasses.replace(config, pruning=config.pruning.with_(**changes))
-
-
-def _grid(
-    figure_id: str,
-    title: str,
-    row_axis: str,
-    col_axis: str,
-    rows: list[str],
-    cols: list[str],
-    cell: Callable[[str, str], ExperimentConfig],
-    notes: str = "",
-    processes: int | None = None,
-    jobs: int | None = None,
-    cache: ResultCache | None = None,
-    executor: str = "auto",
-    pruning_threshold: float | None = None,
-    toggle_alpha: int | None = None,
-    controller: ControllerConfig | None = None,
-) -> FigureResult:
-    # One executor pass over the whole grid: every (row, col, trial)
-    # triple lands in the same worker pool, so parallelism is bounded by
-    # total trial count, not by the trials of one cell at a time.
-    pairs = [(r, c) for r in rows for c in cols]
-    stats = run_cells(
-        [
-            _apply_pruning_overrides(
-                cell(r, c), pruning_threshold, toggle_alpha, controller
-            )
-            for r, c in pairs
-        ],
-        jobs=jobs or processes,
-        cache=cache,
-        executor=executor,
-    )
-    cells: dict[str, dict[str, AggregateStats]] = {r: {} for r in rows}
-    for (r, c), stat in zip(pairs, stats):
-        cells[r][c] = stat
-    return FigureResult(
-        figure_id=figure_id,
-        title=title,
-        row_axis=row_axis,
-        col_axis=col_axis,
-        rows=rows,
-        cols=cols,
-        cells=cells,
-        notes=notes,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -193,307 +95,179 @@ def fig6_text(**kwargs) -> str:
 
 
 # ----------------------------------------------------------------------
-# Fig. 7 — impact of the Toggle module (dropping only).
+# Figs. 7–10 (and churn): one declaration each.
 # ----------------------------------------------------------------------
-_TOGGLE_COLS = {
-    "no Toggle, no dropping": None,
-    "no Toggle, always dropping": PruningConfig.drop_only(ToggleMode.ALWAYS),
-    "reactive Toggle": PruningConfig.drop_only(ToggleMode.REACTIVE),
-}
+@dataclass(frozen=True)
+class Figure:
+    """One figure: the grid it runs and the projection of its cells."""
+
+    title: str
+    #: Workload scale → SweepGrid fields (``trials``/``base_seed``/
+    #: ``scale`` are set on top).
+    grid: Callable[[float], Mapping]
+    #: Grid axis whose entry index picks a cell's column.
+    col_axis: str
+    #: Column display names, one per ``col_axis`` entry, in entry order.
+    cols: tuple[str, ...]
+    #: The figure's name for its column axis.
+    col_name: str
+    #: Rows are ``heuristic`` and ``heuristic-P`` (pruning entry 0 is
+    #: the baseline) rather than the heuristic alone.
+    pruned_rows: bool = False
+    notes: str = ""
 
 
-def fig7a(
-    *,
-    trials: int = 10,
-    base_seed: int = 42,
-    scale: float = 1.0,
-    processes: int | None = None,
-    jobs: int | None = None,
-    cache: ResultCache | None = None,
-    executor: str = "auto",
-    pruning_threshold: float | None = None,
-    toggle_alpha: int | None = None,
-    controller: ControllerConfig | None = None,
-) -> FigureResult:
-    """Toggle impact on immediate-mode heuristics (spiky, 15k-equivalent)."""
-    spec = level_spec("15k", ArrivalPattern.SPIKY, scale)
-    return _grid(
-        "fig7a",
-        "Impact of Toggle on immediate-mode mapping heuristics",
-        "heuristic",
-        "dropping policy",
-        ["RR", "MCT", "MET", "KPB"],
-        list(_TOGGLE_COLS),
-        lambda r, c: ExperimentConfig(
-            heuristic=r,
-            spec=spec,
-            pruning=_TOGGLE_COLS[c],
-            trials=trials,
-            base_seed=base_seed,
-        ),
-        processes=processes,
-        jobs=jobs,
-        cache=cache,
-        executor=executor,
-        pruning_threshold=pruning_threshold,
-        toggle_alpha=toggle_alpha,
-        controller=controller,
-    )
+def _preset(name: str, **changes: object) -> Callable[[float], Mapping]:
+    """A PRESETS grid, optionally with some fields replaced."""
+    return lambda scale: {**PRESETS[name], **changes}
 
 
-def fig7b(
-    *,
-    trials: int = 10,
-    base_seed: int = 42,
-    scale: float = 1.0,
-    processes: int | None = None,
-    jobs: int | None = None,
-    cache: ResultCache | None = None,
-    executor: str = "auto",
-    pruning_threshold: float | None = None,
-    toggle_alpha: int | None = None,
-    controller: ControllerConfig | None = None,
-) -> FigureResult:
-    """Toggle impact on batch-mode heuristics (spiky, 15k-equivalent)."""
-    spec = level_spec("15k", ArrivalPattern.SPIKY, scale)
-    return _grid(
-        "fig7b",
-        "Impact of Toggle on batch-mode mapping heuristics",
-        "heuristic",
-        "dropping policy",
-        ["MM", "MSD", "MMU"],
-        list(_TOGGLE_COLS),
-        lambda r, c: ExperimentConfig(
-            heuristic=r,
-            spec=spec,
-            pruning=_TOGGLE_COLS[c],
-            trials=trials,
-            base_seed=base_seed,
-        ),
-        processes=processes,
-        jobs=jobs,
-        cache=cache,
-        executor=executor,
-        pruning_threshold=pruning_threshold,
-        toggle_alpha=toggle_alpha,
-        controller=controller,
-    )
-
-
-# ----------------------------------------------------------------------
-# Fig. 8 — task deferring threshold sweep (batch-mode, heavy load).
-# ----------------------------------------------------------------------
-def fig8(
-    *,
-    trials: int = 10,
-    base_seed: int = 42,
-    scale: float = 1.0,
-    processes: int | None = None,
-    jobs: int | None = None,
-    cache: ResultCache | None = None,
-    executor: str = "auto",
-    pruning_threshold: float | None = None,
-    toggle_alpha: int | None = None,
-    controller: ControllerConfig | None = None,
-) -> FigureResult:
-    """Deferring-only pruning threshold sweep (spiky, 25k-equivalent)."""
-    spec = level_spec("25k", ArrivalPattern.SPIKY, scale)
-    thresholds = {"0%": None, "25%": 0.25, "50%": 0.5, "75%": 0.75}
-
-    def cell(r: str, c: str) -> ExperimentConfig:
-        th = thresholds[c]
-        return ExperimentConfig(
-            heuristic=r,
-            spec=spec,
-            pruning=None if th is None else PruningConfig.defer_only(th),
-            trials=trials,
-            base_seed=base_seed,
-        )
-
-    return _grid(
-        "fig8",
-        "Impact of task deferring on batch-mode heuristics (25k-equivalent)",
-        "heuristic",
-        "pruning threshold",
-        ["MM", "MSD", "MMU"],
-        list(thresholds),
-        cell,
-        notes="0% threshold = no pruning (the paper's baseline bar).",
-        processes=processes,
-        jobs=jobs,
-        cache=cache,
-        executor=executor,
-        pruning_threshold=pruning_threshold,
-        toggle_alpha=toggle_alpha,
-        controller=controller,
-    )
-
-
-# ----------------------------------------------------------------------
-# Fig. 9 — full pruning mechanism on batch-mode heuristics.
-# ----------------------------------------------------------------------
-def fig9(
-    pattern: ArrivalPattern = ArrivalPattern.SPIKY,
-    *,
-    trials: int = 10,
-    base_seed: int = 42,
-    scale: float = 1.0,
-    processes: int | None = None,
-    jobs: int | None = None,
-    cache: ResultCache | None = None,
-    executor: str = "auto",
-    pruning_threshold: float | None = None,
-    toggle_alpha: int | None = None,
-    controller: ControllerConfig | None = None,
-) -> FigureResult:
-    """Pruning (defer + reactive drop) vs baseline across oversubscription
-    levels — Fig. 9a (constant) / Fig. 9b (spiky)."""
-    sub = "a" if pattern is ArrivalPattern.CONSTANT else "b"
-    heuristics = ["MM", "MSD", "MMU"]
-    rows = heuristics + [h + "-P" for h in heuristics]
-
-    def cell(r: str, c: str) -> ExperimentConfig:
-        pruned = r.endswith("-P")
-        return ExperimentConfig(
-            heuristic=r.removesuffix("-P"),
-            spec=level_spec(c, pattern, scale),
-            pruning=PruningConfig.paper_default() if pruned else None,
-            trials=trials,
-            base_seed=base_seed,
-        )
-
-    return _grid(
-        f"fig9{sub}",
-        f"Pruning mechanism on batch-mode heuristics ({pattern.value} arrivals)",
-        "heuristic (-P = with pruning)",
-        "oversubscription level",
-        rows,
-        list(LEVELS),
-        cell,
-        processes=processes,
-        jobs=jobs,
-        cache=cache,
-        executor=executor,
-        pruning_threshold=pruning_threshold,
-        toggle_alpha=toggle_alpha,
-        controller=controller,
-    )
-
-
-# ----------------------------------------------------------------------
-# Fig. 10 — pruning on homogeneous systems.
-# ----------------------------------------------------------------------
-def fig10(
-    pattern: ArrivalPattern = ArrivalPattern.SPIKY,
-    *,
-    trials: int = 10,
-    base_seed: int = 42,
-    scale: float = 1.0,
-    processes: int | None = None,
-    jobs: int | None = None,
-    cache: ResultCache | None = None,
-    executor: str = "auto",
-    pruning_threshold: float | None = None,
-    toggle_alpha: int | None = None,
-    controller: ControllerConfig | None = None,
-) -> FigureResult:
-    """Pruning on homogeneous-system heuristics — Fig. 10a/10b."""
-    sub = "a" if pattern is ArrivalPattern.CONSTANT else "b"
-    heuristics = ["FCFS-RR", "SJF", "EDF"]
-    rows = heuristics + [h + "-P" for h in heuristics]
-
-    def cell(r: str, c: str) -> ExperimentConfig:
-        pruned = r.endswith("-P")
-        return ExperimentConfig(
-            heuristic=r.removesuffix("-P"),
-            spec=level_spec(c, pattern, scale),
-            pruning=PruningConfig.paper_default() if pruned else None,
-            heterogeneity="homogeneous",
-            trials=trials,
-            base_seed=base_seed,
-        )
-
-    return _grid(
-        f"fig10{sub}",
-        f"Pruning mechanism on homogeneous systems ({pattern.value} arrivals)",
-        "heuristic (-P = with pruning)",
-        "oversubscription level",
-        rows,
-        list(LEVELS),
-        cell,
-        processes=processes,
-        jobs=jobs,
-        cache=cache,
-        executor=executor,
-        pruning_threshold=pruning_threshold,
-        toggle_alpha=toggle_alpha,
-        controller=controller,
-    )
-
-
-# ----------------------------------------------------------------------
-# Beyond the paper: pruning under machine churn (cluster dynamics).
-# ----------------------------------------------------------------------
-def churn_impact(
-    *,
-    trials: int = 10,
-    base_seed: int = 42,
-    scale: float = 1.0,
-    processes: int | None = None,
-    jobs: int | None = None,
-    cache: ResultCache | None = None,
-    executor: str = "auto",
-    pruning_threshold: float | None = None,
-    toggle_alpha: int | None = None,
-    controller: ControllerConfig | None = None,
-) -> FigureResult:
+def _churn_grid(scale: float) -> Mapping:
     """Pruning vs baseline when oversubscription is *caused* by churn.
 
-    The paper's transient-oversubscription claim, stress-tested: the same
-    20k-equivalent spiky workload runs on a static cluster and on
+    The paper's transient-oversubscription claim, stress-tested: the
+    same 20k-equivalent spiky workload runs on a static cluster and on
     clusters that lose machines mid-run (in-flight and queued work is
     requeued through admission; failed machines recover after an
-    exponential downtime).  Not a figure of the paper — a scenario the
-    ROADMAP's "as many scenarios as you can imagine" axis adds.
+    exponential downtime, a fixed share of the scaled span).  Not a
+    figure of the paper.
     """
-    spec = level_spec("20k", ArrivalPattern.SPIKY, scale)
-    downtime = spec.time_span / 12.0
-    dynamics = {
-        "static": None,
-        "light churn": DynamicsSpec(failures=2, mean_downtime=downtime),
-        "heavy churn": DynamicsSpec(failures=5, mean_downtime=2.0 * downtime),
+    downtime = level_spec("20k", ArrivalPattern.SPIKY, scale).time_span / 12.0
+    return {
+        "heuristics": ["MM", "MSD"],
+        "levels": ["20k"],
+        "pruning": ["none", "paper"],
+        "dynamics": [
+            "none",
+            {"failures": 2, "mean_downtime": downtime},
+            {"failures": 5, "mean_downtime": 2.0 * downtime},
+        ],
     }
-    heuristics = ["MM", "MSD"]
-    rows = heuristics + [h + "-P" for h in heuristics]
 
-    def cell(r: str, c: str) -> ExperimentConfig:
-        pruned = r.endswith("-P")
-        return ExperimentConfig(
-            heuristic=r.removesuffix("-P"),
-            spec=spec,
-            pruning=PruningConfig.paper_default() if pruned else None,
-            dynamics=dynamics[c],
-            trials=trials,
-            base_seed=base_seed,
-        )
 
-    return _grid(
-        "churn",
-        "Pruning mechanism under machine churn (spiky, 20k-equivalent)",
-        "heuristic (-P = with pruning)",
-        "cluster dynamics",
-        rows,
-        list(dynamics),
-        cell,
-        notes="failures kill in-flight work; victims requeue through admission",
-        processes=processes,
-        jobs=jobs,
-        cache=cache,
-        executor=executor,
-        pruning_threshold=pruning_threshold,
-        toggle_alpha=toggle_alpha,
-        controller=controller,
+def _toggle(title: str, grid: Callable[[float], Mapping]) -> Figure:
+    """A Fig. 7 panel: one column per dropping policy."""
+    return Figure(
+        title,
+        grid,
+        col_axis="pruning",
+        cols=("no Toggle, no dropping", "no Toggle, always dropping", "reactive Toggle"),
+        col_name="dropping policy",
     )
+
+
+def _oversub(title: str, grid: Callable[[float], Mapping]) -> Figure:
+    """A Fig. 9/10 panel: baseline and pruned rows, one column per level."""
+    return Figure(
+        title,
+        grid,
+        col_axis="levels",
+        cols=tuple(LEVELS),
+        col_name="oversubscription level",
+        pruned_rows=True,
+    )
+
+
+_HOMOGENEOUS = dict(heuristics=["FCFS-RR", "SJF", "EDF"], heterogeneity=["homogeneous"])
+
+#: The figures run by ``python -m repro.experiments <name>``, by name.
+FIGURES: dict[str, Figure] = {
+    "fig7a": _toggle(
+        "Impact of Toggle on immediate-mode mapping heuristics",
+        _preset("fig7b", heuristics=["RR", "MCT", "MET", "KPB"]),
+    ),
+    "fig7b": _toggle("Impact of Toggle on batch-mode mapping heuristics", _preset("fig7b")),
+    "fig8": Figure(
+        "Impact of task deferring on batch-mode heuristics (25k-equivalent)",
+        _preset("thresholds"),
+        col_axis="pruning",
+        cols=("0%", "25%", "50%", "75%"),
+        col_name="pruning threshold",
+        notes="0% threshold = no pruning (the paper's baseline bar).",
+    ),
+    "fig9a": _oversub(
+        "Pruning mechanism on batch-mode heuristics (constant arrivals)",
+        _preset("oversub", patterns=["constant"]),
+    ),
+    "fig9b": _oversub(
+        "Pruning mechanism on batch-mode heuristics (spiky arrivals)", _preset("oversub")
+    ),
+    "fig10a": _oversub(
+        "Pruning mechanism on homogeneous systems (constant arrivals)",
+        _preset("oversub", patterns=["constant"], **_HOMOGENEOUS),
+    ),
+    "fig10b": _oversub(
+        "Pruning mechanism on homogeneous systems (spiky arrivals)",
+        _preset("oversub", **_HOMOGENEOUS),
+    ),
+    "churn": Figure(
+        "Pruning mechanism under machine churn (spiky, 20k-equivalent)",
+        _churn_grid,
+        col_axis="dynamics",
+        cols=("static", "light churn", "heavy churn"),
+        col_name="cluster dynamics",
+        pruned_rows=True,
+        notes="failures kill in-flight work; victims requeue through admission",
+    ),
+}
+
+#: Every figure the CLI can regenerate (Fig. 6 plots arrivals, not a grid).
+ALL_FIGURES: tuple[str, ...] = ("fig6", *FIGURES)
+
+
+def figure_grid(name: str, scale: float = 1.0) -> SweepGrid:
+    """The grid behind figure ``name`` at a workload scale."""
+    return SweepGrid.from_dict({**FIGURES[name].grid(scale), "name": name, "scale": scale})
+
+
+def project_figure(name: str, grid: SweepGrid, summary: CampaignSummary) -> FigureResult:
+    """Lay the campaign rows of figure ``name``'s ``grid`` out as its table."""
+    figure = FIGURES[name]
+    rows = list(grid.heuristics)
+    if figure.pruned_rows:
+        rows += [f"{h}-P" for h in rows]
+    placed: dict[tuple[str, str], AggregateStats] = {}
+    for index, row in zip(grid.cell_indices(), summary.rows):
+        r = row.heuristic + ("-P" if figure.pruned_rows and index["pruning"] else "")
+        placed[r, figure.cols[index[figure.col_axis]]] = row.stats
+    return FigureResult(
+        figure_id=name,
+        title=figure.title,
+        row_axis="heuristic (-P = with pruning)" if figure.pruned_rows else "heuristic",
+        col_axis=figure.col_name,
+        rows=rows,
+        cols=list(figure.cols),
+        # rows × cols order, not the grid's emission order: to_dict()
+        # serializes cells in insertion order.
+        cells={r: {c: placed[r, c] for c in figure.cols} for r in rows},
+        notes=figure.notes,
+    )
+
+
+def run_figure(
+    name: str,
+    *,
+    trials: int = 10,
+    base_seed: int = 42,
+    scale: float = 1.0,
+    jobs: int | None = None,
+    cache: ResultCache | None = None,
+    executor: str = "auto",
+    pruning_threshold: float | None = None,
+    toggle_alpha: int | None = None,
+    controller: object = None,
+) -> FigureResult:
+    """Regenerate figure ``name`` as one campaign over its grid.
+
+    ``pruning_threshold``/``toggle_alpha``/``controller`` (a controller
+    grid entry, e.g. ``"hysteresis:low=0.05,high=0.3"``) re-run every
+    pruned cell at non-default settings; baseline cells are untouched.
+    """
+    grid = replace(figure_grid(name, scale), trials=trials, base_seed=base_seed).with_pruning(
+        threshold=pruning_threshold, dropping_toggle=toggle_alpha, controller=controller
+    )
+    summary = Campaign.from_grid(grid).run(jobs=jobs, cache=cache, executor=executor)
+    return project_figure(name, grid, summary)
 
 
 # ----------------------------------------------------------------------
@@ -513,17 +287,3 @@ def headline_summary(
         f"{best10:+.1f} pp (paper: up to +28 pp)\n"
         f"best MM gain: {mm_gain:+.1f} pp (paper: ~+15 pp)"
     )
-
-
-#: CLI dispatch table: name → callable returning FigureResult (or str).
-ALL_FIGURES: dict[str, Callable] = {
-    "fig6": fig6_text,
-    "fig7a": fig7a,
-    "fig7b": fig7b,
-    "fig8": fig8,
-    "fig9a": lambda **kw: fig9(ArrivalPattern.CONSTANT, **kw),
-    "fig9b": lambda **kw: fig9(ArrivalPattern.SPIKY, **kw),
-    "fig10a": lambda **kw: fig10(ArrivalPattern.CONSTANT, **kw),
-    "fig10b": lambda **kw: fig10(ArrivalPattern.SPIKY, **kw),
-    "churn": churn_impact,
-}

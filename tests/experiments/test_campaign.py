@@ -18,7 +18,6 @@ from repro.experiments.campaign import (
     ResultCache,
     SweepGrid,
     run_cell_trials,
-    run_cells,
     trial_key,
 )
 from repro.experiments.runner import ExperimentConfig, run_trial
@@ -456,12 +455,15 @@ class TestParallelEquivalence:
         (cell,) = SweepGrid(pruning=({},), trials=1).expand()
         assert cell.config.pruning == PruningConfig()
 
-    def test_run_cells_aggregates_in_trial_order(self):
+    def test_campaign_aggregates_in_trial_order(self):
         configs = _configs(trials=3)
-        stats = run_cells(configs, jobs=2)
-        serial_stats = run_cells(configs)
-        assert [s.per_trial_pct for s in stats] == [
-            s.per_trial_pct for s in serial_stats
+        process = Campaign.from_configs(configs).run(jobs=2, executor="process")
+        serial = Campaign.from_configs(configs).run(executor="serial")
+        assert [r.stats.per_trial_pct for r in process.rows] == [
+            r.stats.per_trial_pct for r in serial.rows
+        ]
+        assert [r.stats.per_trial_pct for r in serial.rows] == [
+            tuple(run_trial(c, t).robustness_pct for t in range(3)) for c in configs
         ]
 
 

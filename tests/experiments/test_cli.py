@@ -101,6 +101,32 @@ class TestMain:
         assert set(cache.rglob("*.json")) == cached
 
 
+class TestValidation:
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["fig7b", "--trials", "0"], "trials must be positive"),
+            (["fig7b", "--scale", "0"], "scale must be positive"),
+            (["fig7b", "--pruning-threshold", "1.5"], "pruning_threshold must be in [0, 1]"),
+            (["fig7b", "--toggle-alpha", "-1"], "dropping_toggle must be >= 0"),
+            (["churn", "--scale", "0"], "scale must be positive"),
+            (["fig6", "--scale", "0"], "scale must be positive"),
+            (["all", "--trials", "0"], "trials must be positive"),
+            (["sweep", "smoke", "--trials", "0"], "trials must be positive"),
+        ],
+    )
+    def test_bad_value_exits_2_before_any_trial(self, argv, message, monkeypatch, capsys):
+        """Figures and sweeps validate their grid the same way: a named
+        one-line error and exit 2, never a traceback after the run."""
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before validation")
+
+        monkeypatch.setattr("repro.experiments.campaign.run_trial", no_trials)
+        assert main([*argv, "--no-cache"]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestSweep:
     def test_sweep_smoke(self, tmp_path, capsys):
         rc = main(

@@ -11,7 +11,6 @@ from repro.experiments.campaign import Campaign, SweepGrid, trial_key
 from repro.experiments.cli import main
 from repro.experiments.report import CampaignSummary
 from repro.experiments.runner import ExperimentConfig
-from repro.experiments.scenarios import _apply_pruning_overrides
 from repro.workload.spec import WorkloadSpec
 
 TINY_LEVEL = {"name": "tiny", "num_tasks": 80, "time_span": 50.0, "num_task_types": 4}
@@ -144,27 +143,35 @@ class TestCampaignRows:
 
 
 class TestOverrideHelper:
-    def _config(self, pruning):
-        return ExperimentConfig(
-            heuristic="MM",
-            spec=WorkloadSpec(num_tasks=50, time_span=40.0),
-            pruning=pruning,
-        )
+    """``SweepGrid.with_pruning``: the grid rewrite behind the figure
+    commands' ``--pruning-threshold``/``--toggle-alpha``/``--controller``."""
+
+    GRID = SweepGrid(
+        levels=[TINY_LEVEL],
+        pruning=["none", "paper", "drop-only", {"label": "D25", "threshold": 0.25}],
+    )
 
     def test_baseline_untouched(self):
-        config = self._config(None)
-        assert _apply_pruning_overrides(config, 0.9, 3, None) is config
+        grid = self.GRID.with_pruning(threshold=0.9, dropping_toggle=3)
+        assert grid.pruning[0] == "none"
+        (base,) = [c for c in grid.expand() if c.config.pruning is None]
+        assert base.config == self.GRID.expand()[0].config
 
     def test_no_overrides_is_identity(self):
-        config = self._config(PruningConfig())
-        assert _apply_pruning_overrides(config, None, None, None) is config
+        assert self.GRID.with_pruning() is self.GRID
 
     def test_overrides_applied(self):
-        ctl = ControllerConfig(kind="static")
-        out = _apply_pruning_overrides(self._config(PruningConfig()), 0.75, 2, ctl)
-        assert out.pruning.pruning_threshold == 0.75
-        assert out.pruning.dropping_toggle == 2
-        assert out.pruning.controller is ctl
+        grid = self.GRID.with_pruning(
+            threshold=0.75, dropping_toggle=2, controller="hysteresis:high=0.3"
+        )
+        pruned = [c.config.pruning for c in grid.expand() if c.config.pruning is not None]
+        assert len(pruned) == 3
+        for pruning in pruned:
+            assert pruning.pruning_threshold == 0.75
+            assert pruning.dropping_toggle == 2
+            assert pruning.controller == ControllerConfig(kind="hysteresis", high=0.3)
+        # Each entry keeps everything else it declared.
+        assert pruned[1].enable_deferring is False
 
 
 class TestCLI:

@@ -106,9 +106,9 @@ class TestParallelTrials:
     def test_parallel_matches_serial(self):
         cfg = ExperimentConfig(heuristic="MM", spec=SPEC, trials=3)
         serial = run_experiment(cfg)
-        parallel = run_experiment(cfg, processes=2)
+        parallel = run_experiment(cfg, jobs=2)
         assert serial.per_trial_pct == parallel.per_trial_pct
 
     def test_single_process_path(self):
         cfg = ExperimentConfig(heuristic="MM", spec=SPEC, trials=2)
-        assert run_experiment(cfg, processes=1).trials == 2
+        assert run_experiment(cfg, jobs=1).trials == 2

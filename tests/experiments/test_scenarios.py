@@ -1,15 +1,22 @@
-"""Smoke tests for the per-figure scenarios at tiny scale.
+"""Tests for the figure registry at tiny scale.
 
 Full-scale shape assertions live in tests/test_integration.py; here each
-scenario runs at scale 0.15 with 1–2 trials to verify wiring, labels, and
-grid structure.
+figure runs at scale 0.15 with one trial to verify wiring, labels, grid
+structure, and byte identity with the recorded per-figure grids.
 """
+
+import dataclasses
+import functools
+import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments import scenarios
+from repro.experiments.campaign import _config_payload, _provenance
 from repro.experiments.report import FigureResult
-from repro.workload.spec import ArrivalPattern
+from repro.sim.rng import fingerprint
 
 TINY = dict(trials=1, base_seed=1, scale=0.15)
 
@@ -50,32 +57,38 @@ class TestFig6:
         assert "type0" in text and "type1" in text
 
 
+@functools.cache
+def _tiny(name: str) -> FigureResult:
+    """Each figure runs once per session at TINY (shared by the tests)."""
+    return scenarios.run_figure(name, **TINY)
+
+
 class TestGrids:
     def test_fig7a_structure(self):
-        grid = scenarios.fig7a(**TINY)
+        grid = _tiny("fig7a")
         assert isinstance(grid, FigureResult)
         assert grid.rows == ["RR", "MCT", "MET", "KPB"]
         assert len(grid.cols) == 3
         assert all(0 <= grid.get(r, c).mean_pct <= 100 for r in grid.rows for c in grid.cols)
 
     def test_fig7b_structure(self):
-        grid = scenarios.fig7b(**TINY)
+        grid = _tiny("fig7b")
         assert grid.rows == ["MM", "MSD", "MMU"]
 
     def test_fig8_structure(self):
-        grid = scenarios.fig8(**TINY)
+        grid = _tiny("fig8")
         assert grid.cols == ["0%", "25%", "50%", "75%"]
 
     def test_fig9_both_patterns(self):
-        a = scenarios.fig9(ArrivalPattern.CONSTANT, **TINY)
-        b = scenarios.fig9(ArrivalPattern.SPIKY, **TINY)
+        a = _tiny("fig9a")
+        b = _tiny("fig9b")
         assert a.figure_id == "fig9a"
         assert b.figure_id == "fig9b"
         assert a.rows == ["MM", "MSD", "MMU", "MM-P", "MSD-P", "MMU-P"]
         assert a.cols == ["15k", "20k", "25k"]
 
     def test_fig10_homogeneous(self):
-        grid = scenarios.fig10(ArrivalPattern.SPIKY, **TINY)
+        grid = _tiny("fig10b")
         assert grid.figure_id == "fig10b"
         assert grid.rows == ["FCFS-RR", "SJF", "EDF", "FCFS-RR-P", "SJF-P", "EDF-P"]
 
@@ -95,8 +108,61 @@ class TestGrids:
 
 class TestHeadline:
     def test_summary_text(self):
-        f9 = scenarios.fig9(ArrivalPattern.SPIKY, **TINY)
-        f10 = scenarios.fig10(ArrivalPattern.SPIKY, **TINY)
-        text = scenarios.headline_summary(f9, f10)
+        text = scenarios.headline_summary(_tiny("fig9b"), _tiny("fig10b"))
         assert "max pruning gain" in text
         assert "paper" in text
+
+
+# ----------------------------------------------------------------------
+# Byte identity against tests/data/figure_grids.json, recorded from the
+# hand-written per-figure functions the registry replaced.
+# ----------------------------------------------------------------------
+FIXTURE = json.loads((Path(__file__).parent.parent / "data" / "figure_grids.json").read_text())
+OVERRIDES = FIXTURE["settings"]["overrides"]
+#: Fixture entry → (figure, run_figure overrides).
+CASES = {name: (name, {}) for name in scenarios.FIGURES}
+CASES["fig8-overrides"] = ("fig8", OVERRIDES)
+
+
+def _outcome_key(config, trial: int) -> str:
+    """trial_key without the code/dependency provenance, which moves
+    with every source edit: the outcome-determining cell identity."""
+    provenance = _provenance()
+    cell = {k: v for k, v in _config_payload(config).items() if k not in provenance}
+    return fingerprint({"cell": cell, "trial": trial}, length=32)
+
+
+class TestParentFixture:
+    def test_fixture_covers_every_figure(self):
+        assert set(FIXTURE["figures"]) == set(CASES)
+        assert {k: FIXTURE["settings"][k] for k in TINY} == TINY
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_grid_byte_identical(self, case):
+        name, overrides = CASES[case]
+        result = _tiny(name) if not overrides else scenarios.run_figure(name, **TINY, **overrides)
+        assert json.dumps(result.to_dict()) == json.dumps(FIXTURE["figures"][case]["result"])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_trial_keys_unchanged(self, case):
+        name, overrides = CASES[case]
+        grid = dataclasses.replace(
+            scenarios.figure_grid(name, TINY["scale"]),
+            trials=TINY["trials"],
+            base_seed=TINY["base_seed"],
+        ).with_pruning(
+            threshold=overrides.get("pruning_threshold"),
+            dropping_toggle=overrides.get("toggle_alpha"),
+            controller=overrides.get("controller"),
+        )
+        # The figure's own projection, fed per-cell key lists in place
+        # of statistics, lays the keys out by (row, col).
+        rows = [
+            SimpleNamespace(
+                heuristic=cell.config.heuristic,
+                stats=[_outcome_key(cell.config, t) for t in range(cell.config.trials)],
+            )
+            for cell in grid.expand()
+        ]
+        keys = scenarios.project_figure(name, grid, SimpleNamespace(rows=rows)).cells
+        assert keys == FIXTURE["figures"][case]["trial_keys"]
