@@ -1,6 +1,5 @@
 """Ablation benches for the design choices the paper calls out.
 
-* PCT-chain memoization on/off (§V-A: "memorization of partial results")
 * Fairness factor sweep (§IV-D)
 * Dropping-toggle α sweep (§IV-C)
 * Probabilistic PET vs deterministic ETC chance estimation (§VI, the
@@ -25,83 +24,10 @@ def _workload(trial=0):
     return generate_workload(SPEC, pet_matrix(), np.random.default_rng(500 + trial))
 
 
-def _run(model, pruning, tasks, *, memoize=True, seed=1):
-    sys = ServerlessSystem(model, "MM", pruning=pruning, memoize=memoize, seed=seed)
+def _run(model, pruning, tasks, *, seed=1):
+    sys = ServerlessSystem(model, "MM", pruning=pruning, seed=seed)
     sys.run(tasks)
     return sys
-
-
-class TestMemoization:
-    def test_memoized(self, benchmark, show):
-        """Incremental prefix-convolution cache (the default)."""
-        sys = benchmark.pedantic(
-            lambda: _run(pet_matrix(), PruningConfig.paper_default(), _workload()),
-            rounds=1,
-            iterations=1,
-        )
-        stats = sys.estimator.cache_stats()
-        show(
-            f"memoization ON : {stats['hits']} hits / {stats['misses']} misses "
-            f"({100 * stats['hits'] / max(stats['hits'] + stats['misses'], 1):.0f}% hit rate), "
-            f"{stats['convolutions']} convolutions performed / "
-            f"{stats['convolutions_avoided']} avoided, "
-            f"{stats['invalidations']} delta invalidations"
-        )
-        assert stats["hits"] > 0
-        assert stats["convolutions_avoided"] > stats["convolutions"]
-
-    def test_unmemoized(self, benchmark, show):
-        sys = benchmark.pedantic(
-            lambda: _run(
-                pet_matrix(), PruningConfig.paper_default(), _workload(), memoize=False
-            ),
-            rounds=1,
-            iterations=1,
-        )
-        show(
-            "memoization OFF: every PCT chain recomputed "
-            f"({sys.estimator.convolutions} convolutions)"
-        )
-        assert sys.estimator.cache_hits == 0
-
-    def test_results_identical(self):
-        """Memoization is a pure optimization: identical outcomes with the
-        incremental cache and with the from-scratch oracle."""
-        runs = {
-            mode: _run(pet_matrix(), PruningConfig.paper_default(), _workload(), memoize=mode)
-            for mode in (True, False)
-        }
-        outcomes = {
-            mode: (
-                s.result().on_time,
-                s.result().late,
-                s.result().dropped_proactive,
-                s.result().defer_decisions,
-                s.result().makespan,
-            )
-            for mode, s in runs.items()
-        }
-        assert outcomes[True] == outcomes[False]
-        # And the incremental layer pays strictly fewer convolutions.
-        assert runs[True].estimator.convolutions < runs[False].estimator.convolutions
-
-    def test_fig7_convolution_ratio(self, show):
-        """Acceptance: >= 3x fewer convolutions per mapping event than the
-        from-scratch oracle on the fig7 workload (dropping engaged); see also
-        benchmarks/bench_sim.py::test_estimator_incremental which records
-        the full series in BENCH_estimator.json."""
-        from benchmarks.bench_sim import _estimator_cell
-
-        per_event = {}
-        for mode in (True, False):
-            sys, _ = _estimator_cell(mode, trial=0)
-            per_event[mode] = sys.estimator.convolutions / sys.allocator.mapping_events
-        ratio = per_event[False] / per_event[True]
-        show(
-            f"fig7 convolutions/event: incremental {per_event[True]:.2f} vs "
-            f"naive {per_event[False]:.2f}  ->  {ratio:.2f}x fewer"
-        )
-        assert ratio >= 3.0
 
 
 class TestFairnessSweep:

@@ -1,9 +1,10 @@
 """Tests for the batched campaign executor layer (ISSUE 6).
 
 The plan resolver's adaptive contract (clamp to ``min(jobs, pending,
-cpu_count)``, auto-serial when a pool cannot win — in particular the
-``cpu_count == 1`` regression behind BENCH_campaign's 0.96x parallel
-pathology), and byte-identity of the process pool against serial.
+cpu_count)``, auto-serial when a pool cannot win — in particular one
+core never gets a pool, which would only add pickling on the core
+that runs the trials), and byte-identity of the process pool against
+serial.
 """
 
 import json
@@ -45,9 +46,9 @@ def _dumps(cells):
 # ======================================================================
 class TestResolveExecutionPlan:
     def test_single_core_never_goes_parallel(self, monkeypatch):
-        """The BENCH_campaign regression: on one core the default plan
-        must be serial no matter how many --jobs were asked for — a pool
-        only adds pickling on the core that would run the trials."""
+        """On one core the default plan must be serial no matter how
+        many --jobs were asked for — a pool only adds pickling on the
+        core that would run the trials."""
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         for jobs in (2, 4, 64):
             assert resolve_execution_plan(jobs, pending=100) == ("serial", 1)

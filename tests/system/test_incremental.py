@@ -12,7 +12,9 @@ operations, so the values must match bit for bit.
 import numpy as np
 import pytest
 
-from repro.core.config import PruningConfig
+from repro.core.config import PruningConfig, ToggleMode
+from repro.experiments.campaign import level_spec
+from repro.experiments.runner import pet_matrix
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Simulator
 from repro.sim.task import Task
@@ -21,6 +23,7 @@ from repro.stochastic.pmf import PMF
 from repro.system.completion import CompletionEstimator
 from repro.system.serverless import ServerlessSystem
 from repro.workload import WorkloadSpec, generate_workload
+from repro.workload.spec import ArrivalPattern
 
 
 def put(cluster, sim, machine_id, i, ttype=0, duration=10.0, deadline=1000.0):
@@ -373,3 +376,55 @@ class TestModesAndStats:
         assert stats["convolutions"] > 0
         assert stats["convolutions_avoided"] > 0
         assert stats["invalidations"] > 0
+
+
+
+def _both_modes(spec, pruning, workload_seed, seed):
+    """The same seeded MM trial under the incremental cache and the oracle."""
+    pet = pet_matrix()
+    systems = {}
+    for mode in (True, False):
+        tasks = generate_workload(spec, pet, np.random.default_rng(workload_seed))
+        systems[mode] = ServerlessSystem(pet, "MM", pruning=pruning, memoize=mode, seed=seed)
+        systems[mode].run(tasks)
+    return systems
+
+
+def _outcome(system):
+    r = system.result()
+    return (r.on_time, r.late, r.dropped_missed, r.dropped_proactive,
+            r.defer_decisions, r.makespan, system.allocator.mapping_events)
+
+
+class TestMemoizationPayoff:
+    """What the cache buys on the paper's own workloads (§V-A,
+    "memorization of partial results"): far fewer convolutions than the
+    oracle for exactly the same outcomes.  Work counters, not wall-clock,
+    so the gates hold on any hardware."""
+
+    def test_fig7_cell_ratio_and_identical_outcomes(self):
+        """Fig. 7's dropping cell (15k spiky, scale 0.4, MM, drop-only
+        always on), two workload seeds: per-trial outcomes match the
+        oracle exactly and the oracle pays >= 3x the convolutions."""
+        spec = level_spec("15k", ArrivalPattern.SPIKY, 0.4)
+        pruning = PruningConfig.drop_only(ToggleMode.ALWAYS)
+        trials = [_both_modes(spec, pruning, workload_seed, seed=2) for workload_seed in (7, 107)]
+        for systems in trials:
+            assert _outcome(systems[True]) == _outcome(systems[False])
+        naive = sum(systems[False].estimator.convolutions for systems in trials)
+        incremental = sum(systems[True].estimator.convolutions for systems in trials)
+        ratio = naive / incremental
+        assert ratio >= 3.0, f"naive/incremental convolutions {ratio:.2f}x < 3x"
+
+    def test_paper_default_cache_hits_and_identical_outcomes(self):
+        """The 450-task paper-default workload (drop + defer): the cache
+        hits, avoids more convolutions than it performs, and the oracle
+        never hits — with identical outcomes."""
+        spec = WorkloadSpec(num_tasks=450, time_span=250.0)
+        systems = _both_modes(spec, PruningConfig.paper_default(), 500, seed=1)
+        stats = systems[True].estimator.cache_stats()
+        assert stats["hits"] > 0
+        assert stats["convolutions_avoided"] > stats["convolutions"]
+        assert systems[False].estimator.cache_hits == 0
+        assert _outcome(systems[True]) == _outcome(systems[False])
+        assert systems[True].estimator.convolutions < systems[False].estimator.convolutions

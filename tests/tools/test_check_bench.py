@@ -1,17 +1,18 @@
-"""Provenance schema of the committed benchmark artifacts.
+"""The static validator of the committed benchmark artifacts.
 
 ``tools/check_bench.py`` gates every ``BENCH_*.json`` on a per-artifact
-list of anchor keys (what workload, at what scale, against which
-baseline) so a truncated or anonymous payload fails with a *named*
-missing key instead of a ``KeyError`` somewhere downstream.  These
-tests pin that behaviour against the committed payloads and synthetic
-mutations of them.
+list of anchor keys (what workload, at what scale, which search) so a
+truncated or anonymous payload fails with a *named* missing key instead
+of a ``KeyError`` somewhere downstream.  These tests pin that behaviour
+against the committed payloads and synthetic mutations of them.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,16 @@ def check_bench():
     return _load_check_bench()
 
 
+def _committed(name):
+    return json.loads((BENCH_DIR / name).read_text())
+
+
+def _write(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return path
+
+
 class TestCommittedArtifacts:
     def test_every_committed_artifact_has_a_schema(self, check_bench):
         committed = {p.name for p in BENCH_DIR.glob("BENCH_*.json")}
@@ -43,46 +54,52 @@ class TestCommittedArtifacts:
         for name in check_bench.PROVENANCE_KEYS:
             assert check_bench.check_provenance(BENCH_DIR / name) == []
 
-    def test_schema_covers_live_run_dereferences(self, check_bench):
-        """Keys ``main()`` dereferences on the estimator payload must be
-        in the schema, so a truncated payload fails by name before the
-        live smoke run KeyErrors on it."""
-        keys = set(check_bench.PROVENANCE_KEYS["BENCH_estimator.json"])
-        assert {
-            "events_per_sec.incremental",
-            "events_per_sec.naive",
-            "workload.scale",
-        } <= keys
+    def test_main_runs_no_simulation(self):
+        """The validator is static: it passes on the committed artifacts
+        without importing the program (so it cannot run a trial)."""
+        code = (
+            "import runpy, sys\n"
+            "sys.argv = ['check_bench.py']\n"
+            "try:\n"
+            "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+            "except SystemExit as stop:\n"
+            "    assert stop.code == 0, stop.code\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] in ('repro', 'numpy')]\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code], cwd=REPO_ROOT / "tools", check=True,
+            capture_output=True,
+        )
 
 
 class TestNamedFailures:
     def test_missing_nested_key_is_named(self, check_bench, tmp_path):
-        payload = json.loads((BENCH_DIR / "BENCH_estimator.json").read_text())
-        del payload["workload"]["scale"]
-        path = tmp_path / "BENCH_estimator.json"
-        path.write_text(json.dumps(payload))
+        payload = _committed("BENCH_tuning.json")
+        del payload["search"]["budget"]
+        path = _write(tmp_path, "BENCH_tuning.json", payload)
         errors = check_bench.check_provenance(path)
-        assert errors == [
-            "BENCH_estimator.json: missing provenance key 'workload.scale'"
-        ]
+        assert errors == ["BENCH_tuning.json: missing provenance key 'search.budget'"]
 
     def test_missing_top_level_key_is_named(self, check_bench, tmp_path):
-        payload = json.loads((BENCH_DIR / "BENCH_campaign.json").read_text())
-        del payload["cpu_count"]
-        path = tmp_path / "BENCH_campaign.json"
-        path.write_text(json.dumps(payload))
+        payload = _committed("BENCH_control.json")
+        del payload["static_grid"]
+        path = _write(tmp_path, "BENCH_control.json", payload)
         errors = check_bench.check_provenance(path)
-        assert errors == ["BENCH_campaign.json: missing provenance key 'cpu_count'"]
+        assert errors == ["BENCH_control.json: missing provenance key 'static_grid'"]
 
     def test_non_mapping_parent_is_named_not_a_crash(self, check_bench, tmp_path):
-        payload = json.loads((BENCH_DIR / "BENCH_estimator.json").read_text())
-        payload["events_per_sec"] = "oops"
-        path = tmp_path / "BENCH_estimator.json"
-        path.write_text(json.dumps(payload))
+        payload = _committed("BENCH_tuning.json")
+        payload["tuner_stats"] = "oops"
+        path = _write(tmp_path, "BENCH_tuning.json", payload)
         errors = check_bench.check_provenance(path)
         assert sorted(errors) == [
-            "BENCH_estimator.json: missing provenance key 'events_per_sec.incremental'",
-            "BENCH_estimator.json: missing provenance key 'events_per_sec.naive'",
+            "BENCH_tuning.json: missing provenance key 'tuner_stats.best_params'",
+            "BENCH_tuning.json: missing provenance key 'tuner_stats.best_score'",
+        ]
+        errors = check_bench.check_tuning_payload(path, BENCH_DIR / "BENCH_control.json")
+        assert errors == [
+            "BENCH_tuning.json: tuner_stats lacks 'best_score'",
+            "BENCH_tuning.json: tuner_stats lacks 'best_params'",
         ]
 
     def test_unregistered_artifact_is_rejected(self, check_bench, tmp_path):
@@ -93,8 +110,34 @@ class TestNamedFailures:
         assert "no provenance schema registered" in errors[0]
 
     def test_unreadable_artifact_is_reported(self, check_bench, tmp_path):
-        path = tmp_path / "BENCH_estimator.json"
+        path = tmp_path / "BENCH_control.json"
         path.write_text("{not json")
         errors = check_bench.check_provenance(path)
         assert len(errors) == 1
         assert "unreadable" in errors[0]
+
+
+class TestTuningReferences:
+    """``BENCH_tuning.json`` copies three numbers from
+    ``BENCH_control.json``; a missing one on either side is an error
+    naming the key, not a ``KeyError`` traceback."""
+
+    @pytest.mark.parametrize("key", ["hysteresis_pct", "best_static", "best_static_pct"])
+    def test_missing_reference_is_named(self, check_bench, tmp_path, key):
+        payload = _committed("BENCH_tuning.json")
+        del payload["references"][key]
+        path = _write(tmp_path, "BENCH_tuning.json", payload)
+        errors = check_bench.check_tuning_payload(path, BENCH_DIR / "BENCH_control.json")
+        assert errors == [f"BENCH_tuning.json: references lacks {key!r}"]
+
+    def test_control_without_comparison_is_named(self, check_bench, tmp_path):
+        control = _committed("BENCH_control.json")
+        del control["comparison"]
+        control_path = _write(tmp_path, "BENCH_control.json", control)
+        errors = check_bench.check_tuning_payload(BENCH_DIR / "BENCH_tuning.json", control_path)
+        assert errors == [
+            "BENCH_tuning.json: reference source BENCH_control.json lacks 'comparison'"
+        ]
+        assert check_bench.check_control_payload(control_path) == [
+            "BENCH_control.json: missing top-level key 'comparison'"
+        ]

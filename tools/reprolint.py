@@ -3,7 +3,7 @@
 
 Equivalent to ``repro lint`` / ``python -m repro.lint`` but runs from a
 bare checkout with no install — it puts ``src/`` on ``sys.path`` itself,
-the same trick :mod:`tools.check_bench` uses::
+the same trick :mod:`tools.check_docs` uses::
 
     python tools/reprolint.py [--json] [paths...]
 """
