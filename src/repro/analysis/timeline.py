@@ -23,21 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sim.task import Task
+from ..system.allocator import EVENT_KINDS
 
 __all__ = ["TimelineEvent", "TimelineRecorder"]
-
-#: Event kinds emitted by the allocator's observer hook.
-EVENT_KINDS = (
-    "arrived",
-    "dispatched",
-    "deferred",
-    "completed",
-    "dropped_missed",
-    "dropped_proactive",
-    # Cluster dynamics: a machine failure/drain evicted the task and it
-    # re-entered admission.
-    "requeued",
-)
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,10 @@ EXCLUSIONS: dict[str, str] = {
     "SchedulerService.system": "the restore target supplies its own identically-built system",
     "SchedulerService.timeline": "alias of system.sim on the restore target",
     "SchedulerService.clock": "alias of timeline.clock; resumed via clock.resume_at(time)",
+    "SchedulerService.gate": (
+        "rebuilt from admission_threshold by the restore target's constructor; "
+        "ServiceStats carries the ingress tallies"
+    ),
     "SchedulerService._idle": "transient pump handshake; snapshot requires a quiescent pump",
     "SchedulerService._pump_task": "transient pump handle; the restore target is not started",
     "SchedulerService._stopping": "transient pump flag; reset by start()",

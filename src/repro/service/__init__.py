@@ -8,15 +8,18 @@ pruner → Eq.-2 estimator → control plane):
   ServerlessSystem` over a :class:`~repro.sim.engine.Simulator` and
   calls ``run()`` — time jumps event-to-event;
 * the **live driver** builds the same system over an
-  :class:`~repro.service.timeline.AsyncTimeline` and lets a
-  :class:`~repro.service.clock.Clock` advance it — wall clock in
-  production, :class:`~repro.service.clock.VirtualClock` in tests.
+  :class:`~repro.service.timeline.AsyncTimeline` — a ``Simulator``
+  subclass — and lets a :class:`~repro.service.clock.Clock` advance it:
+  wall clock in production, :class:`~repro.service.clock.VirtualClock`
+  in tests.
 
-Because both drivers share the timeline's heap semantics (identical
-entry ordering, identical ``now`` at every callback under exact virtual
-advances), a golden trace replayed through the service under virtual
-time produces *byte-identical* per-task outcomes to the sim engine —
-asserted by ``tests/test_golden.py``.
+Because both drivers share one heap (identical entry ordering, identical
+``now`` at every callback under exact virtual advances) and one Eq.-2
+admission gate (:class:`~repro.system.admission.AdmissionController`,
+covering offers, replayed arrivals and churn requeues), a golden trace
+replayed through the service under virtual time produces
+*byte-identical* per-task outcomes to the sim engine — asserted by
+``tests/test_golden.py``.
 """
 
 from .clock import Clock, VirtualClock, WallClock

@@ -8,10 +8,10 @@ AsyncTimeline` and drives it from a single *pump* coroutine:
 2. drain due events (:meth:`AsyncTimeline.fire_due`) — completions,
    arrivals, control breakpoints, churn — exactly as the simulator
    would release them;
-3. drain the bounded ingress queue: parse → admission gate (Eq. 2
-   best-machine chance, the same test
-   :class:`~repro.system.admission.AdmissionController` applies) →
-   allocator submit; each producer's future resolves with a structured
+3. drain the bounded ingress queue: parse → admission gate (the
+   system's :class:`~repro.system.admission.AdmissionController`, which
+   gates replayed arrivals and churn requeues too) → allocator submit;
+   each producer's future resolves with a structured
    :class:`IngressDecision`;
 4. when no progress is possible, publish *idle* and park on the clock
    until the next pending event is due or a producer wakes the pump.
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from ..sim.task import Task
+from ..system.admission import AdmissionController
 from ..system.serverless import ServerlessSystem
 from .clock import VirtualClock
 from .timeline import AsyncTimeline
@@ -110,7 +111,8 @@ class SchedulerService:
     admission_threshold:
         Eq.-2 admission gate: an arriving task whose *best-machine*
         chance of success is below this is rejected (proactive drop,
-        fully accounted).  ``0.0`` disables the gate — every
+        fully accounted); the same gate covers replayed arrivals and
+        churn requeues.  ``0.0`` disables the gate — every
         well-formed, non-shed task is admitted.
     ingress_capacity:
         Bound of the ingress queue; offers beyond it are shed
@@ -139,6 +141,11 @@ class SchedulerService:
         self.timeline: AsyncTimeline = system.sim
         self.clock = self.timeline.clock
         self.admission_threshold = float(admission_threshold)
+        self.gate = (
+            AdmissionController(system, self.admission_threshold)
+            if self.admission_threshold > 0.0
+            else None
+        )
         self.ingress_capacity = int(ingress_capacity)
         self.stats = ServiceStats()
         self._ingress: deque[_IngressItem] = deque()
@@ -333,35 +340,20 @@ class SchedulerService:
         return processed
 
     def _admit_live(self, task: Task) -> IngressDecision:
-        system = self.system
         now = self.timeline.now
+        self.system._submitted.append(task)
         chance: float | None = None
-        if self.admission_threshold > 0.0:
-            machines = system.cluster.online_machines()
-            if machines:
-                chance = float(
-                    system.estimator.chances_for([task], machines, now).max()
-                )
-            else:
-                chance = 0.0
-            if chance < self.admission_threshold:
-                # Same bookkeeping as AdmissionController._submit/_reject:
-                # the task arrived, then was proactively dropped at the gate.
-                system.accounting.record_arrival(task)
-                task.mark_dropped(now, proactive=True)
-                system.accounting.record_drop(task)
-                system.allocator._notify("dropped_proactive", task)
-                system._submitted.append(task)
-                self.stats.rejected += 1
-                return IngressDecision(
-                    status="rejected", task_id=task.task_id, time=now, chance=chance
-                )
-        system._submitted.append(task)
-        system.allocator.submit(task)
-        self.stats.admitted += 1
-        return IngressDecision(
-            status="admitted", task_id=task.task_id, time=now, chance=chance
-        )
+        if self.gate is None:
+            self.system.allocator.submit(task)
+        else:
+            chance = self.gate.offer(task)
+        if chance is not None and chance < self.admission_threshold:
+            self.stats.rejected += 1
+            status = "rejected"
+        else:
+            self.stats.admitted += 1
+            status = "admitted"
+        return IngressDecision(status=status, task_id=task.task_id, time=now, chance=chance)
 
 
 async def run_until_quiescent(

@@ -1,44 +1,38 @@
 """The live event timeline: the simulator's heap, advanced by a clock.
 
-:class:`AsyncTimeline` duck-types the scheduling surface of
-:class:`~repro.sim.engine.Simulator` (``now``/``schedule``/
-``schedule_in``/``cancel``), so the entire mapping core — allocator,
-machines, pruner, estimator, control plane, dynamics — runs over either
-driver unchanged.  It reuses the simulator's ``_QueueEntry`` and
-:class:`~repro.sim.engine.EventHandle` verbatim, which makes the
+:class:`AsyncTimeline` *is* a :class:`~repro.sim.engine.Simulator`: it
+inherits the heap, ``schedule``/``schedule_in``/``cancel``, the event
+counters and :meth:`~repro.sim.engine.Simulator.next_event_time`, so
+the entire mapping core — allocator, machines, pruner, estimator,
+control plane, dynamics — runs over either driver unchanged, and the
 same-timestamp tie-breaking (ascending priority, then scheduling order)
-*provably* identical between replay and live: both heaps compare the
-same dataclass.
+is identical between replay and live by construction.
 
-Instead of ``run()``, due events are released by :meth:`fire_due`
-whenever the owning service's pump observes the clock has reached them.
-Under a :class:`~repro.service.clock.VirtualClock` advanced exactly to
-the next pending event time (the deterministic harness's protocol),
-every callback observes the same ``now`` it would under the simulator —
-the keystone of the replay-vs-live byte-identity contract.
+Only the release of due events differs.  Instead of ``run()``, events
+are released by :meth:`fire_due` whenever the owning service's pump
+observes the clock has reached them, and :attr:`now` never lags the
+clock.  Under a :class:`~repro.service.clock.VirtualClock` advanced
+exactly to the next pending event time (the deterministic harness's
+protocol), every callback observes the same ``now`` it would under the
+simulator — the keystone of the replay-vs-live byte-identity contract.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from collections.abc import Callable
 
-from ..sim.engine import EventHandle, Priority, _QueueEntry
+from ..sim.engine import Simulator
 from .clock import Clock
 
 __all__ = ["AsyncTimeline"]
 
 
-class AsyncTimeline:
-    """Clock-driven event heap with the :class:`Simulator` contract."""
+class AsyncTimeline(Simulator):
+    """A :class:`Simulator` whose events are released by a clock."""
 
     def __init__(self, clock: Clock) -> None:
+        super().__init__(start_time=clock.now())
         self.clock = clock
-        self._queue: list[_QueueEntry] = []
-        self._seq = 0
-        self._now = float(clock.now())
-        self._events_fired = 0
 
     # ------------------------------------------------------------------
     @property
@@ -48,51 +42,10 @@ class AsyncTimeline:
         Monotone: never behind the last fired event (so a callback at
         ``t`` sees exactly ``t`` even if the clock string lags) and never
         behind the clock (so live arrivals between events are stamped
-        with fresh time).
+        with fresh time — and ``schedule_in`` anchors there).
         """
         c = self.clock.now()
         return c if c > self._now else self._now
-
-    @property
-    def events_fired(self) -> int:
-        return self._events_fired
-
-    @property
-    def pending_events(self) -> int:
-        return sum(1 for e in self._queue if e.callback is not None)
-
-    # ------------------------------------------------------------------
-    def schedule(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        priority: int = Priority.DEFAULT,
-    ) -> EventHandle:
-        """Schedule ``callback`` at service time ``time`` (>= now)."""
-        if math.isnan(time):
-            raise ValueError("event time is NaN")
-        if time < self._now - 1e-12:
-            raise ValueError(f"cannot schedule in the past: {time} < now={self._now}")
-        entry = _QueueEntry(float(time), priority, self._seq, callback)
-        self._seq += 1
-        heapq.heappush(self._queue, entry)
-        return EventHandle(entry)
-
-    def schedule_in(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        priority: int = Priority.DEFAULT,
-    ) -> EventHandle:
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        # Anchor at the *property* now: inside an event callback this is
-        # the event's own timestamp (simulator-identical); from a live
-        # ingress context between events it is the clock's fresh time.
-        return self.schedule(self.now + delay, callback, priority)
-
-    def cancel(self, handle: EventHandle) -> None:
-        handle._entry.callback = None
 
     def sync_to_clock(self) -> None:
         """Ratchet ``_now`` up to the clock (pump calls this per step) so
@@ -103,12 +56,6 @@ class AsyncTimeline:
             self._now = c
 
     # ------------------------------------------------------------------
-    def next_event_time(self) -> float | None:
-        """Time of the earliest pending event (``None`` when drained)."""
-        while self._queue and self._queue[0].callback is None:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
-
     def fire_due(self) -> int:
         """Fire every event due at or before the clock's current time.
 

@@ -121,10 +121,10 @@ class Simulator:
         callback: Callable[[], None],
         priority: int = Priority.DEFAULT,
     ) -> EventHandle:
-        """Schedule relative to the current time."""
+        """Schedule relative to the current time (:attr:`now`)."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        return self.schedule(self._now + delay, callback, priority)
+        return self.schedule(self.now + delay, callback, priority)
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a pending event (no-op if already fired/cancelled)."""
@@ -158,7 +158,7 @@ class Simulator:
             while self._queue:
                 if max_events is not None and fired >= max_events:
                     break
-                nxt = self._peek_time()
+                nxt = self.next_event_time()
                 if nxt is None:
                     break
                 if until is not None and nxt > until:
@@ -173,7 +173,8 @@ class Simulator:
         finally:
             self._running = False
 
-    def _peek_time(self) -> float | None:
+    def next_event_time(self) -> float | None:
+        """Time of the earliest pending event (``None`` when drained)."""
         while self._queue and self._queue[0].callback is None:
             heapq.heappop(self._queue)
         return self._queue[0].time if self._queue else None

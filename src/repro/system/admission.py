@@ -14,7 +14,10 @@ in inconsistently heterogeneous clusters where the right machine becomes
 available a few events later.
 
 :class:`AdmissionController` wraps any :class:`~repro.system.allocator.
-ResourceAllocator`-driving system by intercepting ``submit``.
+ResourceAllocator`-driving system by intercepting ``submit`` and
+``requeue``; it is also the gate of the live
+:class:`~repro.service.service.SchedulerService`, so offers, replayed
+arrivals and churn requeues face one and the same test.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class AdmissionController:
         # otherwise a cluster failure would smuggle low-chance tasks past
         # the threshold that just rejected identical fresh arrivals.
         self._inner_submit = system.allocator.submit
-        system.allocator.submit = self._submit  # type: ignore[method-assign]
+        system.allocator.submit = self.offer  # type: ignore[method-assign, assignment]
         self._inner_requeue = system.allocator.requeue
         system.allocator.requeue = self._requeue  # type: ignore[method-assign]
 
@@ -90,22 +93,24 @@ class AdmissionController:
         return float(est.chances_for([task], machines, now).max())
 
     def _reject(self, task: Task) -> None:
-        task.mark_dropped(self.system.sim.now, proactive=True)
-        self.system.accounting.record_drop(task)
         self.stats.rejected += 1
         self.rejected_tasks.append(task)
-        # Gate drops are task outcomes like any other: routing them
-        # through the allocator's observer stream keeps timelines — and
-        # the dynamics makespan tracker — complete.
-        self.system.allocator._notify("dropped_proactive", task)
+        # Gate drops are task outcomes like any other: the allocator's
+        # drop path keeps timelines, the dynamics makespan tracker and
+        # the DAG tracker (dependents are doomed) complete.
+        self.system.allocator.drop(task, proactive=True)
 
-    def _submit(self, task: Task) -> None:
-        if self.best_chance(task) < self.threshold:
+    def offer(self, task: Task) -> float:
+        """Gate one arrival: reject it below the threshold, else forward
+        it to the allocator.  Returns its best-machine chance."""
+        chance = self.best_chance(task)
+        if chance < self.threshold:
             self.system.accounting.record_arrival(task)
             self._reject(task)
-            return
-        self.stats.admitted += 1
-        self._inner_submit(task)
+        else:
+            self.stats.admitted += 1
+            self._inner_submit(task)
+        return chance
 
     def _requeue(self, tasks) -> int:
         """Churn victims re-face the gate (arrival accounting not

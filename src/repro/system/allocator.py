@@ -27,10 +27,17 @@ from ..sim.machine import Machine
 from ..sim.task import Task
 from .completion import CompletionEstimator
 
-__all__ = ["ResourceAllocator", "ImmediateAllocator", "BatchAllocator"]
+__all__ = ["EVENT_KINDS", "ResourceAllocator", "ImmediateAllocator", "BatchAllocator"]
 
-#: Optional observer of task terminal transitions: ``(event, task, time)``.
+#: Optional observer of task transitions: ``(event, task, time)``.
 TaskObserver = Callable[[str, Task, float], None]
+
+#: Every event kind the allocator passes to its :data:`TaskObserver`
+#: (``held``/``released``: DAG gating; ``requeued``: churn victims).
+EVENT_KINDS = (
+    "arrived", "held", "released", "dispatched", "deferred", "completed",
+    "dropped_missed", "dropped_proactive", "requeued",
+)
 
 
 class ResourceAllocator(abc.ABC):
@@ -69,9 +76,14 @@ class ResourceAllocator(abc.ABC):
             machine.on_reap = self._on_machine_reap
 
     def _on_machine_reap(self, task: Task) -> None:
-        task.mark_dropped(self.sim.now, proactive=False)
+        self.drop(task, proactive=False)
+
+    def drop(self, task: Task, *, proactive: bool) -> None:
+        """Drop an already-dequeued ``task`` now: mark, record, notify
+        the observer and cascade to its DAG dependents."""
+        task.mark_dropped(self.sim.now, proactive=proactive)
         self.accounting.record_drop(task)
-        self._notify("dropped_missed", task)
+        self._notify("dropped_proactive" if proactive else "dropped_missed", task)
         self._drop_cascade(task)
 
     # ------------------------------------------------------------------
@@ -99,10 +111,7 @@ class ResourceAllocator(abc.ABC):
         readmitted = 0
         for task in tasks:
             if now > task.deadline:
-                task.mark_dropped(now, proactive=False)
-                self.accounting.record_drop(task)
-                self._notify("dropped_missed", task)
-                self._drop_cascade(task)
+                self.drop(task, proactive=False)
                 continue
             self.accounting.record_requeue(task)
             self._notify("requeued", task)
@@ -199,35 +208,21 @@ class ResourceAllocator(abc.ABC):
     # ------------------------------------------------------------------
     # Fig. 5 step 1 — reactive dropping of deadline-missed tasks.
     # ------------------------------------------------------------------
-    def _reactive_drop_pass(self) -> int:
+    def _reactive_drop_pass(self) -> None:
         now = self.sim.now
-        dropped = 0
         for machine in self.cluster.machines:
             missed = [t for t in machine.queue if now > t.deadline]
             if missed:
                 machine.remove_many(missed)
                 for task in missed:
-                    task.mark_dropped(now, proactive=False)
-                    self.accounting.record_drop(task)
-                    self._notify("dropped_missed", task)
-                    self._drop_cascade(task)
-                    dropped += 1
+                    self.drop(task, proactive=False)
         for task in self._pending_deadline_missed(now):
-            task.mark_dropped(now, proactive=False)
-            self.accounting.record_drop(task)
-            self._notify("dropped_missed", task)
-            self._drop_cascade(task)
-            dropped += 1
+            self.drop(task, proactive=False)
         if self.dag is not None:
             # Held tasks sit outside every queue; sweep their deadlines
             # here so a gated task cannot outlive its own hard deadline.
             for task in self.dag.held_deadline_missed(now):
-                task.mark_dropped(now, proactive=False)
-                self.accounting.record_drop(task)
-                self._notify("dropped_missed", task)
-                self._drop_cascade(task)
-                dropped += 1
-        return dropped
+                self.drop(task, proactive=False)
 
     def _pending_deadline_missed(self, now: float) -> list[Task]:
         """Remove and return deadline-missed tasks from the arrival queue."""
@@ -259,10 +254,7 @@ class ResourceAllocator(abc.ABC):
         engaged = pruner.dropping_engaged()
         if engaged:
             for decision in pruner.drop_scan(self.cluster, self.estimator, self.sim.now):
-                decision.task.mark_dropped(self.sim.now, proactive=True)
-                self.accounting.record_drop(decision.task)
-                self._notify("dropped_proactive", decision.task)
-                self._drop_cascade(decision.task)
+                self.drop(decision.task, proactive=True)
         if engaged and self.dag is not None:
             # Doomed-subgraph scan (beyond the paper): held tasks whose
             # critical-path-propagated chance clears no machine are
@@ -279,10 +271,7 @@ class ResourceAllocator(abc.ABC):
                         # task up (held tasks can depend on held tasks).
                         continue
                     self.dag.drop_held(task)
-                    task.mark_dropped(self.sim.now, proactive=True)
-                    self.accounting.record_drop(task)
-                    self._notify("dropped_proactive", task)
-                    self._drop_cascade(task)
+                    self.drop(task, proactive=True)
         # The toggle has consumed this event's miss count; start a fresh
         # horizon for the next mapping event.
         pruner.end_mapping_event()

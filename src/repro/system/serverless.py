@@ -83,8 +83,9 @@ class ServerlessSystem:
         Event timeline to map on.  ``None`` → a fresh discrete-event
         :class:`~repro.sim.engine.Simulator` (the replay driver); the
         live service injects an
-        :class:`~repro.service.timeline.AsyncTimeline` advanced by a
-        wall or virtual clock instead.
+        :class:`~repro.service.timeline.AsyncTimeline` — a
+        ``Simulator`` subclass whose events a wall or virtual clock
+        releases instead of ``run()``.
     """
 
     def __init__(
@@ -127,8 +128,8 @@ class ServerlessSystem:
 
         # The event timeline is injectable: the discrete-event driver uses
         # the default :class:`Simulator`; the live service driver injects
-        # an :class:`~repro.service.timeline.AsyncTimeline` (same schedule/
-        # cancel/now contract, advanced by a Clock instead of ``run()``).
+        # an :class:`~repro.service.timeline.AsyncTimeline` (a Simulator
+        # subclass, advanced by a Clock instead of ``run()``).
         # Everything below this line is timeline-agnostic — that is the
         # engine/policy separation that makes the sim and the service two
         # drivers over one shared mapping core.

@@ -7,8 +7,8 @@ The pinned contracts:
   synchronously right after a waiter's deadline check (the lost-wakeup
   regression);
 * :class:`AsyncTimeline` releases same-timestamp events in *exactly*
-  the simulator's heap order, because both heaps compare the same
-  ``_QueueEntry`` dataclass.
+  the simulator's heap order, because it is a :class:`Simulator` and
+  inherits its heap.
 """
 
 from __future__ import annotations
@@ -175,6 +175,14 @@ def test_wall_clock_wait_until_wakes_on_event_before_deadline(run_async):
 # ----------------------------------------------------------------------
 # AsyncTimeline: the simulator contract.
 # ----------------------------------------------------------------------
+def test_timeline_is_a_simulator():
+    """One heap: the live timeline inherits the simulator's scheduling
+    surface and overrides only how events are released."""
+    assert issubclass(AsyncTimeline, Simulator)
+    for name in ("schedule", "schedule_in", "cancel", "pending_events", "events_fired"):
+        assert name not in AsyncTimeline.__dict__
+
+
 def test_timeline_schedule_guards_match_simulator():
     timeline = AsyncTimeline(VirtualClock(start_time=5.0))
     with pytest.raises(ValueError, match="NaN"):
@@ -232,7 +240,7 @@ def test_timeline_fires_in_simulator_heap_order():
     """Same (time, priority) schedule → byte-identical release order.
 
     This is the keystone of replay-vs-live equivalence: both drivers
-    push the same ``_QueueEntry`` dataclass, so ascending-priority then
+    push onto the same inherited heap, so ascending-priority then
     scheduling-order tie-breaking is shared by construction.
     """
     schedule = [

@@ -11,8 +11,12 @@ import numpy as np
 import pytest
 
 from repro import PruningConfig, ServerlessSystem, WorkloadSpec, generate_workload
+from repro.experiments.campaign import level_spec
 from repro.service import AsyncTimeline, SchedulerService, VirtualClock, WallClock
 from repro.service.service import run_until_quiescent
+from repro.sim.dynamics import DynamicsSpec
+from repro.system.admission import AdmissionController
+from repro.workload.spec import ArrivalPattern
 
 from tests.conftest import fresh_tasks
 
@@ -245,6 +249,44 @@ def test_replay_matches_simulator_byte_identically(pet_small, small_workload, ru
     expected = sim_run(fresh_tasks(small_workload))
     actual = run_async(live_run(fresh_tasks(small_workload)))
     assert actual == expected
+
+
+@pytest.mark.parametrize(
+    "dynamics", [None, DynamicsSpec(failures=3)], ids=["static", "failures"]
+)
+def test_gated_replay_matches_gated_simulator(pet_paper, run_async, dynamics):
+    """The service's gate is the simulator's :class:`AdmissionController`:
+    replayed arrivals and churn requeues face it exactly as in a gated
+    simulation, byte for byte."""
+    spec = level_spec("15k", ArrivalPattern.SPIKY, 0.2)
+    workload = generate_workload(spec, pet_paper, np.random.default_rng(0))
+    theta = 0.3
+
+    def build(**kwargs):
+        return ServerlessSystem(
+            pet_paper,
+            "MM",
+            pruning=PruningConfig.paper_default(),
+            seed=5,
+            dynamics=dynamics,
+            **kwargs,
+        )
+
+    gate = AdmissionController(build(), theta)
+    expected = gate.run(fresh_tasks(workload)).to_dict()
+
+    async def live_run():
+        service = SchedulerService(
+            build(sim=AsyncTimeline(VirtualClock())), admission_threshold=theta
+        )
+        await service.start()
+        service.replay(fresh_tasks(workload))
+        await run_until_quiescent(service)
+        await service.stop()
+        return service.finalize().to_dict()
+
+    assert gate.stats.rejected > 0
+    assert run_async(live_run()) == expected
 
 
 def test_replay_then_offer_ids_do_not_collide(pet_small, run_async):

@@ -1,10 +1,15 @@
 """Tests for the admission-control baseline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import generate_workload
 from repro.core.config import PruningConfig
+from repro.experiments.campaign import level_spec
 from repro.sim.task import Task, TaskStatus
+from repro.workload.spec import ArrivalPattern
 from repro.system.admission import AdmissionController
 from repro.system.serverless import ServerlessSystem
 
@@ -57,6 +62,35 @@ class TestDecisions:
         ac = AdmissionController(sys)
         t = Task(task_id=0, task_type=0, arrival=0.0, deadline=10.0)
         assert ac.best_chance(t) == pytest.approx(1.0)
+
+    def test_offer_returns_chance_and_gates(self):
+        ac, sys = build()
+        hopeless = Task(task_id=0, task_type=0, arrival=0.0, deadline=5.0)
+        viable = Task(task_id=1, task_type=0, arrival=0.0, deadline=50.0)
+        assert ac.offer(hopeless) == pytest.approx(0.0)
+        assert hopeless.status is TaskStatus.DROPPED_PROACTIVE
+        assert ac.offer(viable) == pytest.approx(1.0)
+        assert viable.status is not TaskStatus.DROPPED_PROACTIVE
+        assert (ac.stats.admitted, ac.stats.rejected) == (1, 1)
+        assert sys.accounting.total_arrived == 2
+
+
+class TestDagCascade:
+    def test_gate_rejection_dooms_dependents(self, pet_paper):
+        """A rejected parent can never complete, so its dependents must be
+        doomed at once (proactive drops), not held until their deadline
+        and counted as reactive misses."""
+        spec = dataclasses.replace(
+            level_spec("15k", ArrivalPattern.SPIKY, 0.2), dag_layers=3
+        )
+        tasks = generate_workload(spec, pet_paper, np.random.default_rng(0))
+        sys = ServerlessSystem(pet_paper, "MM", pruning=PruningConfig.paper_default(), seed=5)
+        ac = AdmissionController(sys, threshold=0.5)
+        ac.run(tasks)
+        rejected = {t.task_id for t in ac.rejected_tasks}
+        dependents = [t for t in tasks if rejected.intersection(t.deps)]
+        assert dependents
+        assert all(t.status is TaskStatus.DROPPED_PROACTIVE for t in dependents)
 
 
 class TestVersusDeferring:

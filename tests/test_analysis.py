@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import PruningConfig, ServerlessSystem
+from repro import PruningConfig, ServerlessSystem, WorkloadSpec, generate_workload
 from repro.analysis import TimelineRecorder
 from repro.sim.task import Task
 
@@ -56,6 +56,21 @@ class TestRecording:
         t = Task(task_id=0, task_type=0, arrival=0.0, deadline=1.0)
         with pytest.raises(ValueError):
             rec("exploded", t, 0.0)
+
+    def test_dag_trial_records_held_and_released(self, pet_small):
+        """The recorder accepts every kind the allocator emits, including
+        the DAG gate's ``held``/``released``."""
+        spec = WorkloadSpec(num_tasks=80, time_span=40.0, num_task_types=3, dag_layers=3)
+        tasks = generate_workload(spec, pet_small, np.random.default_rng(4))
+        rec = TimelineRecorder()
+        res = ServerlessSystem(
+            pet_small, "MM", pruning=PruningConfig.paper_default(), seed=3, observer=rec
+        ).run(tasks)
+        c = rec.counts()
+        assert res.dag_stats["released"] > 0
+        assert c["released"] == res.dag_stats["released"]
+        assert c["held"] >= c["released"]
+        assert c["arrived"] == res.total
 
     def test_len_and_summary(self, recorded):
         rec, _ = recorded
