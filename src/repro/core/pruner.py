@@ -25,6 +25,7 @@ from .accounting import Accounting
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..system.completion import CompletionEstimator
+from ..system.completion import TIE_MARGIN
 from .config import PruningConfig
 from .fairness import FairnessTracker
 from .toggle import Toggle, make_toggle
@@ -79,10 +80,11 @@ class Pruner:
         self.defer_decisions = 0
         #: machine_id -> (chances array, fairness epoch, β) of the last
         #: *no-drop* scan of that machine.  When the estimator hands back
-        #: the *same array object* (its proof that no queue/chain change
-        #: touched the machine) under the same fairness epoch and β, the
-        #: scan's decisions are provably identical — nothing to drop —
-        #: and the per-task threshold loop is skipped (see ``drop_scan``).
+        #: the *same array object* (its proof that neither the queue nor
+        #: the running task's base changed) under the same fairness
+        #: epoch and β, the scan's decisions are provably identical —
+        #: nothing to drop — and the per-task threshold loop is skipped
+        #: (see ``drop_scan``).
         self._scan_memo: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -195,6 +197,10 @@ class Pruner:
         *decrease* (``note_drop`` raises γ_k), so a survivor stays a
         survivor; the resumed scan is decision-for-decision identical to
         a restart-from-front rescan at a fraction of the work.
+
+        With the base-class hooks, thresholds are looked up per task
+        type: ``β − γ_k`` is computed once per type per scan, and a drop
+        recomputes only the type whose γ it moved.
         """
         decisions: list[DropDecision] = []
         machines = [m for m in cluster.machines if m.queue]
@@ -210,6 +216,9 @@ class Pruner:
         )
         memo = self._scan_memo
         beta = self.setpoints.beta
+        # Pristine thresholds per task type, valid until that type's γ
+        # moves (``note_drop`` below pops it).
+        thresholds: dict[int, float] = {}
         all_chances = estimator.cluster_queue_chances(machines, now)
         for machine, chances in zip(machines, all_chances):
             fepoch = self.fairness.epoch
@@ -235,10 +244,21 @@ class Pruner:
                     idx += 1
                     continue
                 chance = float(chances[idx - base])
-                eff = self._scan_threshold(task)
+                if pristine:
+                    eff = thresholds.get(task.task_type)
+                    if eff is None:
+                        eff = thresholds[task.task_type] = self._scan_threshold(task)
+                else:
+                    eff = self._scan_threshold(task)
+                if abs(chance - eff) < TIE_MARGIN * eff:
+                    # Near a tie the factored chance may round to the
+                    # other side of the threshold than the chain does;
+                    # decide on the chain.
+                    chance = estimator.chain_chance(machine, now, idx)
                 if chance <= eff:
                     decisions.append(DropDecision(task, machine, chance, eff))
                     self.fairness.note_drop(task.task_type)
+                    thresholds.pop(task.task_type, None)
                     self.drop_decisions += 1
                     dropped = True
                     machine.remove(task)  # invalidates only the chain suffix

@@ -27,7 +27,10 @@ array backing :meth:`PMF.cdf_at` is computed lazily once and shared across
 shifted copies.  :func:`batch_cdf_at` evaluates many PMFs at many
 deadlines over those cached cumulative arrays (one NumPy gather for a
 large batch, one lookup per query for a small one) — the substrate of the estimation layer's batched chance-of-success
-queries (see ``docs/architecture.md``).
+queries (see ``docs/architecture.md``).  :func:`convolved_cdf_at` reads
+the CDF of a sum of two distributions at one point from their
+cumulative arrays, without forming the convolution — the estimator's
+queued-task chances.
 
 Because anchors travel through chains of float additions, CDF queries
 apply a relative grid-boundary tolerance (:data:`CDF_REL_EPS`): a
@@ -48,6 +51,7 @@ __all__ = [
     "CDF_REL_EPS",
     "CDF_TOL_CAP",
     "batch_cdf_at",
+    "convolved_cdf_at",
 ]
 
 #: Default cap on the number of finite-support bins a convolution may
@@ -574,6 +578,36 @@ def _finish_conv(
         if probs[-1] == 0.0:
             return PMF(probs, offset, tail)
     return PMF._from_parts(probs, offset, tail)
+
+
+def convolved_cdf_at(
+    b: np.ndarray, b_cum: np.ndarray, q_cum: np.ndarray, k: int
+) -> float:
+    """``P(X + Y <= k)`` for independent grid variables anchored at 0,
+    without forming their convolution.
+
+    ``X`` is given by its probabilities ``b`` and their cumulative sums
+    ``b_cum``, ``Y`` by its cumulative sums ``q_cum``; ``k >= 0`` is a
+    grid index.  Conditioning on ``X = j`` gives
+    ``Σ_j b[j] · F_Y(k − j)``: every ``j`` with ``k − j`` past ``Y``'s
+    support contributes ``F_Y``'s full mass, which sums to one head
+    term ``q_cum[-1] · b_cum[a − 1]``; the rest is one dot product of a
+    slice of ``b`` with a reversed slice of ``q_cum``.  Mathematically
+    the cumulative sum of ``b ⊛ q`` at ``k`` (the chain's
+    :meth:`PMF.cdf_at` value); the float association differs, so the
+    two agree to a few ulps rather than bitwise.
+    """
+    nb = b.size
+    a = k - q_cum.size + 2  # j < a: Y's whole mass lies at or below k - j
+    head = 0.0
+    if a > 0:
+        if a >= nb:
+            return float(q_cum[-1] * b_cum[-1])
+        head = q_cum[-1] * b_cum[a - 1]
+    else:
+        a = 0
+    hi = k if k < nb else nb - 1
+    return float(head + b[a : hi + 1].dot(q_cum[k - hi : k - a + 1][::-1]))
 
 
 #: Largest batch :func:`batch_cdf_at` answers with per-query

@@ -10,9 +10,33 @@ Two views of the same machine state:
   compute chance of success (Eq. 2).
 
 The paper notes (§V-A) that repeated convolution cost is contained via
-"task grouping and memorization of partial results".  This module keeps
-the PCT chain of every machine as an **incremental prefix-convolution
-cache**:
+"task grouping and memorization of partial results".  This module does
+it at two levels.
+
+**Queued-task chances** (``cluster_queue_chances``, ``queue_chances``,
+``queue_chances_suffix`` — the drop scan) factor the running task out
+of Eq. 1.  The k-th queued task's PCT is ``b ⊛ Q_k``, where ``b`` is
+the running task's conditioned completion belief (a unit delta when the
+machine is idle) and ``Q_k = pet_0 ⊛ … ⊛ pet_k`` depends on the queued
+task types alone, so Eq. 2 is one dot product per task::
+
+    F_k(d) = Σ_j b[j] · F_{Q_k}(K − j),   K = floor(d − offset_k + tol)
+
+(:func:`~repro.stochastic.pmf.convolved_cdf_at`).  ``Q_k`` comes from a
+product cache keyed on ``(machine type, t_0, …, t_k)``, shared across
+machines and clock ticks; ``b`` from a cache of conditioned shapes per
+cut index.  When the clock moves the running task's conditioning cut,
+the queue is re-answered without a convolution, and each machine's
+chance array is memoized until its queue or cut changes.  Entries the
+horizon or ``max_support`` would truncate are read from the chain, and
+so is a chance the drop scan finds within :data:`TIE_MARGIN` of its
+threshold (:meth:`CompletionEstimator.chain_chance`): the two forms
+differ by a few ulps, which must not move a decision.
+
+**PCT chains** (``pct_for_new``, ``availability_pct``, ``chances_for``,
+``chances_for_pairs``, ``chance_of_success`` — consumers of whole
+distributions) keep an **incremental prefix-convolution cache** per
+machine:
 
 * ``chain[0]`` is the completion belief of the running task (or a delta
   at ``now`` when idle); ``chain[k]`` is the PCT of the k-th queued task.
@@ -27,14 +51,12 @@ cache**:
   cached chain stays bit-identical to a fresh one.  Entries whose
   truncation/trimming made them anchor-dependent fall back to real
   convolution.
-* ``cluster_queue_chances`` / ``chances_for`` / ``chances_for_pairs`` /
-  ``queue_chances`` answer a pruner's or allocator's whole cluster-wide
-  scan in one batched :func:`~repro.stochastic.pmf.batch_cdf_at` pass —
-  grid queries deduplicate distinct (task type, machine) pairs before
-  any distribution work, ``queue_chances(start=i)`` resumes a drop scan
-  from the drop index, and ``cluster_expected_available`` is the scalar
-  mirror for the batch heuristics' phase 1.
-* Every real chain convolution runs through
+* Grid queries (``chances_for``, ``chances_for_pairs``) deduplicate
+  distinct (task type, machine) pairs before any distribution work and
+  answer every deadline in one :func:`~repro.stochastic.pmf.batch_cdf_at`
+  pass; ``cluster_expected_available`` is the scalar mirror for the
+  batch heuristics' phase 1.
+* Every real convolution runs through
   :meth:`~repro.stochastic.pmf.PMF.convolve_truncated`, which pays only
   the arithmetic of one step (no intermediate PMF, no mass sums for
   tail-free operands, cumulative sums built lazily on the first CDF
@@ -44,9 +66,11 @@ cache**:
 
 Two modes, one per job:
 
-* ``memoize=True`` — the prefix cache above (the simulator's path);
-* ``memoize=False`` — the from-scratch oracle: every query reconvolves
-  the whole queue, and the incremental mode must match it bitwise.
+* ``memoize=True`` — the caches above (the simulator's path);
+* ``memoize=False`` — the from-scratch oracle: every query rebuilds the
+  base, reconvolves the queue products (and, where a consumer needs
+  them, the chain) and evaluates the same formulas; the incremental mode
+  must match it bitwise.
 
 A running task's completion belief is its start-anchored PCT conditioned
 on it not having finished yet (``PMF.condition_at_least(now)``); the
@@ -63,15 +87,33 @@ import numpy as np
 
 from ..sim.machine import Machine
 from ..sim.task import Task
-from ..stochastic.pmf import DEFAULT_MAX_SUPPORT, PMF, batch_cdf_at
+from ..stochastic.pmf import (
+    CDF_REL_EPS,
+    CDF_TOL_CAP,
+    DEFAULT_MAX_SUPPORT,
+    PMF,
+    batch_cdf_at,
+    convolved_cdf_at,
+)
 from ..stochastic.pmf import _EPS as _PMF_EPS
 from ..stochastic.pmf import _finish_conv
 
-__all__ = ["ExecutionModel", "CompletionEstimator", "LRUCache"]
+__all__ = ["ExecutionModel", "CompletionEstimator", "LRUCache", "TIE_MARGIN"]
 
 #: Capacity of the estimator's LRU caches (PET products and conditioned
 #: running-task bases).
 CACHE_CAPACITY = 4096
+
+#: Relative distance from a decision threshold within which a
+#: queued-task chance is re-read from the chain
+#: (:meth:`CompletionEstimator.chain_chance`).  Factored and chain
+#: chances sum the same non-negative products in a different order, so
+#: they differ by a few ulps of the value (≤ 7.8e-16 over ``drop-25k``;
+#: the reference test bounds it at 4e-15).  A chance farther than
+#: ``TIE_MARGIN · threshold`` from its threshold therefore lies on the
+#: same side of it as the chain's; a nearer one, such as an exact tie
+#: that the two round apart, is decided on the chain.
+TIE_MARGIN = 1e-9
 
 
 class ExecutionModel(Protocol):
@@ -136,6 +178,10 @@ class LRUCache:
 _DELTA_PROBS = np.ones(1, dtype=np.float64)
 _DELTA_CUMSUM = np.ones(1, dtype=np.float64)
 
+#: One queue position's entry of ``_MachineState.products``: the PET's
+#: offset, then ``Q_k``'s probabilities and cumulative sums.
+_Product = tuple[float, "np.ndarray | None", "np.ndarray | None"]
+
 #: Shared empty chance array for machines with empty queues.
 _EMPTY_CHANCES = np.zeros(0, dtype=np.float64)
 
@@ -190,10 +236,8 @@ class _MachineState:
         "release_mean",
         "new_pct",
         "version_seen",
-        "chain_epoch",
-        "chances",
-        "chances_version",
-        "chances_epoch",
+        "products",
+        "chances_memo",
         "scalar_chain",
         "scalar_version",
         "scalar_release",
@@ -206,15 +250,16 @@ class _MachineState:
         self.reanchorable: list[bool] = []
         self.anchor: float = math.nan
         self.base_sig: tuple = ()
-        #: Bumped whenever the chain's *contents* change (rebuild, trim,
-        #: extend, re-anchor): queued-task chances can only move when
-        #: either the version or this epoch does, which is what lets a
-        #: cluster scan reuse last event's chance arrays for machines
-        #: nothing touched.
-        self.chain_epoch: int = 0
-        self.chances: np.ndarray | None = None
-        self.chances_version: int = -1
-        self.chances_epoch: int = -1
+        #: ``products[k]`` describes queue position ``k``: the offset of
+        #: the PET there and the probabilities and cumulative sums of
+        #: the running-task-free product ``Q = pet_0 ⊛ … ⊛ pet_k``
+        #: (``None`` once a product is not a clean full-support one).
+        #: Only the valid prefix is kept.  It depends on the queue
+        #: alone, so a new running-task base leaves it in place.
+        self.products: list[_Product] = []
+        #: Last full chance array of the queue with its key (see
+        #: ``CompletionEstimator._memo_chances``).
+        self.chances_memo: tuple[tuple, float | None, np.ndarray] | None = None
         #: Scalar (expected-value) chain cache for the incremental mode;
         #: valid for one (machine.version, release time) pair.
         self.scalar_chain: list[float] | None = None
@@ -252,16 +297,16 @@ class _MachineState:
         self.base_src_offset = math.nan
         self.base_token = None
         self.release_mean = None
-        self.chain_epoch += 1
         self.new_pct.clear()
 
     def truncate_suffix(self, index: int) -> None:
-        """Drop chain entries derived from queue positions ``>= index``."""
+        """Drop chain entries and products derived from queue positions
+        ``>= index``."""
         if self.chain is not None and len(self.chain) > index + 1:
             del self.chain[index + 1 :]
             del self.pet_offsets[index:]
             del self.reanchorable[index:]
-            self.chain_epoch += 1
+        del self.products[index:]
         self.new_pct.clear()
 
 
@@ -500,10 +545,18 @@ class CompletionEstimator:
             # observer event resets release_mean), so no signature tuple
             # needs building.
             return state.release_mean
-        state = self._state_for(machine)
-        if state.version_seen != machine.version:
-            state.reset()
-            state.version_seen = machine.version
+        state = self._synced_state(machine)
+        base = self._established_base(state, machine, now)
+        if state.release_mean is None:
+            state.release_mean = base.finite_mean()
+        return state.release_mean
+
+    def _established_base(self, state: _MachineState, machine: Machine, now: float) -> PMF:
+        """The running machine's ``chain[0]`` at ``now``: the state's own
+        when the recorded base facts prove it current, otherwise built
+        and installed as the start of a fresh chain (the rest of the
+        chain is extended only when a consumer needs it).  ``state``
+        must come from :meth:`_synced_state`."""
         sig = self._base_signature(machine)
         if not (
             state.chain
@@ -514,9 +567,7 @@ class CompletionEstimator:
             state.chain = [self._build_base(state, machine, now)]
             state.base_sig = sig
             state.anchor = now
-        if state.release_mean is None:
-            state.release_mean = state.chain[0].finite_mean()
-        return state.release_mean
+        return state.chain[0]
 
     # ------------------------------------------------------------------
     # Probabilistic view — pruning (Eq. 1 / Eq. 2)
@@ -566,12 +617,18 @@ class CompletionEstimator:
             machine.subscribe(self)
         return state
 
-    def _incremental_chain(self, machine: Machine, now: float) -> list[PMF]:
+    def _synced_state(self, machine: Machine) -> _MachineState:
+        """The machine's state, wiped if a mutation bypassed the
+        notification protocol (fail safe)."""
         state = self._state_for(machine)
         if state.version_seen != machine.version:
-            # A mutation bypassed the notification protocol; fail safe.
             state.reset()
+            state.products.clear()
             state.version_seen = machine.version
+        return state
+
+    def _incremental_chain(self, machine: Machine, now: float) -> list[PMF]:
+        state = self._synced_state(machine)
         qlen = len(machine.queue)
         cutoff = now + self.horizon
         before = self.convolutions
@@ -648,7 +705,6 @@ class CompletionEstimator:
                 del state.pet_offsets[keep:]
                 del state.reanchorable[keep:]
             state.chain = new_chain
-            state.chain_epoch += 1
             state.anchor = now
             return True
 
@@ -674,7 +730,6 @@ class CompletionEstimator:
             del chain[keep + 1 :]
             del state.pet_offsets[keep:]
             del state.reanchorable[keep:]
-            state.chain_epoch += 1
         state.anchor = now
         return True
 
@@ -822,7 +877,6 @@ class CompletionEstimator:
         """
         chain = state.chain
         assert chain is not None
-        state.chain_epoch += 1
         queue = machine.queue
         mtype = machine.machine_type
         model_pmf = self.model.pmf
@@ -911,21 +965,18 @@ class CompletionEstimator:
                 chain.append(entry.pct)
                 state.pet_offsets.append(entry.pet_offset)
                 state.reanchorable.append(True)
-                state.chain_epoch += 1
         state.new_pct.clear()
         self.invalidations += 1
 
     def on_dequeue(self, machine: Machine, index: int) -> None:
-        state = self._observed(machine)
-        if state is not None and state.chain is not None:
-            state.truncate_suffix(index)
-            self.invalidations += 1
+        self.on_drop(machine, index)
 
     def on_drop(self, machine: Machine, index: int) -> None:
         state = self._observed(machine)
-        if state is not None and state.chain is not None:
+        if state is not None:
+            if state.chain is not None:
+                self.invalidations += 1
             state.truncate_suffix(index)
-            self.invalidations += 1
 
     def on_start(self, machine: Machine) -> None:
         state = self._observed(machine)
@@ -945,6 +996,7 @@ class CompletionEstimator:
         state = self._observed(machine)
         if state is not None:
             state.reset()
+            state.products.clear()
             self.invalidations += 1
 
     def on_online(self, machine: Machine) -> None:
@@ -1049,8 +1101,7 @@ class CompletionEstimator:
     ) -> list[tuple[Task, float]]:
         """Chance of success of queued tasks from index ``start`` on, in
         FCFS order — the pruner's drop scan (Fig. 5 steps 4–5) consumes
-        this.  All deadline lookups happen in one :func:`batch_cdf_at`
-        pass; after a drop at index ``i`` the scan re-queries only
+        this.  After a drop at index ``i`` the scan re-queries only
         ``start=i`` (the suffix the drop invalidated), so post-drop work
         scales with the tasks behind the dropped one, not the queue."""
         chances = self.queue_chances_suffix(machine, now, start)
@@ -1062,156 +1113,224 @@ class CompletionEstimator:
         self, machine: Machine, now: float, start: int = 0
     ) -> np.ndarray:
         """Raw ndarray variant of :meth:`queue_chances` (no tuple boxing)."""
-        chain = self._pct_chain(machine, now)
-        count = len(chain) - 1 - start
-        if count <= 0:
-            return _EMPTY_CHANCES
-        queue = machine.queue
-        self.chance_evaluations += count
-        deadlines = np.fromiter(
-            (queue[i].deadline for i in range(start, len(queue))),
-            dtype=np.float64,
-            count=count,
-        )
-        chances = batch_cdf_at(chain[start + 1 :], deadlines)
+        if start == 0:
+            chances = self._memo_chances(machine, now)
+        else:
+            chances = self._factored_chances(
+                machine, now, start, self._queue_base(machine, now)
+            )[0]
         if self.dag is not None:
             # Queued tasks have completed parents (factor 1) — nothing
             # to multiply — but their own estimates feed their
             # dependents' critical-path factors.
-            for k in range(count):
-                self.dag.note_estimate(queue[start + k].task_id, float(chances[k]))
+            for task, c in zip(machine.queue[start:], chances):
+                self.dag.note_estimate(task.task_id, float(c))
         if self.observe_chances:
             self._observe_chance_array(chances)
         return chances
 
-    # ------------------------------------------------------------------
-    # Batched chance-of-success queries (the cluster-wide pipeline)
-    # ------------------------------------------------------------------
+    def chain_chance(self, machine: Machine, now: float, index: int) -> float:
+        """Eq. 2 for queue position ``index``, read from the
+        left-associated PCT chain instead of the factored form.
+
+        The two agree to a few ulps; the drop scan asks for this value
+        only when a factored chance lies within a relative
+        :data:`TIE_MARGIN` of its threshold, so that its decisions are
+        exactly the chain's.
+        """
+        self.chance_evaluations += 1
+        entry = self._pct_chain(machine, now)[index + 1]
+        return entry.cdf_at(machine.queue[index].deadline)
+
     def cluster_queue_chances(
         self, machines: Sequence[Machine], now: float
     ) -> list[np.ndarray]:
-        """Chances of every queued task on every machine, one NumPy pass.
+        """Chances of every queued task on every machine — the pruner's
+        whole opening drop scan in one call.  Returns one chance array
+        per machine, aligned with its FCFS queue.
 
-        The cluster-wide face of :meth:`queue_chances`: all machines'
-        PCT chains are gathered into a single flat cumulative buffer and
-        every deadline in the cluster is answered by one fancy-index
-        operation.  Returns one chance array per machine, aligned with
-        its FCFS queue — a pruner's whole cluster scan is one query
-        instead of a per-machine loop.
-
-        Machines whose chain survived since the previous scan untouched
-        (same ``machine.version``, same chain epoch) reuse last scan's
-        chance array outright: a chance can only move when the queue or
-        the chain's distributions do, so per-event evaluation work
-        tracks the machines an event actually mutated, not the cluster.
+        In incremental mode a machine whose queue and running-task base
+        are unchanged since the last query gets last query's array
+        object back (see :meth:`_memo_chances`), so per-event work tracks
+        the machines an event actually touched, not the cluster.
         """
-        results: list[np.ndarray | None] = [None] * len(machines)
-        fresh: list[tuple[int, _MachineState | None]] = []
-        pmfs: list[PMF] = []
-        counts: list[int] = []
-        deadlines: list[float] = []
-        for i, machine in enumerate(machines):
-            state = self._states.get(machine.machine_id)
-            if state is not None and self._chances_still_current(state, machine, now):
-                self.cache_hits += 1
-                results[i] = state.chances
-                continue
-            chain = self._pct_chain(machine, now)
-            queued = len(chain) - 1
-            if queued == 0:
-                results[i] = _EMPTY_CHANCES
-                continue
-            if state is None:
-                state = self._states.get(machine.machine_id)
-            if state is None or state.machine is not machine:
-                state = None
-            elif (
-                state.chances is not None
-                and state.chances_version == machine.version
-                and state.chances_epoch == state.chain_epoch
-            ):
-                results[i] = state.chances
-                continue
-            if queued <= 4:
-                # Short queue (the batch-mode norm: 4 slots): scalar
-                # cdf_at reads the same cumulative arrays with the same
-                # boundary tolerance as the batched gather, at a fraction
-                # of the fixed NumPy call overhead.
-                queue = machine.queue
-                self.chance_evaluations += queued
-                chances = np.array(
-                    [chain[k + 1].cdf_at(queue[k].deadline) for k in range(queued)],
-                    dtype=np.float64,
-                )
-                results[i] = chances
-                if state is not None and state.machine is machine:
-                    state.chances = chances
-                    state.chances_version = machine.version
-                    state.chances_epoch = state.chain_epoch
-                continue
-            fresh.append((i, state))
-            counts.append(queued)
-            pmfs.extend(chain[1:])
-            deadlines.extend(t.deadline for t in machine.queue)
-        if fresh:
-            self.chance_evaluations += len(deadlines)
-            flat = batch_cdf_at(pmfs, np.asarray(deadlines, dtype=np.float64))
-            pos = 0
-            for (i, state), c in zip(fresh, counts):
-                chances = flat[pos : pos + c]
-                pos += c
-                results[i] = chances
-                if state is not None:
-                    state.chances = chances
-                    state.chances_version = machines[i].version
-                    state.chances_epoch = state.chain_epoch
+        results = [self._memo_chances(machine, now) for machine in machines]
         if self.dag is not None:
             # Feed queued parents' estimates to the tracker (factor 1
             # applies to the queued tasks themselves — their parents all
             # completed — so the cached arrays above stay exact).
             for machine, chances in zip(machines, results):
-                for task, c in zip(machine.queue, chances):  # type: ignore[arg-type]
+                for task, c in zip(machine.queue, chances):
                     self.dag.note_estimate(task.task_id, float(c))
         if self.observe_chances:
             # Observe the *answers* (cached reuses included): the answer
             # stream is identical across memoize modes even when the
             # work to produce it is not.
             for chances in results:
-                self._observe_chance_array(chances)  # type: ignore[arg-type]
-        return results  # type: ignore[return-value]
+                self._observe_chance_array(chances)
+        return results
 
-    def _chances_still_current(
-        self, state: _MachineState, machine: Machine, now: float
-    ) -> bool:
-        """Whether last scan's cached chance array is provably what a
-        fresh chain walk would produce at ``now`` — without walking it.
+    def _memo_chances(self, machine: Machine, now: float) -> np.ndarray:
+        """The whole queue's chances, reusing last query's array when the
+        inputs provably did not change (incremental mode).
 
-        Requires (incremental mode): the queue untouched since the cache
-        was filled (``machine.version``), the chain untouched
-        (``chain_epoch``), the running-task base still valid at ``now``
-        by the recorded arithmetic facts, and every chain entry
-        re-anchorable (an entry that was truncated against an older
-        horizon would be re-convolved wider by a fresh walk).  Chance
-        values depend only on the entries' distributions and the fixed
-        deadlines, so under these conditions the cached array is exact.
+        The key is ``(machine.version, base kind, cut)``: the version
+        pins the queue (types, order, deadlines) and the running task;
+        for a running task whose base is unconditioned (``"uncut"``) or
+        conditioned at cut index ``cut`` (``"interior"``) the base is a
+        pure function of that cut, so the chances are too.  Idle and
+        clock-tracking (``"tdep"``) bases put ``now`` in the key, and so
+        does an answer in which the horizon made some entry take the
+        chain path.  A hit returns the *same array object*, which the
+        pruner's scan memo relies on.
         """
-        if (
-            state.machine is not machine
-            or state.chances is None
-            or state.chances_version != machine.version
-            or state.chances_epoch != state.chain_epoch
-            or state.version_seen != machine.version
-        ):
-            return False
-        chain = state.chain
-        if chain is None or len(chain) != len(machine.queue) + 1:
-            return False
+        if not machine.queue:
+            return _EMPTY_CHANCES
+        if not self.memoize:
+            return self._factored_chances(machine, now, 0, self._queue_base(machine, now))[0]
+        state = self._synced_state(machine)
         if machine.running is None:
-            # An idle machine's chain re-anchors with every clock tick.
-            return now == state.anchor
-        if now != state.anchor and not self._base_still_valid(state, now):
-            return False
-        return all(state.reanchorable)
+            base = _delta(now)
+            key: tuple = (machine.version, "idle", now)
+        else:
+            base = self._established_base(state, machine, now)
+            kind = state.base_kind
+            key = (machine.version, kind, now if kind == "tdep" else state.base_cut)
+        memo = state.chances_memo
+        if memo is not None and memo[0] == key and (memo[1] is None or memo[1] == now):
+            self.cache_hits += 1
+            return memo[2]
+        self.cache_misses += 1
+        chances, clock_bound = self._factored_chances(machine, now, 0, base)
+        state.chances_memo = (key, now if clock_bound else None, chances)
+        return chances
+
+    def _queue_base(self, machine: Machine, now: float) -> PMF:
+        """``chain[0]`` without the rest of the chain."""
+        if machine.running is None:
+            return _delta(now)
+        if self.memoize:
+            return self._established_base(self._synced_state(machine), machine, now)
+        return self._running_pct(machine, now)
+
+    def _factored_chances(
+        self, machine: Machine, now: float, start: int, base: PMF
+    ) -> tuple[np.ndarray, bool]:
+        """Eq. 2 for queue positions ``start..`` with the running task
+        factored out of Eq. 1.
+
+        The k-th chain entry is ``b ⊛ Q_k``: ``b`` is the base (the
+        conditioned running PCT, a unit delta when idle) and
+        ``Q_k = pet_0 ⊛ … ⊛ pet_k`` depends on the queue alone.  So
+        ``F_k(d) = Σ_j b[j] · F_{Q_k}(K − j)`` with
+        ``K = floor(d − offset_k + tol)``, where ``offset_k`` is the
+        chain's own left-to-right offset sum and ``tol`` the
+        :meth:`~repro.stochastic.pmf.PMF.cdf_at` grid-boundary
+        tolerance: one :func:`~repro.stochastic.pmf.convolved_cdf_at`
+        per task, and a moved conditioning cut costs no convolution.
+
+        An entry whose chain would fold or truncate mass — a base or
+        product with tail mass, a product past ``max_support``, or an
+        entry reaching past ``now + horizon`` — is answered from the
+        chain itself, as before.  The test reads machine state only, so
+        both modes take the same branch.  Returns the chances and
+        whether any entry took the chain path (its answer is then tied
+        to ``now``).
+        """
+        queue = machine.queue
+        count = len(queue) - start
+        if count <= 0:
+            return _EMPTY_CHANCES, False
+        products = self._queue_products(machine)
+        b = base.probs
+        b_cum = base.cumulative() if base.tail == 0.0 and b.size else None
+        span = b.size - 2  # entry k's last bin is offset_k + |Q_k| + span
+        max_last = self.max_support - 1
+        cutoff = now + self.horizon
+        offset = base.offset
+        chain = None
+        out = np.empty(count, dtype=np.float64)
+        for k, (pet_offset, _, q_cum) in enumerate(products):
+            offset = offset + pet_offset
+            if k < start:
+                continue
+            d = queue[k].deadline
+            if b_cum is not None and q_cum is not None:
+                last = q_cum.size + span
+                if last <= max_last and offset + last <= cutoff:
+                    x = d - offset + min(
+                        CDF_REL_EPS * max(1.0, abs(d), abs(offset)), CDF_TOL_CAP
+                    )
+                    out[k - start] = (
+                        convolved_cdf_at(b, b_cum, q_cum, last if x >= last else math.floor(x))
+                        if x >= 0.0
+                        else 0.0
+                    )
+                    continue
+            if chain is None:
+                chain = self._pct_chain(machine, now)
+            out[k - start] = chain[k + 1].cdf_at(d)
+        self.chance_evaluations += count
+        return out, chain is not None
+
+    def _queue_products(self, machine: Machine) -> list[_Product]:
+        """``(pet_k.offset, Q_k.probs, Q_k.cumulative())`` for every queue
+        position ``k``, where ``Q_k = pet_0 ⊛ … ⊛ pet_k`` (both arrays
+        ``None`` once a step trims or folds mass, which sends that entry
+        and every later one to the chain).
+
+        Incremental mode keeps the valid prefix in the machine state and
+        takes new products from the §V-A product cache, keyed
+        ``(machine type, t_0, …, t_k)`` — the idle-base chain key, since
+        an idle machine's chain entries *are* these products.  The
+        oracle convolves every product from scratch on every query.
+        Either way a product is built by :meth:`PMF.convolve_truncated`
+        from its predecessor and counted in ``convolutions``.
+        """
+        queue = machine.queue
+        cache = None
+        products: list[_Product]
+        if self.memoize:
+            products = self._synced_state(machine).products
+            if len(products) == len(queue):
+                return products
+            cache = self._product_cache
+        else:
+            products = []
+        mtype = machine.machine_type
+        model_pmf = self.model.pmf
+        done = len(products)
+        key = (mtype,) + tuple([queue[k].task_type for k in range(done)])
+        prev = None
+        if done and products[-1][1] is not None:
+            _, probs, cum = products[-1]
+            prev = PMF._from_parts(probs, 0.0, 0.0, cum)
+        for k in range(done, len(queue)):
+            ttype = queue[k].task_type
+            pet = model_pmf(ttype, mtype)
+            key = key + (ttype,)
+            q: PMF | None = None
+            if k == 0:
+                if pet.tail == 0.0:
+                    q = pet
+            elif prev is not None:
+                hit = cache.get(key) if cache is not None else None
+                if hit is not None:
+                    self.convolutions_avoided += 1
+                    q = PMF._from_parts(hit[0], 0.0, 0.0, hit[1])
+                else:
+                    self.convolutions += 1
+                    q = prev.convolve_truncated(pet, cutoff=math.inf, max_support=self.max_support)
+                    if q.tail != 0.0 or q.probs.size != prev.probs.size + pet.probs.size - 1:
+                        q = None
+                    elif cache is not None:
+                        cache.put(key, (q.probs, q.cumulative()))
+            if q is None:
+                products.append((pet.offset, None, None))
+            else:
+                products.append((pet.offset, q.probs, q.cumulative()))
+            prev = q
+        return products
 
     def chances_for(
         self, tasks: Sequence[Task], machines: Sequence[Machine], now: float

@@ -200,6 +200,119 @@ class TestSuffixResume:
             assert [(d.task.task_id, d.chance, d.effective_threshold) for d in got] == want
 
 
+class TestThresholdLookups:
+    """With the base-class hooks the scan computes ``β − γ_k`` once per
+    task type and recomputes only the type a drop moved; an overriding
+    subclass keeps one hook call per examined task."""
+
+    def _world(self, layout):
+        """One machine, two task types running exactly 10 units; the
+        first task runs, the rest queue as ``(type, deadline)``."""
+        pet = make_deterministic_pet(np.array([[10.0], [10.0]]))
+        cluster = Cluster.heterogeneous(1)
+        sim = Simulator()
+        for tid, (ttype, deadline) in enumerate([(0, 1000.0)] + layout):
+            queue_task(cluster, sim, tid, deadline, ttype=ttype)
+        return cluster, CompletionEstimator(pet)
+
+    def _counted(self, pruner):
+        calls = []
+        inner = pruner.fairness.effective_threshold
+
+        def counting(beta, task_type):
+            calls.append(task_type)
+            return inner(beta, task_type)
+
+        pruner.fairness.effective_threshold = counting
+        return calls
+
+    def test_one_computation_per_type_without_drops(self):
+        cluster, est = self._world([(k % 2, 1000.0) for k in range(6)])
+        pruner = Pruner(PruningConfig.paper_default())
+        calls = self._counted(pruner)
+        assert pruner.drop_scan(cluster, est, now=0.0) == []
+        assert sorted(calls) == [0, 1]
+
+    def test_a_drop_recomputes_only_its_type(self):
+        # Index 0 (type 0) completes at 20 > 15: dropped.  The survivors
+        # behind it are judged against γ_0 raised by the drop.
+        cluster, est = self._world(
+            [(0, 15.0), (1, 1000.0), (0, 1000.0), (1, 1000.0)]
+        )
+        pruner = Pruner(PruningConfig.paper_default())
+        calls = self._counted(pruner)
+        decisions = pruner.drop_scan(cluster, est, now=0.0)
+        assert [d.task.task_id for d in decisions] == [1]
+        assert calls == [0, 1, 0]
+
+    def test_overridden_hook_is_called_per_examined_task(self):
+        class Counting(Pruner):
+            calls = 0
+
+            def _scan_threshold(self, task):
+                Counting.calls += 1
+                return super()._scan_threshold(task)
+
+        cluster, est = self._world(
+            [(0, 15.0), (1, 1000.0), (0, 1000.0), (1, 1000.0)]
+        )
+        pruner = Counting(PruningConfig.paper_default())
+        decisions = pruner.drop_scan(cluster, est, now=0.0)
+        assert [d.task.task_id for d in decisions] == [1]
+        assert Counting.calls == 4  # every queued task examined once
+
+
+class TestNearTies:
+    """The drop scan decides a chance within a relative ``TIE_MARGIN``
+    of its threshold on the chain (``chain_chance``), not on the
+    factored value the cluster query returned."""
+
+    class _Estimator:
+        def __init__(self, factored, chain):
+            self.factored, self.chain, self.asked = factored, chain, []
+
+        def cluster_queue_chances(self, machines, now):
+            return [np.array([self.factored]) for _ in machines]
+
+        def chain_chance(self, machine, now, index):
+            self.asked.append(index)
+            return self.chain
+
+    def _cluster(self, env):
+        _, cluster, sim, _ = env
+        queue_task(cluster, sim, 0, deadline=1000.0)  # running
+        queue_task(cluster, sim, 1, deadline=1000.0)
+        return cluster
+
+    def test_a_tie_is_decided_on_the_chain(self, env):
+        cluster = self._cluster(env)
+        est = self._Estimator(np.nextafter(0.75, 1.0), 0.75)
+        pruner = Pruner(PruningConfig(pruning_threshold=0.75))
+        decisions = pruner.drop_scan(cluster, est, now=0.0)
+        assert [(d.task.task_id, d.chance) for d in decisions] == [(1, 0.75)]
+        assert est.asked == [0]
+
+    @pytest.mark.parametrize("factored", [0.0, 0.5, 0.75 + 2e-9])
+    def test_clear_cases_and_zeros_are_not_reread(self, env, factored):
+        cluster = self._cluster(env)
+        est = self._Estimator(factored, float("nan"))
+        pruner = Pruner(PruningConfig(pruning_threshold=0.75))
+        decisions = pruner.drop_scan(cluster, est, now=0.0)
+        assert len(decisions) == (1 if factored <= 0.75 else 0)
+        assert est.asked == []
+
+    def test_tiny_chance_against_a_zero_threshold_is_not_reread(self, env):
+        """A fully suffered type (threshold 0) drops only a 0.0 chance, and
+        a factored chance is 0.0 exactly when the chain's is."""
+        cluster = self._cluster(env)
+        est = self._Estimator(5e-10, float("nan"))
+        pruner = Pruner(PruningConfig(pruning_threshold=0.75))
+        for _ in range(20):
+            pruner.fairness.note_drop(0)
+        assert pruner.drop_scan(cluster, est, now=0.0) == []
+        assert est.asked == []
+
+
 class TestDeferDecision:
     def test_defers_below_threshold(self):
         pruner = Pruner(PruningConfig.paper_default())
