@@ -25,7 +25,7 @@ from .accounting import Accounting
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..system.completion import CompletionEstimator
-from ..system.completion import TIE_MARGIN
+from ..system.completion import near_tie
 from .config import PruningConfig
 from .fairness import FairnessTracker
 from .toggle import Toggle, make_toggle
@@ -93,7 +93,6 @@ class Pruner:
     def control_tick(
         self,
         cluster: Cluster,
-        estimator: CompletionEstimator,
         now: float,
         *,
         mapping_events: int,
@@ -130,7 +129,6 @@ class Pruner:
                 queued=queued,
                 batch_queued=batch_queued,
                 running=running,
-                mean_chance=estimator.observed_mean_chance(),
                 sufferage=self.fairness.scores(),
                 beta=self.setpoints.beta,
                 alpha=self.setpoints.alpha,
@@ -156,11 +154,12 @@ class Pruner:
     # Fig. 5 steps 4–6 — drop scan over machine queues.
     # ------------------------------------------------------------------
     def _scan_skip(self, task: Task) -> bool:
-        """Hook: tasks the drop scan must never prune (subclass policy)."""
+        """Hook: tasks pruning must never drop or defer (subclass policy)."""
         return False
 
     def _scan_threshold(self, task: Task) -> float:
-        """Hook: effective pruning threshold for ``task`` (β − γ_k).
+        """Hook: effective pruning threshold for ``task`` (β − γ_k), for
+        drops and defers alike.
 
         β is the *live* setpoint — the frozen config constant unless a
         controller moved it; fairness offsets apply on top either way.
@@ -250,11 +249,11 @@ class Pruner:
                         eff = thresholds[task.task_type] = self._scan_threshold(task)
                 else:
                     eff = self._scan_threshold(task)
-                if abs(chance - eff) < TIE_MARGIN * eff:
+                if near_tie(chance, eff):
                     # Near a tie the factored chance may round to the
                     # other side of the threshold than the chain does;
                     # decide on the chain.
-                    chance = estimator.chain_chance(machine, now, idx)
+                    chance = estimator.chain_chance(task, machine, now, idx)
                 if chance <= eff:
                     decisions.append(DropDecision(task, machine, chance, eff))
                     self.fairness.note_drop(task.task_type)
@@ -296,8 +295,9 @@ class Pruner:
         (:meth:`~repro.system.completion.CompletionEstimator.chances_for`,
         which multiplies in the critical-path dependency factor) and the
         *best* placement is judged against the effective threshold — a
-        task is only doomed if no machine could save it.  The allocator
-        cascades each decision to the task's transitive dependents.
+        task is only doomed if no machine could save it; near a tie the
+        best placement is re-read from the chain.  The allocator cascades
+        each decision to the task's transitive dependents.
         """
         decisions: list[DropDecision] = []
         if not held:
@@ -312,6 +312,10 @@ class Pruner:
             best = int(grid[i].argmax())
             chance = float(grid[i, best])
             eff = self._scan_threshold(task)
+            if near_tie(chance, eff):
+                chains = [estimator.chain_chance(task, m, now) for m in machines]
+                chance = max(chains)
+                best = chains.index(chance)
             if chance <= eff:
                 decisions.append(
                     DropDecision(task, machines[best], chance, eff)
@@ -323,13 +327,22 @@ class Pruner:
     # ------------------------------------------------------------------
     # Fig. 5 steps 9–10 — defer check for a freshly mapped task.
     # ------------------------------------------------------------------
-    def should_defer(self, task: Task, chance: float) -> bool:
-        """Whether a task the heuristic just mapped must be pulled back."""
-        if not self.config.enable_deferring:
+    def should_defer(
+        self,
+        task: Task,
+        chance: float,
+        machine: Machine | None = None,
+        estimator: CompletionEstimator | None = None,
+        now: float = 0.0,
+    ) -> bool:
+        """Whether a task the heuristic just mapped to ``machine`` must be
+        pulled back.  Given the ``estimator``, a ``chance`` near the
+        threshold is re-read from the chain before deciding."""
+        if not self.config.enable_deferring or self._scan_skip(task):
             return False
-        eff = self.fairness.effective_threshold(
-            self.setpoints.beta, task.task_type
-        )
+        eff = self._scan_threshold(task)
+        if estimator is not None and near_tie(chance, eff):
+            chance = estimator.chain_chance(task, machine, now)
         if chance <= eff:
             self.defer_decisions += 1
             return True

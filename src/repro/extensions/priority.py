@@ -60,7 +60,15 @@ class ValueAwarePruner(Pruner):
         self.protect_priority = protect_priority
 
     # ------------------------------------------------------------------
-    def _effective_threshold(self, task: Task) -> float:
+    # The base Pruner's drop scan, defer check and gate scan are reused
+    # as-is; value awareness plugs in through the two hooks.
+    def _scan_skip(self, task: Task) -> bool:
+        return (
+            self.protect_priority is not None
+            and task.priority >= self.protect_priority
+        )
+
+    def _scan_threshold(self, task: Task) -> float:
         base = self.fairness.effective_threshold(
             self.setpoints.beta, task.task_type
         )
@@ -68,30 +76,6 @@ class ValueAwarePruner(Pruner):
         if not 0.0 <= weight <= 1.0 or math.isnan(weight):
             raise ValueError(f"weight function returned {weight}, expected [0, 1]")
         return base * weight
-
-    def _is_protected(self, task: Task) -> bool:
-        return (
-            self.protect_priority is not None
-            and task.priority >= self.protect_priority
-        )
-
-    # ------------------------------------------------------------------
-    # The base Pruner's cumulative drop scan (batched chance queries,
-    # suffix re-convolution after each drop) is reused as-is; value
-    # awareness plugs in through the two scan hooks.
-    def _scan_skip(self, task: Task) -> bool:
-        return self._is_protected(task)
-
-    def _scan_threshold(self, task: Task) -> float:
-        return self._effective_threshold(task)
-
-    def should_defer(self, task: Task, chance: float) -> bool:
-        if not self.config.enable_deferring or self._is_protected(task):
-            return False
-        if chance <= self._effective_threshold(task):
-            self.defer_decisions += 1
-            return True
-        return False
 
     # ------------------------------------------------------------------
     @staticmethod

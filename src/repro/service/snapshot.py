@@ -71,8 +71,6 @@ _ESTIMATOR_COUNTERS = (
     "convolutions",
     "convolutions_avoided",
     "chance_evaluations",
-    "chance_obs_count",
-    "chance_obs_sum",
 )
 
 

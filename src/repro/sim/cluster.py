@@ -23,7 +23,7 @@ class QueueObserver(Protocol):
 
     Machines announce *what* changed instead of merely bumping a version
     counter, so subscribers (notably the completion estimator's
-    prefix-convolution cache) can invalidate exactly the affected suffix
+    product caches) can invalidate exactly the affected suffix
     of their derived state:
 
     * ``on_enqueue(machine, index)`` — a task was appended at queue

@@ -26,11 +26,11 @@ tricks safe: :meth:`PMF.shift` re-anchors a distribution *zero-copy*
 array backing :meth:`PMF.cdf_at` is computed lazily once and shared across
 shifted copies.  :func:`batch_cdf_at` evaluates many PMFs at many
 deadlines over those cached cumulative arrays (one NumPy gather for a
-large batch, one lookup per query for a small one) — the substrate of the estimation layer's batched chance-of-success
-queries (see ``docs/architecture.md``).  :func:`convolved_cdf_at` reads
-the CDF of a sum of two distributions at one point from their
-cumulative arrays, without forming the convolution — the estimator's
-queued-task chances.
+large batch, one lookup per query for a small one).
+:func:`convolved_cdf_at` reads the CDF of a sum of two distributions at
+one point from their cumulative arrays, without forming the convolution
+— every chance of success the estimator answers (see
+``docs/architecture.md``).
 
 Because anchors travel through chains of float additions, CDF queries
 apply a relative grid-boundary tolerance (:data:`CDF_REL_EPS`): a
@@ -154,8 +154,8 @@ class PMF:
 
         ``probs`` must already be a trimmed 1-D float64 array (typically
         taken straight from another PMF).  Used by :meth:`shift` and the
-        completion estimator's re-anchoring path, where the probability
-        array is shared between the source and the result.
+        completion estimator's cached bases and products, where the
+        probability array is shared between the source and the result.
         """
         pmf = object.__new__(cls)
         pmf.probs = probs
@@ -354,8 +354,7 @@ class PMF:
 
         The probability array and cached cumulative sums are *shared*
         with the source PMF — re-anchoring a distribution at a new
-        simulation time costs O(1), which is what makes the completion
-        estimator's time-advance re-anchoring free of convolutions.
+        simulation time costs O(1).
         """
         if dt == 0.0:
             return self

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..sim.machine import Machine
 from ..sim.task import Task
+from .completion import near_tie
 from .serverless import ServerlessSystem
 
 __all__ = ["AdmissionController", "AdmissionStats"]
@@ -85,12 +87,22 @@ class AdmissionController:
         restricted to online machines — an offline machine cannot run
         anything, whatever its (stale) queue belief says.
         """
-        est = self.system.estimator
-        now = self.system.sim.now
         machines = self.system.cluster.online_machines()
         if not machines:
             return 0.0
-        return float(est.chances_for([task], machines, now).max())
+        return self._best_chances([task], machines)[0]
+
+    def _best_chances(self, tasks: list[Task], machines: list[Machine]) -> list[float]:
+        """Each task's best-machine chance; one near the threshold is
+        re-read from the chain, so the gate decides exactly as the chain
+        does."""
+        est = self.system.estimator
+        now = self.system.sim.now
+        best = est.chances_for(tasks, machines, now).max(axis=1).tolist()
+        for i, task in enumerate(tasks):
+            if near_tie(best[i], self.threshold):
+                best[i] = max(est.chain_chance(task, m, now) for m in machines)
+        return best
 
     def _reject(self, task: Task) -> None:
         self.stats.rejected += 1
@@ -128,8 +140,7 @@ class AdmissionController:
         machines = self.system.cluster.online_machines()
         best: dict[int, float] = {}
         if live and machines:
-            grid = self.system.estimator.chances_for(live, machines, now)
-            best = {id(t): float(c) for t, c in zip(live, grid.max(axis=1))}
+            best = {id(t): c for t, c in zip(live, self._best_chances(live, machines))}
         passed: list[Task] = []
         for task in tasks:
             if now > task.deadline:

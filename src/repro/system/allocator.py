@@ -245,7 +245,6 @@ class ResourceAllocator(abc.ABC):
         # event and move β/α before any decision consumes them.
         pruner.control_tick(
             self.cluster,
-            self.estimator,
             self.sim.now,
             mapping_events=self.mapping_events,
             batch_queued=self._batch_depth(),
@@ -437,7 +436,7 @@ class BatchAllocator(ResourceAllocator):
                         chance = float(plan_chances[i])
                     else:
                         chance = self.estimator.chance_of_success(task, machine, now)
-                    if self.pruner.should_defer(task, chance):
+                    if self.pruner.should_defer(task, chance, machine, self.estimator, now):
                         task.mark_deferred()
                         self.accounting.record_defer(task)
                         self._notify("deferred", task)

@@ -5,72 +5,58 @@ Two views of the same machine state:
 * **Scalar view** — expected completion times, used by every mapping
   heuristic (MCT, MM, MSD, MMU, EDF, SJF ...).  O(queue) additions, no
   convolutions.
-* **Probabilistic view** — full PCT distributions obtained by convolving
-  PETs along the machine queue (Eq. 1), used by the pruning mechanism to
-  compute chance of success (Eq. 2).
+* **Probabilistic view** — chances of success (Eq. 2) read from the PCT
+  distributions that convolving PETs along the machine queue gives
+  (Eq. 1), used by the pruning mechanism.
 
 The paper notes (§V-A) that repeated convolution cost is contained via
-"task grouping and memorization of partial results".  This module does
-it at two levels.
-
-**Queued-task chances** (``cluster_queue_chances``, ``queue_chances``,
-``queue_chances_suffix`` — the drop scan) factor the running task out
-of Eq. 1.  The k-th queued task's PCT is ``b ⊛ Q_k``, where ``b`` is
-the running task's conditioned completion belief (a unit delta when the
-machine is idle) and ``Q_k = pet_0 ⊛ … ⊛ pet_k`` depends on the queued
-task types alone, so Eq. 2 is one dot product per task::
+"task grouping and memorization of partial results".  Every chance here
+comes from one representation that factors the running task out of
+Eq. 1.  The task at queue position ``k`` has PCT ``b ⊛ Q_k``, where
+``b`` is the running task's conditioned completion belief (a unit delta
+when the machine is idle) and ``Q_k = pet_0 ⊛ … ⊛ pet_k`` depends on
+the queued task types alone; a new task of type ``t`` appended to an
+``n``-task queue is position ``n`` with ``Q = Q_{n-1} ⊛ pet_t``.  So
+Eq. 2 is one dot product per task::
 
     F_k(d) = Σ_j b[j] · F_{Q_k}(K − j),   K = floor(d − offset_k + tol)
 
-(:func:`~repro.stochastic.pmf.convolved_cdf_at`).  ``Q_k`` comes from a
-product cache keyed on ``(machine type, t_0, …, t_k)``, shared across
-machines and clock ticks; ``b`` from a cache of conditioned shapes per
-cut index.  When the clock moves the running task's conditioning cut,
-the queue is re-answered without a convolution, and each machine's
-chance array is memoized until its queue or cut changes.  Entries the
-horizon or ``max_support`` would truncate are read from the chain, and
-so is a chance the drop scan finds within :data:`TIE_MARGIN` of its
-threshold (:meth:`CompletionEstimator.chain_chance`): the two forms
-differ by a few ulps, which must not move a decision.
+(:func:`~repro.stochastic.pmf.convolved_cdf_at`), where ``offset_k`` is
+the chain's own left-to-right offset sum and ``tol`` the
+:meth:`~repro.stochastic.pmf.PMF.cdf_at` grid-boundary tolerance.
 
-**PCT chains** (``pct_for_new``, ``availability_pct``, ``chances_for``,
-``chances_for_pairs``, ``chance_of_success`` — consumers of whole
-distributions) keep an **incremental prefix-convolution cache** per
-machine:
-
-* ``chain[0]`` is the completion belief of the running task (or a delta
-  at ``now`` when idle); ``chain[k]`` is the PCT of the k-th queued task.
-* The estimator subscribes to the machines' structured queue-delta
-  notifications (:class:`~repro.sim.cluster.QueueObserver`).  A mutation
-  at queue index ``i`` invalidates only the suffix ``chain[i+1:]`` — an
-  enqueue costs one convolution, a mid-queue drop re-convolves only the
-  tasks behind it, and untouched machines keep their whole chain.
-* Advancing simulation time does not throw the chain away: entries are
-  **re-anchored** via zero-copy offset fix-up (no convolution), replaying
-  the same float additions a from-scratch rebuild would perform so the
-  cached chain stays bit-identical to a fresh one.  Entries whose
-  truncation/trimming made them anchor-dependent fall back to real
-  convolution.
+* ``Q_k`` comes from a product cache keyed on ``(machine type, t_0, …,
+  t_k)``, shared across machines and clock ticks.  Each machine keeps
+  its queue's products and, per new-task type, the product one position
+  past the queue.  The estimator subscribes to the machines' queue-delta
+  notifications (:class:`~repro.sim.cluster.QueueObserver`): a mutation
+  at queue index ``i`` drops only the products from ``i`` on, and an
+  enqueue turns the new-task product of its type into the next queue
+  product.
+* ``b`` comes from a cache of conditioned shapes per cut index, and the
+  base records how it depends on ``now``, so a clock tick that leaves
+  the running task's conditioning cut in place costs no convolution;
+  each machine's queued-task chance array is memoized until its queue or
+  cut changes.
 * Grid queries (``chances_for``, ``chances_for_pairs``) deduplicate
-  distinct (task type, machine) pairs before any distribution work and
-  answer every deadline in one :func:`~repro.stochastic.pmf.batch_cdf_at`
-  pass; ``cluster_expected_available`` is the scalar mirror for the
-  batch heuristics' phase 1.
-* Every real convolution runs through
-  :meth:`~repro.stochastic.pmf.PMF.convolve_truncated`, which pays only
-  the arithmetic of one step (no intermediate PMF, no mass sums for
-  tail-free operands, cumulative sums built lazily on the first CDF
-  query), and the running task's base records how it depends on ``now``
-  so re-validation is integer arithmetic, not a rebuilt-and-compared PMF
-  (see ``docs/architecture.md`` → "the mapping-event hot path").
+  distinct (task type, machine) pairs before any distribution work;
+  ``cluster_expected_available`` is the scalar mirror for the batch
+  heuristics' phase 1.
+
+The left-associated chain ``b ⊛ pet_0 ⊛ … ⊛ pet_k``, built from scratch
+(:meth:`CompletionEstimator._build_chain`), is the fallback.  It answers
+the entries the horizon or ``max_support`` would truncate (and tailed
+bases or PETs), and it decides a chance that lies within
+:data:`TIE_MARGIN` of its decision threshold
+(:meth:`CompletionEstimator.chain_chance`): the factored and chain forms
+differ by a few ulps, which must not move a decision.
 
 Two modes, one per job:
 
 * ``memoize=True`` — the caches above (the simulator's path);
 * ``memoize=False`` — the from-scratch oracle: every query rebuilds the
-  base, reconvolves the queue products (and, where a consumer needs
-  them, the chain) and evaluates the same formulas; the incremental mode
-  must match it bitwise.
+  base, reconvolves the queue products and evaluates the same formulas;
+  the incremental mode must match it bitwise.
 
 A running task's completion belief is its start-anchored PCT conditioned
 on it not having finished yet (``PMF.condition_at_least(now)``); the
@@ -96,24 +82,28 @@ from ..stochastic.pmf import (
     convolved_cdf_at,
 )
 from ..stochastic.pmf import _EPS as _PMF_EPS
-from ..stochastic.pmf import _finish_conv
 
-__all__ = ["ExecutionModel", "CompletionEstimator", "LRUCache", "TIE_MARGIN"]
+__all__ = ["ExecutionModel", "CompletionEstimator", "LRUCache", "TIE_MARGIN", "near_tie"]
 
 #: Capacity of the estimator's LRU caches (PET products and conditioned
 #: running-task bases).
 CACHE_CAPACITY = 4096
 
-#: Relative distance from a decision threshold within which a
-#: queued-task chance is re-read from the chain
-#: (:meth:`CompletionEstimator.chain_chance`).  Factored and chain
-#: chances sum the same non-negative products in a different order, so
-#: they differ by a few ulps of the value (≤ 7.8e-16 over ``drop-25k``;
-#: the reference test bounds it at 4e-15).  A chance farther than
-#: ``TIE_MARGIN · threshold`` from its threshold therefore lies on the
-#: same side of it as the chain's; a nearer one, such as an exact tie
-#: that the two round apart, is decided on the chain.
+#: Relative distance from a decision threshold within which a chance is
+#: re-read from the chain (:meth:`CompletionEstimator.chain_chance`).
+#: Factored and chain chances sum the same non-negative products in a
+#: different order, so they differ by a few ulps of the value (≤ 7.8e-16
+#: over ``drop-25k``; the reference test bounds it at 4e-15).  A chance
+#: farther than ``TIE_MARGIN · threshold`` from its threshold therefore
+#: lies on the same side of it as the chain's; a nearer one, such as an
+#: exact tie that the two round apart, is decided on the chain.
 TIE_MARGIN = 1e-9
+
+
+def near_tie(chance: float, threshold: float) -> bool:
+    """Whether a factored ``chance`` is too near ``threshold`` to decide
+    on: the decision must then be taken on the chain's value."""
+    return abs(chance - threshold) < TIE_MARGIN * threshold
 
 
 class ExecutionModel(Protocol):
@@ -127,10 +117,9 @@ class LRUCache:
     """A bounded mapping evicting the least-recently-*used* entry.
 
     ``dict`` preserves insertion order; :meth:`get` re-inserts on hit so
-    the front of the dict is always the coldest entry.  Unlike the old
-    clear-everything-at-capacity policy, a full cache evicts exactly one
-    victim per insert and hot entries survive.  ``None`` is the miss
-    value of :meth:`get`, so it is never stored.
+    the front of the dict is always the coldest entry.  A full cache
+    evicts exactly one victim per insert, so hot entries survive.
+    ``None`` is the miss value of :meth:`get`, so it is never stored.
     """
 
     __slots__ = ("capacity", "evictions", "_data")
@@ -171,15 +160,14 @@ class LRUCache:
 
 
 #: Shared single-bin probability array backing every idle-machine base
-#: (``delta(now)``).  Sharing one array gives availability PMFs of idle
-#: machines a stable identity across re-anchoring, which is what lets
-#: cached new-task PCTs survive clock ticks (see ``pct_for_new``).  PMFs
+#: (``delta(now)``), so an idle machine's query allocates no base.  PMFs
 #: are immutable by convention, so the sharing is safe.
 _DELTA_PROBS = np.ones(1, dtype=np.float64)
 _DELTA_CUMSUM = np.ones(1, dtype=np.float64)
 
-#: One queue position's entry of ``_MachineState.products``: the PET's
-#: offset, then ``Q_k``'s probabilities and cumulative sums.
+#: One queue position's product entry: the PET's offset, then ``Q``'s
+#: probabilities and cumulative sums (both ``None`` once a product is
+#: not a clean full-support one).
 _Product = tuple[float, "np.ndarray | None", "np.ndarray | None"]
 
 #: Shared empty chance array for machines with empty queues.
@@ -191,52 +179,59 @@ def _delta(t: float) -> PMF:
     return PMF._from_parts(_DELTA_PROBS, t, 0.0, _DELTA_CUMSUM)
 
 
-class _NewPct:
-    """A cached new-task PCT (``availability ⊛ PET``), re-anchorable.
+def _base_parts(base: PMF) -> tuple[np.ndarray, np.ndarray | None]:
+    """A base's probabilities and cumulative sums (``None`` when it has
+    tail mass or no support: the factored form then does not apply)."""
+    b = base.probs
+    return b, base.cumulative() if base.tail == 0.0 and b.size else None
 
-    Validity is keyed on the *identity* of the availability PMF's
-    probability array: chain rebuilds allocate fresh arrays, while pure
-    re-anchoring shares them, so ``avail_probs is chain[-1].probs`` says
-    exactly "same distribution up to its anchor".
+
+def _factored_cdf_at(
+    b: np.ndarray,
+    b_cum: np.ndarray | None,
+    q_cum: np.ndarray | None,
+    offset: float,
+    d: float,
+    cutoff: float,
+    max_support: int,
+) -> float | None:
+    """``cdf_at(d)`` of the PCT ``b ⊛ Q`` anchored at ``offset``, without
+    forming it: :meth:`PMF.cdf_at`'s tolerance and clamp around
+    :func:`convolved_cdf_at`.
+
+    ``None`` where the chain would fold or truncate mass — a base or
+    product with tail mass (``b_cum`` / ``q_cum`` is ``None``), more
+    than ``max_support`` bins, or a bin past ``cutoff``; the chain
+    answers those.
     """
-
-    __slots__ = ("avail_probs", "avail_offset", "avail_tail", "built_at", "pct", "reanchorable", "pet_offset")
-
-    def __init__(self, avail: PMF, built_at: float, pct: PMF, reanchorable: bool, pet_offset: float) -> None:
-        self.avail_probs = avail.probs
-        self.avail_offset = avail.offset
-        self.avail_tail = avail.tail
-        self.built_at = built_at
-        self.pct = pct
-        self.reanchorable = reanchorable
-        self.pet_offset = pet_offset
+    if b_cum is None or q_cum is None:
+        return None
+    last = q_cum.size + b.size - 2  # index of the PCT's last bin
+    if last >= max_support or offset + last > cutoff:
+        return None
+    x = d - offset + min(CDF_REL_EPS * max(1.0, abs(d), abs(offset)), CDF_TOL_CAP)
+    if not x >= 0.0:
+        return 0.0
+    return convolved_cdf_at(b, b_cum, q_cum, last if x >= last else math.floor(x))
 
 
 class _MachineState:
-    """Incremental per-machine PCT state (the prefix-convolution cache).
-
-    ``chain`` holds the valid prefix only — invalidation truncates the
-    list.  ``pet_offsets[k]`` is the grid offset of the PET convolved at
-    step ``k+1`` and ``reanchorable[k]`` records whether that entry can be
-    re-anchored by pure offset arithmetic (no truncation fold, no trim,
-    no tail mass — see ``_extend_chain``).
-    """
+    """Incremental per-machine state: the running task's base, the
+    queue's products and the memoized answers built on them."""
 
     __slots__ = (
         "machine",
-        "chain",
-        "pet_offsets",
-        "reanchorable",
+        "base",
         "anchor",
         "base_sig",
         "base_kind",
         "base_cut",
         "base_src_offset",
-        "base_token",
         "release_mean",
-        "new_pct",
         "version_seen",
         "products",
+        "product_key",
+        "new_products",
         "chances_memo",
         "scalar_chain",
         "scalar_version",
@@ -245,18 +240,23 @@ class _MachineState:
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self.chain: list[PMF] | None = None
-        self.pet_offsets: list[float] = []
-        self.reanchorable: list[bool] = []
+        #: The running task's conditioned completion belief, valid at
+        #: ``anchor`` (``None`` until built; idle machines use ``_delta``).
+        self.base: PMF | None = None
         self.anchor: float = math.nan
         self.base_sig: tuple = ()
         #: ``products[k]`` describes queue position ``k``: the offset of
         #: the PET there and the probabilities and cumulative sums of
-        #: the running-task-free product ``Q = pet_0 ⊛ … ⊛ pet_k``
-        #: (``None`` once a product is not a clean full-support one).
+        #: the running-task-free product ``Q = pet_0 ⊛ … ⊛ pet_k``.
         #: Only the valid prefix is kept.  It depends on the queue
         #: alone, so a new running-task base leaves it in place.
         self.products: list[_Product] = []
+        #: Product-cache key of the last entry of ``products``:
+        #: ``(machine type, t_0, …, t_k)``.
+        self.product_key: tuple = (machine.machine_type,)
+        #: task type -> the product of a new task of that type appended
+        #: to the whole queue; valid until the queue changes.
+        self.new_products: dict[int, _Product] = {}
         #: Last full chance array of the queue with its key (see
         #: ``CompletionEstimator._memo_chances``).
         self.chances_memo: tuple[tuple, float | None, np.ndarray] | None = None
@@ -265,49 +265,35 @@ class _MachineState:
         self.scalar_chain: list[float] | None = None
         self.scalar_version: int = -1
         self.scalar_release: float = math.nan
-        #: How the base (chain[0]) depends on the query time: "idle" —
-        #: re-anchored by offset replay; "uncut" — the shifted PET,
-        #: conditioning was a no-op; "interior" — conditioned at grid
-        #: index ``base_cut``; "tdep" — shape depends on ``now`` itself
-        #: (collapsed belief or truncation-clipped), rebuild on any tick.
+        #: How the base depends on the query time: "idle" — no base;
+        #: "uncut" — the shifted PET, conditioning was a no-op;
+        #: "interior" — conditioned at grid index ``base_cut``; "tdep" —
+        #: shape depends on ``now`` itself (collapsed belief or
+        #: truncation-clipped), rebuild on any tick.
         self.base_kind: str = "idle"
         self.base_cut: int = 0
         self.base_src_offset: float = math.nan
-        #: Product-cache key prefix when ``chain[0]`` is a *pure* base —
-        #: an idle delta (``(machine_type,)``) or an unconditioned,
-        #: untruncated shifted PET (``(machine_type, running_type)``).
-        #: ``None`` means chain products are anchor-dependent and must
-        #: not be shared across machines (see ``_extend_chain``).
-        self.base_token: tuple | None = None
-        #: Cached ``chain[0].finite_mean()`` for the scalar view; valid
+        #: Cached ``base.finite_mean()`` for the scalar view; valid
         #: exactly as long as the base itself (None = not computed).
         self.release_mean: float | None = None
-        #: task_type -> cached availability ⊛ PET result
-        self.new_pct: dict[int, _NewPct] = {}
         self.version_seen: int = machine.version
 
     def reset(self) -> None:
-        self.chain = None
-        self.pet_offsets.clear()
-        self.reanchorable.clear()
+        """Forget the base (the running task or its belief changed)."""
+        self.base = None
         self.anchor = math.nan
         self.base_sig = ()
         self.base_kind = "idle"
         self.base_cut = 0
         self.base_src_offset = math.nan
-        self.base_token = None
         self.release_mean = None
-        self.new_pct.clear()
 
     def truncate_suffix(self, index: int) -> None:
-        """Drop chain entries and products derived from queue positions
-        ``>= index``."""
-        if self.chain is not None and len(self.chain) > index + 1:
-            del self.chain[index + 1 :]
-            del self.pet_offsets[index:]
-            del self.reanchorable[index:]
+        """Drop the products of queue positions ``>= index`` and every
+        new-task product (each was one position past the old queue)."""
         del self.products[index:]
-        self.new_pct.clear()
+        self.product_key = self.product_key[: index + 1]
+        self.new_products.clear()
 
 
 class CompletionEstimator:
@@ -320,7 +306,7 @@ class CompletionEstimator:
         :class:`~repro.stochastic.ETCMatrix` (deterministic baseline —
         chance of success degenerates to a 0/1 step).
     horizon:
-        PCT chains are truncated ``horizon`` time units past ``now``;
+        PCTs are truncated ``horizon`` time units past ``now``;
         beyond-horizon mass is folded into the PMF tail, i.e. treated as
         "certainly late".  Must exceed the largest deadline slack in the
         workload for chance values to be exact.
@@ -328,8 +314,11 @@ class CompletionEstimator:
         When True (default) the running task's PCT is conditioned on the
         task still being unfinished at ``now``.
     memoize:
-        ``True`` — delta-invalidated prefix cache; ``False`` — the
+        ``True`` — delta-invalidated product caches; ``False`` — the
         from-scratch oracle, no caching.  Anything else is rejected.
+    max_support:
+        Most finite-support bins a PCT keeps; overflow mass is folded
+        into its tail.
     """
 
     def __init__(
@@ -341,8 +330,14 @@ class CompletionEstimator:
         memoize: bool = True,
         max_support: int = DEFAULT_MAX_SUPPORT,
     ) -> None:
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not horizon > 0:
+            raise ValueError(f"horizon must be positive, got {horizon!r}")
+        if not isinstance(max_support, int) or max_support <= 0:
+            raise ValueError(f"max_support must be a positive integer, got {max_support!r}")
+        if not isinstance(condition_running, bool):
+            raise ValueError(
+                f"condition_running must be True or False, got {condition_running!r}"
+            )
         if not isinstance(memoize, bool):
             raise ValueError(f"memoize must be True or False, got {memoize!r}")
         self.model = model
@@ -351,17 +346,12 @@ class CompletionEstimator:
         self.memoize = memoize
         self.max_support = max_support
         #: §V-A "task grouping and memorization of partial results": pure
-        #: PET products keyed on (machine type, task-type sequence).  A
-        #: chain whose base is an unconditioned shifted PET (or an idle
-        #: delta) and whose entries never hit truncation is, up to its
-        #: anchor, a *pure product* of PET distributions — a function of
-        #: the type sequence alone.  Queue type-sequences recur heavily
-        #: (affinity-driven heuristics keep feeding each machine the same
-        #: few types), so after a completion the rebuilt chain's products
-        #: are usually already here and cost a dict lookup instead of an
-        #: ``np.convolve``.  Values are the (probs, cumsum) array pair;
-        #: offsets/tails are replayed per use with the exact float
-        #: arithmetic of the sequential path (see ``_extend_chain``).
+        #: PET products ``Q = pet_0 ⊛ … ⊛ pet_k`` keyed on (machine type,
+        #: task-type sequence), as (probs, cumsum) pairs.  Queue
+        #: type-sequences recur heavily (affinity-driven heuristics keep
+        #: feeding each machine the same few types), so after a queue
+        #: change the products are usually already here and cost a dict
+        #: lookup instead of an ``np.convolve``.
         self._product_cache = LRUCache(CACHE_CAPACITY)
         #: Conditioned-base shape cache.  Conditioning a running task's
         #: PCT on "still running at ``now``" (§II) depends on the wall
@@ -388,14 +378,6 @@ class CompletionEstimator:
         self.convolutions = 0
         self.convolutions_avoided = 0
         self.chance_evaluations = 0
-        # Chance-of-success observation for the control plane
-        # (:mod:`repro.control`).  Accumulated at the query boundary —
-        # *above* every cache layer — so the running mean is identical
-        # across memoize modes; off by default so the paper's
-        # configurations pay nothing for it.
-        self.observe_chances = False
-        self.chance_obs_count = 0
-        self.chance_obs_sum = 0.0
         #: DAG workloads: the system wires the run's DependencyTracker
         #: here.  When set, chance queries (a) record each parent task's
         #: own Eq. 2 estimate for its dependents' critical-path factors
@@ -521,7 +503,7 @@ class CompletionEstimator:
     def _release_mean(self, machine: Machine, now: float) -> float:
         """Conditioned expected release of the running task.
 
-        Reuses the incremental chain's base when it is provably current
+        Reuses the machine state's base when it is provably current
         (same conditioning cut, truncation untouched): the scalar view
         then costs a cached float instead of rebuilding the conditioned
         PCT.  When no current base exists, one is *established* in the
@@ -537,7 +519,6 @@ class CompletionEstimator:
             and state.machine is machine
             and state.release_mean is not None
             and state.version_seen == machine.version
-            and state.chain is not None
             and (now == state.anchor or self._base_still_valid(state, now))
         ):
             # Fast path: the cached base provably equals a fresh build at
@@ -552,22 +533,20 @@ class CompletionEstimator:
         return state.release_mean
 
     def _established_base(self, state: _MachineState, machine: Machine, now: float) -> PMF:
-        """The running machine's ``chain[0]`` at ``now``: the state's own
-        when the recorded base facts prove it current, otherwise built
-        and installed as the start of a fresh chain (the rest of the
-        chain is extended only when a consumer needs it).  ``state``
-        must come from :meth:`_synced_state`."""
+        """The running machine's base at ``now``: the state's own when
+        the recorded base facts prove it current, otherwise built and
+        installed.  ``state`` must come from :meth:`_synced_state`."""
         sig = self._base_signature(machine)
         if not (
-            state.chain
+            state.base is not None
             and state.base_sig == sig
             and (now == state.anchor or self._base_still_valid(state, now))
         ):
             state.reset()
-            state.chain = [self._build_base(state, machine, now)]
+            state.base = self._build_base(state, machine, now)
             state.base_sig = sig
             state.anchor = now
-        return state.chain[0]
+        return state.base
 
     # ------------------------------------------------------------------
     # Probabilistic view — pruning (Eq. 1 / Eq. 2)
@@ -585,19 +564,25 @@ class CompletionEstimator:
 
     def availability_pct(self, machine: Machine, now: float) -> PMF:
         """PCT of the *last* task currently on the machine (Eq. 1's
-        ``PCT(i-1, j)``): when the machine would start one more task."""
-        chain = self._pct_chain(machine, now)
-        return chain[-1]
+        ``PCT(i-1, j)``): when the machine would start one more task.
+        Built from scratch — a reference accessor; chance queries never
+        form it."""
+        return self._build_chain(machine, now)[-1]
 
-    def _pct_chain(self, machine: Machine, now: float) -> list[PMF]:
-        """``chain[0]`` = availability after the running task (delta(now)
-        when idle); ``chain[k]`` = PCT of the k-th queued task."""
-        if self.memoize:
-            return self._incremental_chain(machine, now)
-        return self._build_chain(machine, now)
+    def pct_for_new(self, task_type: int, machine: Machine, now: float) -> PMF:
+        """Eq. 1: PCT of a new task appended to the machine's queue,
+        built from scratch (``availability_pct ⊛ PET``).  Chance queries
+        read it only where the factored form does not apply."""
+        pet = self.model.pmf(task_type, machine.machine_type)
+        self.convolutions += 1
+        return self.availability_pct(machine, now).convolve_truncated(
+            pet, cutoff=now + self.horizon, max_support=self.max_support
+        )
 
     def _build_chain(self, machine: Machine, now: float) -> list[PMF]:
-        """Reference path: full Eq. 1 reconvolution of the queue."""
+        """The left-associated chain, from scratch (Eq. 1): ``chain[0]``
+        is the running task's belief (delta(now) when idle) and
+        ``chain[k]`` the PCT of the k-th queued task."""
         base = PMF.delta(now) if machine.running is None else self._running_pct(machine, now)
         chain = [base]
         cutoff = now + self.horizon
@@ -623,42 +608,9 @@ class CompletionEstimator:
         state = self._state_for(machine)
         if state.version_seen != machine.version:
             state.reset()
-            state.products.clear()
+            state.truncate_suffix(0)
             state.version_seen = machine.version
         return state
-
-    def _incremental_chain(self, machine: Machine, now: float) -> list[PMF]:
-        state = self._synced_state(machine)
-        qlen = len(machine.queue)
-        cutoff = now + self.horizon
-        before = self.convolutions
-
-        reused = state.chain is not None and self._rebase(state, machine, now, cutoff)
-        if not reused:
-            state.reset()
-            if machine.running is None:
-                state.chain = [_delta(now)]
-                state.base_token = (machine.machine_type,)
-            else:
-                state.chain = [self._build_base(state, machine, now)]
-            state.base_sig = self._base_signature(machine)
-            state.anchor = now
-
-        chain = state.chain
-        assert chain is not None
-        if len(chain) > qlen + 1:  # defensive; observers should prevent this
-            state.truncate_suffix(qlen)
-        extended = len(chain) < qlen + 1
-        if extended:
-            self._extend_chain(state, machine, cutoff)
-
-        performed = self.convolutions - before
-        self.convolutions_avoided += max(qlen - performed, 0)
-        if reused and not extended and performed == 0:
-            self.cache_hits += 1
-        else:
-            self.cache_misses += 1
-        return chain
 
     @staticmethod
     def _base_signature(machine: Machine) -> tuple:
@@ -666,79 +618,13 @@ class CompletionEstimator:
             return ("idle",)
         return ("run", machine.running.task_id, machine.running_started_at)
 
-    def _rebase(self, state: _MachineState, machine: Machine, now: float, cutoff: float) -> bool:
-        """Re-anchor the cached chain to ``now``; False → rebuild needed.
-
-        For an idle machine the whole chain is anchored at the query time,
-        so the offsets are replayed with the same left-to-right additions
-        a rebuild would perform (``now + pet_0 + pet_1 + ...``).  For a
-        running machine the chain is anchored at the task's start time and
-        only the base's conditioning can change its shape; the chain is
-        kept iff the freshly conditioned base is bitwise-identical to the
-        cached one.  Entries flagged non-re-anchorable (truncated/trimmed/
-        tail-carrying) are dropped and re-convolved by ``_extend_chain``.
-        """
-        sig = self._base_signature(machine)
-        if state.base_sig != sig:
-            return False
-        chain = state.chain
-        assert chain is not None
-
-        if machine.running is None:
-            if now == state.anchor:
-                return True
-            new_chain: list[PMF] = [_delta(now)]
-            offset = now
-            keep = len(chain) - 1
-            for k in range(keep):
-                if not state.reanchorable[k]:
-                    keep = k
-                    break
-                offset = offset + state.pet_offsets[k]
-                entry = chain[k + 1]
-                moved = PMF._from_parts(entry.probs, offset, entry.tail, entry._cumsum)
-                if moved.truncate(cutoff) is not moved:
-                    keep = k
-                    break
-                new_chain.append(moved)
-            if keep < len(chain) - 1:
-                del state.pet_offsets[keep:]
-                del state.reanchorable[keep:]
-            state.chain = new_chain
-            state.anchor = now
-            return True
-
-        # Running machine: chain offsets are absolute (anchored at the
-        # start time), but conditioning may reshape the base as time
-        # passes — verify it did not.  At an unchanged `now` (repeat
-        # queries within one mapping event) nothing can have moved.
-        # The check is pure arithmetic against the facts recorded when
-        # the base was built (`_build_base`): no fresh conditioned PCT is
-        # constructed just to be compared and thrown away.
-        if now == state.anchor:
-            return True
-        if not self._base_still_valid(state, now):
-            return False
-        # Truncation horizons moved with `now`; keep only entries provably
-        # unaffected (no tail, finite support within the new cutoff).
-        keep = len(chain) - 1
-        for k in range(keep):
-            if not state.reanchorable[k] or chain[k + 1].max_time > cutoff:
-                keep = k
-                break
-        if keep < len(chain) - 1:
-            del chain[keep + 1 :]
-            del state.pet_offsets[keep:]
-            del state.reanchorable[keep:]
-        state.anchor = now
-        return True
-
     def _build_base(self, state: _MachineState, machine: Machine, now: float) -> PMF:
         """The running-machine base, recording how it depends on ``now``.
 
         Bit-identical to :meth:`_running_pct` (same operations, same
-        order); additionally classifies the result so `_rebase` can
-        decide validity at a later query time by arithmetic alone:
+        order); additionally classifies the result so
+        :meth:`_base_still_valid` can decide validity at a later query
+        time by arithmetic alone:
 
         * ``"uncut"`` — conditioning was a no-op (``now`` at or before
           the belief's support); stays valid while that holds.
@@ -802,18 +688,6 @@ class CompletionEstimator:
         state.base_kind = kind
         state.base_cut = cut
         state.base_src_offset = src_offset
-        # Pure base: the belief's probability array is a deterministic
-        # function of types alone ("uncut" — still the PET's own array)
-        # or of types plus the integer cut index ("interior" — the
-        # conditioned shape; bitwise-pure per the cond-cache argument
-        # above).  Chain products over a pure base join the §V-A product
-        # cache under that token.
-        if kind == "uncut" and truncated.probs is pet.probs:
-            state.base_token = (machine.machine_type, running.task_type)
-        elif kind == "interior" and truncated is pct:
-            state.base_token = (machine.machine_type, (running.task_type, cut))
-        else:
-            state.base_token = None
         return truncated
 
     def _base_still_valid(self, state: _MachineState, now: float) -> bool:
@@ -831,105 +705,6 @@ class CompletionEstimator:
             return cut <= 0
         return cut == state.base_cut  # "interior"
 
-    def _append_pet(self, prev: PMF, pet: PMF, cutoff: float) -> PMF:
-        """``prev ⊛ pet`` truncated at ``cutoff``, counting convolutions.
-
-        A unit point mass on the left degenerates to a zero-copy shift of
-        the PET (``1.0 * p == p`` bitwise), sparing the array multiply a
-        literal ``convolve`` would perform.  Only real convolutions are
-        counted here; callers account for avoided work (a caller knows
-        its naive cost, this helper does not).
-
-        The real convolutions go through the allocation-lean
-        :meth:`~repro.stochastic.pmf.PMF.convolve_truncated` fast path —
-        bit-identical to ``convolve(...).truncate(...)``.
-        """
-        if (
-            prev.probs.size == 1
-            and prev.probs[0] == 1.0
-            and prev.tail == 0.0
-            and pet.tail == 0.0
-            and pet.probs.size <= self.max_support
-        ):
-            return pet.shift(prev.offset).truncate(cutoff)
-        self.convolutions += 1
-        return prev.convolve_truncated(pet, cutoff=cutoff, max_support=self.max_support)
-
-    def _extend_chain(self, state: _MachineState, machine: Machine, cutoff: float) -> None:
-        """Convolve PETs for queued tasks not yet covered by the chain.
-
-        §V-A "task grouping and memorization of partial results", taken
-        across machines: while the chain prefix is a *pure product* — the
-        base is an idle delta or an unconditioned shifted PET
-        (``state.base_token``) and every entry so far is re-anchorable —
-        an entry's probability array is a function of the machine type
-        and the task-type sequence alone, independent of anchor times and
-        machine identity.  Those arrays are memoized in
-        ``_product_cache`` keyed on that sequence, so a queue pattern
-        already seen on any same-type machine costs a dict lookup instead
-        of an ``np.convolve``.  Replayed entries use the same
-        left-to-right offset additions and the same finishing arithmetic
-        (:func:`~repro.stochastic.pmf._finish_conv`) as a fresh
-        convolution, keeping the chain bit-identical to the uncached
-        computation.  Only full-support, untrimmed, tail-free products
-        are stored; any impure step disables keying for the rest of the
-        chain.
-        """
-        chain = state.chain
-        assert chain is not None
-        queue = machine.queue
-        mtype = machine.machine_type
-        model_pmf = self.model.pmf
-        cache = self._product_cache
-        key = state.base_token
-        if key is not None:
-            covered = len(chain) - 1
-            if all(state.reanchorable[:covered]):
-                for k in range(covered):
-                    key = key + (queue[k].task_type,)
-            else:
-                key = None
-        while len(chain) < len(queue) + 1:
-            queued = queue[len(chain) - 1]
-            pet = model_pmf(queued.task_type, mtype)
-            prev = chain[-1]
-            nxt = None
-            cacheable = False
-            if key is not None:
-                key = key + (queued.task_type,)
-                cacheable = (
-                    prev.tail == 0.0
-                    and pet.tail == 0.0
-                    and prev.probs.size > 1
-                    and pet.probs.size > 1
-                )
-                if cacheable:
-                    pair = cache.get(key)
-                    if pair is not None:
-                        probs, cumsum = pair
-                        offset = prev.offset + pet.offset
-                        if offset + probs.size - 1 <= cutoff:
-                            nxt = PMF._from_parts(probs, offset, 0.0, cumsum)
-                        else:
-                            nxt = _finish_conv(probs, offset, 0.0, cutoff, self.max_support)
-            if nxt is None:
-                nxt = self._append_pet(prev, pet, cutoff)
-                if (
-                    cacheable
-                    and nxt.tail == 0.0
-                    and nxt.offset == prev.offset + pet.offset
-                    and nxt.probs.size == prev.probs.size + pet.probs.size - 1
-                ):
-                    cache.put(key, (nxt.probs, nxt.cumulative()))
-            # Re-anchorable iff the convolution neither trimmed nor folded
-            # mass: offset is the plain float add and no tail appeared.
-            re_ok = nxt.tail == 0.0 and nxt.offset == prev.offset + pet.offset
-            state.reanchorable.append(re_ok)
-            state.pet_offsets.append(pet.offset)
-            chain.append(nxt)
-            if not re_ok:
-                key = None
-
     # -- queue-delta notifications (QueueObserver protocol) -------------
     def _observed(self, machine: Machine) -> _MachineState | None:
         state = self._states.get(machine.machine_id)
@@ -942,30 +717,16 @@ class CompletionEstimator:
         state = self._observed(machine)
         if state is None:
             return
-        # The existing prefix stays valid.  Better: if the enqueued task's
-        # new-task PCT was just computed against the current availability
-        # (the allocator's defer check immediately precedes dispatch), that
-        # product *is* the chain extension — promote it instead of paying
-        # the convolution again on the next query.
-        chain = state.chain
-        if chain is None:
-            return
-        if len(chain) == index + 1:
-            entry = state.new_pct.get(machine.queue[index].task_type)
-            avail = chain[-1]
-            if (
-                entry is not None
-                and entry.reanchorable
-                and entry.avail_probs is avail.probs
-                and entry.avail_offset == avail.offset
-                and entry.avail_tail == avail.tail
-            ):
-                # The next chain query's qlen-minus-performed accounting
-                # registers this as an avoided convolution.
-                chain.append(entry.pct)
-                state.pet_offsets.append(entry.pet_offset)
-                state.reanchorable.append(True)
-        state.new_pct.clear()
+        # The products stay valid.  A new-task product of the enqueued
+        # type was built behind exactly this queue (the allocator's
+        # defer check immediately precedes dispatch): it *is* the next
+        # queue product.
+        ttype = machine.queue[index].task_type
+        entry = state.new_products.get(ttype) if len(state.products) == index else None
+        state.new_products.clear()
+        if entry is not None:
+            state.products.append(entry)
+            state.product_key = state.product_key + (ttype,)
         self.invalidations += 1
 
     def on_dequeue(self, machine: Machine, index: int) -> None:
@@ -974,109 +735,30 @@ class CompletionEstimator:
     def on_drop(self, machine: Machine, index: int) -> None:
         state = self._observed(machine)
         if state is not None:
-            if state.chain is not None:
-                self.invalidations += 1
             state.truncate_suffix(index)
+            self.invalidations += 1
 
     def on_start(self, machine: Machine) -> None:
+        """The running task changed: the base is stale, the queue's
+        products stand."""
         state = self._observed(machine)
         if state is not None:
             state.reset()
             self.invalidations += 1
 
-    def on_finish(self, machine: Machine) -> None:
-        state = self._observed(machine)
-        if state is not None:
-            state.reset()
-            self.invalidations += 1
+    on_finish = on_start
+    on_online = on_start
 
     def on_offline(self, machine: Machine) -> None:
         """Machine failed/drained: its queue (and possibly its running
-        task) vanished wholesale — no suffix survives."""
+        task) vanished wholesale — no product survives."""
         state = self._observed(machine)
         if state is not None:
             state.reset()
-            state.products.clear()
-            self.invalidations += 1
-
-    def on_online(self, machine: Machine) -> None:
-        state = self._observed(machine)
-        if state is not None:
-            state.reset()
+            state.truncate_suffix(0)
             self.invalidations += 1
 
     # ------------------------------------------------------------------
-    def pct_for_new(self, task_type: int, machine: Machine, now: float) -> PMF:
-        """Eq. 1: PCT of a new task appended to the machine's queue.
-
-        In incremental mode the ``availability ⊛ PET`` result is cached
-        per (machine, task type) and validated by the *identity* of the
-        availability distribution: as long as the machine's chain merely
-        re-anchored in time, the cached product re-anchors with it (zero
-        convolutions).  Within one mapping event every task of the same
-        type therefore shares this PCT, and across events it survives
-        until the machine's queue actually changes.
-        """
-        if self.memoize:
-            chain = self._pct_chain(machine, now)
-            state = self._state_for(machine)
-            avail = chain[-1]
-            cutoff = now + self.horizon
-            entry = state.new_pct.get(task_type)
-            if (
-                entry is not None
-                and entry.avail_probs is avail.probs
-                and entry.avail_tail == avail.tail
-            ):
-                if entry.reanchorable:
-                    pct = entry.pct
-                    offset = avail.offset + entry.pet_offset
-                    if pct.offset != offset:
-                        pct = PMF._from_parts(pct.probs, offset, 0.0, pct._cumsum)
-                    if pct.max_time <= cutoff:
-                        entry.pct = pct
-                        entry.avail_offset = avail.offset
-                        entry.built_at = now
-                        self.cache_hits += 1
-                        self.convolutions_avoided += 1
-                        return pct
-                elif entry.avail_offset == avail.offset and entry.built_at == now:
-                    self.cache_hits += 1
-                    self.convolutions_avoided += 1
-                    return entry.pct
-            self.cache_misses += 1
-            pet = self.model.pmf(task_type, machine.machine_type)
-            before = self.convolutions
-            pct = self._append_pet(avail, pet, cutoff)
-            if self.convolutions == before:  # zero-copy shift path
-                self.convolutions_avoided += 1
-            reanchorable = pct.tail == 0.0 and pct.offset == avail.offset + pet.offset
-            state.new_pct[task_type] = _NewPct(avail, now, pct, reanchorable, pet.offset)
-            return pct
-
-        avail = self.availability_pct(machine, now)
-        pet = self.model.pmf(task_type, machine.machine_type)
-        self.convolutions += 1
-        return avail.convolve(pet, max_support=self.max_support).truncate(now + self.horizon)
-
-    def observed_mean_chance(self) -> float | None:
-        """Running mean of every chance-of-success answered so far.
-
-        ``None`` until the first query or while ``observe_chances`` is
-        off.  The accumulator sits at the query boundary (above every
-        cache layer), so the mean is a function of the *answers* — and
-        answers are identical across memoize modes — which is what lets
-        adaptive controllers consume it without breaking mode identity.
-        """
-        if not self.chance_obs_count:
-            return None
-        return self.chance_obs_sum / self.chance_obs_count
-
-    def _observe_chance_array(self, values: np.ndarray) -> None:
-        """Fold one batch of answered chances into the running mean."""
-        self.chance_obs_count += int(values.size)
-        self.chance_obs_sum += float(values.sum())
-
     def chance_of_success(self, task: Task, machine: Machine, now: float) -> float:
         """Eq. 2 for a task about to be appended to ``machine``'s queue.
 
@@ -1085,15 +767,12 @@ class CompletionEstimator:
         critical-path factor of its ancestors (1.0 once all parents
         completed, so released tasks are unaffected).
         """
-        chance = self.pct_for_new(task.task_type, machine, now).cdf_at(task.deadline)
+        chance = float(self._new_task_chances([(task, machine)], now)[0])
         if self.dag is not None:
-            self.dag.note_estimate(task.task_id, float(chance))
+            self.dag.note_estimate(task.task_id, chance)
             factor = self.dag.chance_factor(task)
             if factor < 1.0:
                 chance = chance * factor
-        if self.observe_chances:
-            self.chance_obs_count += 1
-            self.chance_obs_sum += float(chance)
         return chance
 
     def queue_chances(
@@ -1125,22 +804,31 @@ class CompletionEstimator:
             # dependents' critical-path factors.
             for task, c in zip(machine.queue[start:], chances):
                 self.dag.note_estimate(task.task_id, float(c))
-        if self.observe_chances:
-            self._observe_chance_array(chances)
         return chances
 
-    def chain_chance(self, machine: Machine, now: float, index: int) -> float:
-        """Eq. 2 for queue position ``index``, read from the
-        left-associated PCT chain instead of the factored form.
+    def chain_chance(
+        self, task: Task, machine: Machine, now: float, index: int | None = None
+    ) -> float:
+        """Eq. 2 for ``task`` read from the left-associated PCT chain,
+        built from scratch, instead of the factored form: the task at
+        queue position ``index``, or, with ``index=None``, the task
+        appended to the queue (with the DAG factor :meth:`chances_for`
+        applies).
 
-        The two agree to a few ulps; the drop scan asks for this value
-        only when a factored chance lies within a relative
-        :data:`TIE_MARGIN` of its threshold, so that its decisions are
-        exactly the chain's.
+        The two forms agree to a few ulps; every decision against a
+        threshold (drop scan, defer check, admission gate, DAG gate
+        scan) asks for this value only when the factored chance is a
+        :func:`near_tie`, so that its decisions are exactly the chain's.
         """
         self.chance_evaluations += 1
-        entry = self._pct_chain(machine, now)[index + 1]
-        return entry.cdf_at(machine.queue[index].deadline)
+        if index is not None:
+            return self._build_chain(machine, now)[index + 1].cdf_at(task.deadline)
+        chance = self.pct_for_new(task.task_type, machine, now).cdf_at(task.deadline)
+        if self.dag is not None:
+            factor = self.dag.chance_factor(task)
+            if factor < 1.0:
+                chance = chance * factor
+        return chance
 
     def cluster_queue_chances(
         self, machines: Sequence[Machine], now: float
@@ -1162,12 +850,6 @@ class CompletionEstimator:
             for machine, chances in zip(machines, results):
                 for task, c in zip(machine.queue, chances):
                     self.dag.note_estimate(task.task_id, float(c))
-        if self.observe_chances:
-            # Observe the *answers* (cached reuses included): the answer
-            # stream is identical across memoize modes even when the
-            # work to produce it is not.
-            for chances in results:
-                self._observe_chance_array(chances)
         return results
 
     def _memo_chances(self, machine: Machine, now: float) -> np.ndarray:
@@ -1206,7 +888,7 @@ class CompletionEstimator:
         return chances
 
     def _queue_base(self, machine: Machine, now: float) -> PMF:
-        """``chain[0]`` without the rest of the chain."""
+        """The running task's belief (``delta(now)`` when idle)."""
         if machine.running is None:
             return _delta(now)
         if self.memoize:
@@ -1216,37 +898,23 @@ class CompletionEstimator:
     def _factored_chances(
         self, machine: Machine, now: float, start: int, base: PMF
     ) -> tuple[np.ndarray, bool]:
-        """Eq. 2 for queue positions ``start..`` with the running task
-        factored out of Eq. 1.
+        """Eq. 2 for queue positions ``start..`` in the factored form: one
+        :func:`_factored_cdf_at` per task against ``base`` and the queue
+        products, the offset summed left to right as the chain does.
 
-        The k-th chain entry is ``b ⊛ Q_k``: ``b`` is the base (the
-        conditioned running PCT, a unit delta when idle) and
-        ``Q_k = pet_0 ⊛ … ⊛ pet_k`` depends on the queue alone.  So
-        ``F_k(d) = Σ_j b[j] · F_{Q_k}(K − j)`` with
-        ``K = floor(d − offset_k + tol)``, where ``offset_k`` is the
-        chain's own left-to-right offset sum and ``tol`` the
-        :meth:`~repro.stochastic.pmf.PMF.cdf_at` grid-boundary
-        tolerance: one :func:`~repro.stochastic.pmf.convolved_cdf_at`
-        per task, and a moved conditioning cut costs no convolution.
-
-        An entry whose chain would fold or truncate mass — a base or
-        product with tail mass, a product past ``max_support``, or an
-        entry reaching past ``now + horizon`` — is answered from the
-        chain itself, as before.  The test reads machine state only, so
-        both modes take the same branch.  Returns the chances and
-        whether any entry took the chain path (its answer is then tied
-        to ``now``).
+        An entry the factored form does not cover is answered from the
+        chain itself.  The test reads machine state only, so both modes
+        take the same branch.  Returns the chances and whether any entry
+        took the chain path (its answer is then tied to ``now``).
         """
         queue = machine.queue
         count = len(queue) - start
         if count <= 0:
             return _EMPTY_CHANCES, False
         products = self._queue_products(machine)
-        b = base.probs
-        b_cum = base.cumulative() if base.tail == 0.0 and b.size else None
-        span = b.size - 2  # entry k's last bin is offset_k + |Q_k| + span
-        max_last = self.max_support - 1
+        b, b_cum = _base_parts(base)
         cutoff = now + self.horizon
+        max_support = self.max_support
         offset = base.offset
         chain = None
         out = np.empty(count, dtype=np.float64)
@@ -1255,117 +923,169 @@ class CompletionEstimator:
             if k < start:
                 continue
             d = queue[k].deadline
-            if b_cum is not None and q_cum is not None:
-                last = q_cum.size + span
-                if last <= max_last and offset + last <= cutoff:
-                    x = d - offset + min(
-                        CDF_REL_EPS * max(1.0, abs(d), abs(offset)), CDF_TOL_CAP
-                    )
-                    out[k - start] = (
-                        convolved_cdf_at(b, b_cum, q_cum, last if x >= last else math.floor(x))
-                        if x >= 0.0
-                        else 0.0
-                    )
-                    continue
-            if chain is None:
-                chain = self._pct_chain(machine, now)
-            out[k - start] = chain[k + 1].cdf_at(d)
+            chance = _factored_cdf_at(b, b_cum, q_cum, offset, d, cutoff, max_support)
+            if chance is None:
+                if chain is None:
+                    chain = self._build_chain(machine, now)
+                chance = chain[k + 1].cdf_at(d)
+            out[k - start] = chance
         self.chance_evaluations += count
         return out, chain is not None
 
     def _queue_products(self, machine: Machine) -> list[_Product]:
-        """``(pet_k.offset, Q_k.probs, Q_k.cumulative())`` for every queue
-        position ``k``, where ``Q_k = pet_0 ⊛ … ⊛ pet_k`` (both arrays
-        ``None`` once a step trims or folds mass, which sends that entry
-        and every later one to the chain).
+        """The product entry of every queue position ``k``:
+        ``(pet_k.offset, Q_k.probs, Q_k.cumulative())`` with
+        ``Q_k = pet_0 ⊛ … ⊛ pet_k``.
 
         Incremental mode keeps the valid prefix in the machine state and
-        takes new products from the §V-A product cache, keyed
-        ``(machine type, t_0, …, t_k)`` — the idle-base chain key, since
-        an idle machine's chain entries *are* these products.  The
-        oracle convolves every product from scratch on every query.
-        Either way a product is built by :meth:`PMF.convolve_truncated`
-        from its predecessor and counted in ``convolutions``.
+        takes new products from the §V-A product cache
+        (:meth:`_product_step`).  The oracle convolves every product
+        from scratch on every query.
         """
         queue = machine.queue
-        cache = None
-        products: list[_Product]
+        state = None
+        key = None
+        products: list[_Product] = []
         if self.memoize:
-            products = self._synced_state(machine).products
+            state = self._synced_state(machine)
+            products = state.products
             if len(products) == len(queue):
                 return products
-            cache = self._product_cache
-        else:
-            products = []
+            key = state.product_key
         mtype = machine.machine_type
-        model_pmf = self.model.pmf
-        done = len(products)
-        key = (mtype,) + tuple([queue[k].task_type for k in range(done)])
-        prev = None
-        if done and products[-1][1] is not None:
-            _, probs, cum = products[-1]
-            prev = PMF._from_parts(probs, 0.0, 0.0, cum)
-        for k in range(done, len(queue)):
+        for k in range(len(products), len(queue)):
             ttype = queue[k].task_type
-            pet = model_pmf(ttype, mtype)
-            key = key + (ttype,)
-            q: PMF | None = None
-            if k == 0:
-                if pet.tail == 0.0:
-                    q = pet
-            elif prev is not None:
-                hit = cache.get(key) if cache is not None else None
-                if hit is not None:
-                    self.convolutions_avoided += 1
-                    q = PMF._from_parts(hit[0], 0.0, 0.0, hit[1])
-                else:
-                    self.convolutions += 1
-                    q = prev.convolve_truncated(pet, cutoff=math.inf, max_support=self.max_support)
-                    if q.tail != 0.0 or q.probs.size != prev.probs.size + pet.probs.size - 1:
-                        q = None
-                    elif cache is not None:
-                        cache.put(key, (q.probs, q.cumulative()))
-            if q is None:
-                products.append((pet.offset, None, None))
-            else:
-                products.append((pet.offset, q.probs, q.cumulative()))
-            prev = q
+            if key is not None:
+                key = key + (ttype,)
+            products.append(
+                self._product_step(products[-1] if k else None, self.model.pmf(ttype, mtype), key)
+            )
+        if state is not None:
+            state.product_key = key
         return products
+
+    def _new_product(
+        self, machine: Machine, task_type: int, products: list[_Product]
+    ) -> _Product:
+        """The product entry of a new ``task_type`` task behind the whole
+        queue (``products`` from :meth:`_queue_products`).  Incremental
+        mode keeps it per machine and type until the queue changes; an
+        enqueue of that type promotes it (:meth:`on_enqueue`)."""
+        prev = products[-1] if products else None
+        if not self.memoize:
+            return self._product_step(prev, self.model.pmf(task_type, machine.machine_type), None)
+        state = self._synced_state(machine)
+        entry = state.new_products.get(task_type)
+        if entry is not None:
+            self.cache_hits += 1
+            self.convolutions_avoided += 1
+            return entry
+        self.cache_misses += 1
+        entry = state.new_products[task_type] = self._product_step(
+            prev,
+            self.model.pmf(task_type, machine.machine_type),
+            state.product_key + (task_type,),
+        )
+        return entry
+
+    def _product_step(self, prev: _Product | None, pet: PMF, key: tuple | None) -> _Product:
+        """The product entry one queue position past ``prev`` (``None``
+        at the queue head, where ``Q`` is the PET itself): ``Q_prev ⊛
+        pet``, replayed from the product cache under ``key`` or convolved
+        by :meth:`PMF.convolve_truncated` (and stored, given a ``key``).
+        Both arrays are ``None`` once a step folds or trims mass."""
+        if prev is None:
+            if pet.tail != 0.0:
+                return pet.offset, None, None
+            self.convolutions_avoided += 1
+            return pet.offset, pet.probs, pet.cumulative()
+        _, probs, cum = prev
+        if probs is None:
+            return pet.offset, None, None
+        if key is not None:
+            hit = self._product_cache.get(key)
+            if hit is not None:
+                self.convolutions_avoided += 1
+                return pet.offset, hit[0], hit[1]
+        self.convolutions += 1
+        q = PMF._from_parts(probs, 0.0, 0.0, cum).convolve_truncated(
+            pet, cutoff=math.inf, max_support=self.max_support
+        )
+        if q.tail != 0.0 or q.probs.size != probs.size + pet.probs.size - 1:
+            return pet.offset, None, None
+        if key is not None:
+            self._product_cache.put(key, (q.probs, q.cumulative()))
+        return pet.offset, q.probs, q.cumulative()
+
+    def _queue_end(self, machine: Machine, now: float) -> tuple:
+        """``(b, b_cum, offset, products)``: the base's arrays
+        (:func:`_base_parts`), the offset of the queue's last PCT summed
+        left to right as the chain does, and the queue products."""
+        base = self._queue_base(machine, now)
+        products = self._queue_products(machine)
+        offset = base.offset
+        for pet_offset, _, _ in products:
+            offset = offset + pet_offset
+        return (*_base_parts(base), offset, products)
+
+    def _new_task_chances(
+        self, cells: Sequence[tuple[Task, Machine]], now: float
+    ) -> np.ndarray:
+        """Eq. 2 of each ``(task, machine)`` cell, the task appended to
+        the machine's current queue.
+
+        Work is deduplicated before any distribution work: the base and
+        queue products once per machine, the new-task product once per
+        distinct (task type, machine) pair.  A cell is then one
+        :func:`_factored_cdf_at`; a pair the factored form does not
+        cover reads its from-scratch PCT (:meth:`pct_for_new`), and those
+        cells go through one :func:`batch_cdf_at`.
+        """
+        out = np.empty(len(cells), dtype=np.float64)
+        cutoff = now + self.horizon
+        max_support = self.max_support
+        ends: dict[int, tuple] = {}
+        forms: dict[tuple[int, int], tuple] = {}
+        slots: dict[tuple[int, int], int] = {}
+        pmfs: list[PMF] = []
+        fallback: list[tuple[int, int, float]] = []  # (cell, slot, deadline)
+        for pos, (task, machine) in enumerate(cells):
+            pair = (task.task_type, machine.machine_id)
+            form = forms.get(pair)
+            if form is None:
+                end = ends.get(machine.machine_id)
+                if end is None:
+                    end = ends[machine.machine_id] = self._queue_end(machine, now)
+                b, b_cum, offset, products = end
+                pet_offset, _, q_cum = self._new_product(machine, task.task_type, products)
+                form = forms[pair] = (b, b_cum, q_cum, offset + pet_offset)
+            chance = _factored_cdf_at(*form, task.deadline, cutoff, max_support)
+            if chance is None:
+                slot = slots.get(pair)
+                if slot is None:
+                    slot = slots[pair] = len(pmfs)
+                    pmfs.append(self.pct_for_new(task.task_type, machine, now))
+                fallback.append((pos, slot, task.deadline))
+            else:
+                out[pos] = chance
+        if fallback:
+            where, index, deadlines = zip(*fallback)
+            out[list(where)] = batch_cdf_at(pmfs, deadlines, index)
+        self.chance_evaluations += len(cells)
+        return out
 
     def chances_for(
         self, tasks: Sequence[Task], machines: Sequence[Machine], now: float
     ) -> np.ndarray:
         """Eq. 2 grid: chance of each task appended to each machine, now.
 
-        Returns a ``(len(tasks), len(machines))`` array.  The grid is
-        deduplicated before any distribution work happens: a new-task PCT
-        is computed once per *distinct* (task type, machine) pair across
-        the whole cluster, and every CDF lookup happens in one indexed
-        :func:`batch_cdf_at` pass — an admission controller's or
-        allocator's whole scan is a single batched query.
+        Returns a ``(len(tasks), len(machines))`` array, deduplicated
+        like every new-task query (:meth:`_new_task_chances`): an
+        admission controller's or the gate scan's whole cluster scan is
+        a single call.
         """
-        pmfs: list[PMF] = []
-        uniq: dict[tuple[int, int], int] = {}
-        index = np.empty(len(tasks) * len(machines), dtype=np.int64)
-        pos = 0
-        for task in tasks:
-            ttype = task.task_type
-            for machine in machines:
-                key = (ttype, machine.machine_id)
-                slot = uniq.get(key)
-                if slot is None:
-                    slot = uniq[key] = len(pmfs)
-                    pmfs.append(self.pct_for_new(ttype, machine, now))
-                index[pos] = slot
-                pos += 1
-        deadlines = np.repeat(
-            np.fromiter((t.deadline for t in tasks), dtype=np.float64, count=len(tasks)),
-            len(machines),
-        )
-        self.chance_evaluations += index.size
-        grid = batch_cdf_at(pmfs, deadlines, index).reshape(
-            len(tasks), len(machines)
-        )
+        cells = [(task, machine) for task in tasks for machine in machines]
+        grid = self._new_task_chances(cells, now).reshape(len(tasks), len(machines))
         if self.dag is not None:
             # Held tasks' chances carry the multiplicative critical-path
             # factor of their (incomplete) ancestors — this is the query
@@ -1377,8 +1097,6 @@ class CompletionEstimator:
             )
             if np.any(factors < 1.0):
                 grid = grid * factors[:, None]
-        if self.observe_chances:
-            self._observe_chance_array(grid)
         return grid
 
     def chances_for_pairs(
@@ -1392,28 +1110,13 @@ class CompletionEstimator:
         :meth:`chances_for`.
         """
         pairs = list(pairs)
-        pmfs: list[PMF] = []
-        uniq: dict[tuple[int, int], int] = {}
-        index = np.empty(len(pairs), dtype=np.int64)
-        deadlines = np.empty(len(pairs), dtype=np.float64)
-        for pos, (task, machine) in enumerate(pairs):
-            key = (task.task_type, machine.machine_id)
-            slot = uniq.get(key)
-            if slot is None:
-                slot = uniq[key] = len(pmfs)
-                pmfs.append(self.pct_for_new(task.task_type, machine, now))
-            index[pos] = slot
-            deadlines[pos] = task.deadline
-        self.chance_evaluations += index.size
-        chances = batch_cdf_at(pmfs, deadlines, index)
+        chances = self._new_task_chances(pairs, now)
         if self.dag is not None:
             # Planned placements are released tasks (parents completed,
             # factor 1); recording their estimates keeps dependents'
             # factors fresh between queue scans.
             for pos, (task, _machine) in enumerate(pairs):
                 self.dag.note_estimate(task.task_id, float(chances[pos]))
-        if self.observe_chances:
-            self._observe_chance_array(chances)
         return chances
 
     # ------------------------------------------------------------------

@@ -69,8 +69,8 @@ class ServerlessSystem:
     seed:
         Root seed for execution-time sampling.
     memoize:
-        Estimator mode: ``True`` (incremental prefix-convolution cache,
-        the default) or ``False`` (the from-scratch oracle, no caching).
+        Estimator mode: ``True`` (incremental product caches, the
+        default) or ``False`` (the from-scratch oracle, no caching).
         Both produce identical simulation results; any non-``bool`` value
         raises :class:`ValueError`.
     dynamics:
@@ -146,11 +146,6 @@ class ServerlessSystem:
         self.pruner: Pruner | None = (
             Pruner(pruning, self.accounting) if pruning is not None else None
         )
-        if self.pruner is not None and self.pruner.driver is not None:
-            # The control plane consumes the estimator's mean observed
-            # chance of success; the accumulator is off otherwise so the
-            # paper's configurations pay nothing for it.
-            self.estimator.observe_chances = True
 
         sampler = self._sample_execution
         if mode == "immediate":

@@ -48,7 +48,6 @@ def signals(
         defers=0,
         batch_queued=0,
         running=0,
-        mean_chance=None,
         sufferage={},
         beta=0.5,
         alpha=0,

@@ -119,16 +119,6 @@ class TestAdaptiveControllersActuate:
         pruner.setpoints.alpha = 0
         assert pruner.toggle.alpha == 0
 
-    def test_mean_chance_observed_only_with_controller(self):
-        system, _ = run_system(PruningConfig.paper_default())
-        assert system.estimator.observe_chances is False
-        assert system.estimator.observed_mean_chance() is None
-        cfg = ControllerConfig(kind="static")
-        system2, _ = run_system(PruningConfig.paper_default().with_(controller=cfg))
-        assert system2.estimator.observe_chances is True
-        mean = system2.estimator.observed_mean_chance()
-        assert mean is not None and 0.0 <= mean <= 1.0
-
 
 class TestDeterminism:
     CONTROLLERS = [

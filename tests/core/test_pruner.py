@@ -263,9 +263,10 @@ class TestThresholdLookups:
 
 
 class TestNearTies:
-    """The drop scan decides a chance within a relative ``TIE_MARGIN``
-    of its threshold on the chain (``chain_chance``), not on the
-    factored value the cluster query returned."""
+    """The drop scan, the defer check and the DAG gate scan decide a
+    chance within a relative ``TIE_MARGIN`` of its threshold on the
+    chain (``chain_chance``), not on the factored value a query
+    returned."""
 
     class _Estimator:
         def __init__(self, factored, chain):
@@ -274,7 +275,10 @@ class TestNearTies:
         def cluster_queue_chances(self, machines, now):
             return [np.array([self.factored]) for _ in machines]
 
-        def chain_chance(self, machine, now, index):
+        def chances_for(self, tasks, machines, now):
+            return np.full((len(tasks), len(machines)), self.factored)
+
+        def chain_chance(self, task, machine, now, index=None):
             self.asked.append(index)
             return self.chain
 
@@ -300,6 +304,28 @@ class TestNearTies:
         decisions = pruner.drop_scan(cluster, est, now=0.0)
         assert len(decisions) == (1 if factored <= 0.75 else 0)
         assert est.asked == []
+
+    def test_a_defer_tie_is_decided_on_the_chain(self, env):
+        """Fig. 5 step 10 defers at chance ≤ β: a factored value one ulp
+        above β must not keep a task whose chain chance is exactly β."""
+        cluster = self._cluster(env)
+        task = Task(task_id=7, task_type=0, arrival=0.0, deadline=1000.0)
+        est = self._Estimator(np.nextafter(0.75, 1.0), 0.75)
+        pruner = Pruner(PruningConfig(pruning_threshold=0.75))
+        assert pruner.should_defer(task, est.factored, cluster[0], est, 0.0)
+        assert est.asked == [None]
+        assert not Pruner(PruningConfig(pruning_threshold=0.75)).should_defer(
+            task, est.factored
+        )
+
+    def test_a_gate_scan_tie_is_decided_on_the_chain(self, env):
+        cluster = self._cluster(env)
+        held = Task(task_id=7, task_type=0, arrival=0.0, deadline=1000.0)
+        est = self._Estimator(np.nextafter(0.75, 1.0), 0.75)
+        pruner = Pruner(PruningConfig(pruning_threshold=0.75))
+        decisions = pruner.gate_scan([held], cluster, est, now=0.0)
+        assert [(d.task.task_id, d.chance) for d in decisions] == [(7, 0.75)]
+        assert est.asked == [None]
 
     def test_tiny_chance_against_a_zero_threshold_is_not_reread(self, env):
         """A fully suffered type (threshold 0) drops only a 0.0 chance, and

@@ -168,6 +168,31 @@ def test_restore_conserves_every_outcome_exactly_once(run_async):
     run_async(scenario())
 
 
+def test_snapshot_with_retired_estimator_counters_restores(run_async):
+    """Snapshots written while the estimator still kept its chance
+    observation counters (``chance_obs_count``/``chance_obs_sum``)
+    restore: the extra counters are ignored."""
+
+    async def scenario():
+        victim, _ = _build("MM", "controller", 5)
+        await victim.start()
+        victim.replay(_workload(20, 3))
+        await run_until_quiescent(victim, max_wakeups=10)
+        snap = json.loads(json.dumps(snapshot_service(victim)))
+        await victim.stop()
+
+        legacy = json.loads(json.dumps(snap))
+        legacy["estimator"].update(chance_obs_count=7, chance_obs_sum=3.25)
+        heir, _ = _build("MM", "controller", 5)
+        await heir.start()
+        await heir.wait_idle()
+        restore_service(heir, legacy)
+        assert _canon(snapshot_service(heir)) == _canon(snap)
+        await heir.stop()
+
+    run_async(scenario())
+
+
 def test_restored_service_accepts_new_live_offers(run_async):
     """After a rolling restart the heir keeps serving: fresh offers get
     ids past everything the snapshot knew about."""

@@ -22,6 +22,29 @@ def build(threshold=0.5, exec_time=10.0, pruning=None):
     return AdmissionController(sys, threshold=threshold), sys
 
 
+class TestNearTies:
+    def test_an_admission_tie_is_decided_on_the_chain(self, monkeypatch):
+        """The gate rejects below θ: a factored best chance one ulp under
+        θ must not reject a task whose chain chance is exactly θ, and the
+        chance the gate reports is the one it decided on."""
+        ac, sys = build(threshold=0.5)
+        asked = []
+
+        def factored(tasks, machines, now):
+            return np.full((len(tasks), len(machines)), np.nextafter(0.5, 0.0))
+
+        def chain(task, machine, now, index=None):
+            asked.append(task.task_id)
+            return 0.5
+
+        monkeypatch.setattr(sys.estimator, "chances_for", factored)
+        monkeypatch.setattr(sys.estimator, "chain_chance", chain)
+        t = Task(task_id=0, task_type=0, arrival=0.0, deadline=50.0)
+        assert ac.offer(t) == 0.5
+        assert ac.stats.admitted == 1 and ac.stats.rejected == 0
+        assert asked == [0]
+
+
 class TestDecisions:
     def test_hopeless_task_rejected_at_arrival(self):
         ac, sys = build()

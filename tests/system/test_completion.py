@@ -153,52 +153,69 @@ class TestETCDegeneracy:
 
 
 class TestMemoization:
-    def test_chain_cache_hit(self, det_env):
+    """Work counters of the product cache: queue products, new-task
+    products and the running task's base are reused until their inputs
+    change."""
+
+    @staticmethod
+    def probe(deadline=30.0, ttype=0):
+        return Task(task_id=99, task_type=ttype, arrival=0.0, deadline=deadline)
+
+    def test_chance_cache_hit(self, det_env):
         _, cluster, sim, est = det_env
         put(cluster, sim, 0, 0)
-        est.availability_pct(cluster[0], 0.0)
-        misses = est.cache_misses
-        est.availability_pct(cluster[0], 0.0)
+        put(cluster, sim, 0, 1)
+        first = est.chances_for([self.probe()], cluster.machines, 0.0)
+        misses, hits, convs = est.cache_misses, est.cache_hits, est.convolutions
+        again = est.chances_for([self.probe()], cluster.machines, 0.0)
+        assert np.array_equal(first, again)
         assert est.cache_misses == misses
-        assert est.cache_hits >= 1
+        assert est.cache_hits == hits + len(cluster.machines)
+        assert est.convolutions == convs
 
     def test_queue_change_invalidates(self, det_env):
         _, cluster, sim, est = det_env
         put(cluster, sim, 0, 0)
-        est.availability_pct(cluster[0], 0.0)
+        est.chances_for([self.probe()], cluster.machines, 0.0)
         put(cluster, sim, 0, 1)  # version bump
         misses = est.cache_misses
-        est.availability_pct(cluster[0], 0.0)
+        est.chances_for([self.probe()], cluster.machines, 0.0)
         assert est.cache_misses > misses
 
-    def test_now_change_reanchors_without_reconvolving(self, det_env):
-        """Advancing the clock must NOT throw the chain away: the prefix
-        cache re-anchors via offset fix-up, costing zero convolutions."""
+    def test_clock_tick_at_unchanged_cut_costs_no_convolution(self, det_env):
+        """Advancing the clock keeps the products: while the running
+        task's conditioning cut stays put, new-task chances cost zero
+        convolutions and still equal a from-scratch estimator's."""
         _, cluster, sim, est = det_env
         put(cluster, sim, 0, 0)
         put(cluster, sim, 0, 1)
-        est.availability_pct(cluster[0], 0.0)
+        est.chances_for([self.probe()], cluster.machines, 0.0)
         convs = est.convolutions
-        pct = est.availability_pct(cluster[0], 1.0)
+        got = est.chances_for([self.probe()], cluster.machines, 1.0)
         assert est.convolutions == convs
-        # Values still match a from-scratch estimator at the new time.
         fresh = CompletionEstimator(est.model, memoize=False)
-        assert pct.allclose(fresh.availability_pct(cluster[0], 1.0), atol=0.0)
+        assert np.array_equal(got, fresh.chances_for([self.probe()], cluster.machines, 1.0))
 
     def test_memoize_off(self, det_env):
         pet, cluster, sim, _ = det_env
         est = CompletionEstimator(pet, memoize=False)
         put(cluster, sim, 0, 0)
-        est.availability_pct(cluster[0], 0.0)
-        est.availability_pct(cluster[0], 0.0)
+        est.chances_for([self.probe()], cluster.machines, 0.0)
+        est.chances_for([self.probe()], cluster.machines, 0.0)
         assert est.cache_hits == 0
 
-    def test_same_type_shares_new_pct(self, det_env):
+    def test_same_type_shares_new_task_product(self, det_env):
+        """Tasks of one type on one machine share one new-task product,
+        whatever their deadlines: the second query costs no convolution."""
         _, cluster, sim, est = det_env
         put(cluster, sim, 0, 0)
-        a = est.pct_for_new(0, cluster[0], 0.0)
-        b = est.pct_for_new(0, cluster[0], 0.0)
-        assert a is b
+        put(cluster, sim, 0, 1)
+        a = est.chance_of_success(self.probe(25.0), cluster[0], 0.0)
+        convs, hits = est.convolutions, est.cache_hits
+        b = est.chance_of_success(self.probe(35.0), cluster[0], 0.0)
+        assert (a, b) == (0.0, 1.0)
+        assert est.convolutions == convs
+        assert est.cache_hits == hits + 1
 
     def test_results_identical_with_and_without_cache(self, stoch_env):
         pet, cluster, sim, _ = stoch_env
@@ -224,8 +241,9 @@ class TestMemoization:
         put(cluster, sim, 0, 0, duration=30.0)
         # Each clock tick inside the running task's support conditions it
         # at a new cut, i.e. a new conditioned-shape cache entry.
+        probe = Task(task_id=1, task_type=0, arrival=0.0, deadline=40.0)
         for now in range(2, 22):
-            est.availability_pct(cluster[0], float(now))
+            est.chances_for([probe], cluster.machines, float(now))
         assert len(est._cond_cache) <= 4
         assert est._cond_cache.evictions >= 16
 
@@ -399,3 +417,31 @@ class TestValidation:
         pet = det_env[0]
         with pytest.raises(ValueError):
             CompletionEstimator(pet, horizon=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"horizon": float("nan")},
+            {"horizon": -1.0},
+            {"max_support": 0},
+            {"max_support": -5},
+            {"max_support": 8.0},
+            {"condition_running": 1},
+            {"condition_running": "yes"},
+            {"condition_running": None},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v!r}" for k, v in kwargs.items()),
+    )
+    def test_bad_input_names_its_parameter(self, det_env, kwargs):
+        """``max_support <= 0`` would fold every convolution into the
+        tail (every chance 0); a NaN horizon would truncate nothing."""
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            CompletionEstimator(det_env[0], **kwargs)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), 0.0])
+    def test_system_rejects_bad_horizon(self, det_env, horizon):
+        from repro.system.serverless import ServerlessSystem
+
+        with pytest.raises(ValueError, match="horizon"):
+            ServerlessSystem(det_env[0], "MM", horizon=horizon)

@@ -1,9 +1,9 @@
 """Estimator-cache invalidation under cluster dynamics.
 
-A machine dying (or draining/recovering) mid-queue wipes its whole PCT
-chain; the incremental estimator must answer every subsequent query
-exactly like a from-scratch reference — stale prefix state leaking
-through a failure would poison every chance-of-success the pruner sees.
+A machine dying (or draining/recovering) mid-queue wipes its whole
+cached state (base and queue products); the incremental estimator must
+answer every subsequent query exactly like a from-scratch reference —
+stale product state leaking through a failure would poison every chance-of-success the pruner sees.
 """
 
 import numpy as np
@@ -32,20 +32,27 @@ def pet():
     return generate_pet_matrix(2, 2, seed=42, mean_range=(4.0, 9.0), samples_per_cell=150)
 
 
-def assert_chains_equal(est_inc, est_ref, cluster, now):
+def assert_chances_equal(est_inc, est_ref, cluster, now):
+    """Queued-task chances and new-task chances of every machine equal
+    the oracle's bit for bit."""
+    probes = [
+        Task(task_id=10_000 + k, task_type=k, arrival=now, deadline=now + 10.0 + 15.0 * k)
+        for k in range(est_inc.model.num_task_types)
+    ]
     for machine in cluster.machines:
-        a = est_inc._pct_chain(machine, now)
-        b = est_ref._pct_chain(machine, now)
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert x.offset == y.offset
-            assert x.tail == y.tail
-            assert np.array_equal(x.probs, y.probs)
+        assert np.array_equal(
+            est_inc.queue_chances_suffix(machine, now),
+            est_ref.queue_chances_suffix(machine, now),
+        )
+    assert np.array_equal(
+        est_inc.chances_for(probes, cluster.machines, now),
+        est_ref.chances_for(probes, cluster.machines, now),
+    )
 
 
 class TestFailureInvalidation:
     def test_machine_dies_mid_queue_then_queries_match_reference(self, pet):
-        """The satellite's scenario: warm chain, failure, fresh queries."""
+        """Warm caches, failure, fresh queries."""
         cluster = Cluster.heterogeneous(2)
         sim = Simulator()
         inc = CompletionEstimator(pet, memoize=True)
@@ -54,8 +61,8 @@ class TestFailureInvalidation:
         for i in range(5):
             put(cluster, sim, 0, i, ttype=i % 2)
         put(cluster, sim, 1, 99, ttype=1)
-        # Warm the incremental chain on the soon-to-die machine.
-        assert_chains_equal(inc, ref, cluster, 0.0)
+        # Warm the incremental caches on the soon-to-die machine.
+        assert_chances_equal(inc, ref, cluster, 0.0)
         inv0 = inc.invalidations
 
         sim.run(until=3.0)
@@ -64,18 +71,18 @@ class TestFailureInvalidation:
         assert interrupted is not None and len(evicted) == 4
         assert inc.invalidations > inv0  # on_offline reached the cache
 
-        # Post-failure: the dead machine's chain is the idle delta; the
+        # Post-failure: the dead machine's base is the idle delta; the
         # survivor is untouched.  Both must match a cold reference.
-        assert_chains_equal(inc, ref, cluster, sim.now)
+        assert_chances_equal(inc, ref, cluster, sim.now)
         probe = Task(task_id=500, task_type=1, arrival=sim.now, deadline=60.0)
         assert inc.chance_of_success(probe, cluster[1], sim.now) == ref.chance_of_success(
             probe, cluster[1], sim.now
         )
 
-        # Recovery + new work: chain rebuilt from scratch, still exact.
+        # Recovery + new work: products rebuilt, still exact.
         machine.recover()
         put(cluster, sim, 0, 600, ttype=0)
-        assert_chains_equal(inc, ref, cluster, sim.now)
+        assert_chances_equal(inc, ref, cluster, sim.now)
         assert inc.chance_of_success(probe, machine, sim.now) == ref.chance_of_success(
             probe, machine, sim.now
         )
@@ -87,9 +94,9 @@ class TestFailureInvalidation:
         ref = CompletionEstimator(pet, memoize=False)
         for i in range(4):
             put(cluster, sim, 0, i, ttype=i % 2)
-        assert_chains_equal(inc, ref, cluster, 0.0)
+        assert_chances_equal(inc, ref, cluster, 0.0)
         cluster[0].drain()
-        assert_chains_equal(inc, ref, cluster, 0.0)
+        assert_chances_equal(inc, ref, cluster, 0.0)
 
     def test_full_simulation_with_churn_identical_to_oracle(self, pet_small):
         """End-to-end: churn + pruning, incremental vs no cache, bit-equal."""

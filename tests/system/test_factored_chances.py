@@ -1,12 +1,13 @@
-"""Queued-task chances with the running task factored out of Eq. 1.
+"""Chances of success with the running task factored out of Eq. 1.
 
-``queue_chances_suffix`` / ``cluster_queue_chances`` answer Eq. 2 as
-``F_k(d) = Σ_j b[j] · F_{Q_k}(K − j)`` — the running base ``b`` against
-the running-task-free queue product ``Q_k`` — instead of reading the
-left-associated chain ``b ⊛ pet_0 ⊛ … ⊛ pet_k``.  The two differ only in
-float association, so against the chain the bound is a few ulps; the
-incremental mode and the ``memoize=False`` oracle compute the same
-formula and agree bitwise.
+Queued-task queries (``queue_chances_suffix`` / ``cluster_queue_chances``)
+and new-task queries (``chances_for`` / ``chances_for_pairs`` /
+``chance_of_success``) answer Eq. 2 as ``F_k(d) = Σ_j b[j] · F_{Q_k}(K −
+j)`` — the running base ``b`` against the running-task-free product
+``Q_k`` — instead of reading the left-associated chain ``b ⊛ pet_0 ⊛ … ⊛
+pet_k``.  The two differ only in float association, so against the chain
+the bound is a few ulps; the incremental mode and the ``memoize=False``
+oracle compute the same formula and agree bitwise.
 """
 
 import numpy as np
@@ -61,6 +62,20 @@ def scenarios(draw):
     )
     nows = [start + s / 4.0 for s in sorted(steps)]
     return cells, running, queue, start, deadlines, nows
+
+
+@st.composite
+def new_task_scenarios(draw):
+    """A :func:`scenarios` machine plus new tasks (type, deadline) to
+    append to it."""
+    scenario = draw(scenarios())
+    cells, _, queue, start, _, _ = scenario
+    span = sum(c.offset + c.probs.size for c in cells) * (len(queue) + 2)
+    probes = [
+        (draw(st.integers(0, len(cells) - 1)), start + draw(st.integers(-4, int(4 * span) + 4)) / 4.0)
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return scenario, probes
 
 
 def _loaded(cells, running, queue, start, deadlines, *, memoize, horizon=512.0):
@@ -153,6 +168,57 @@ class TestAgainstLeftAssociatedChain:
                     assert abs(g - w) <= BOUND
 
 
+def _check_new_tasks(scenario, probes, *, idle=False, horizon=512.0):
+    """New-task chances of the incremental estimator equal the oracle's
+    bitwise, agree across the three query entry points, and stay within
+    ``BOUND`` of the chain ``_build_chain(...)[-1] ⊛ pet`` — exactly
+    equal where the horizon truncates that PCT."""
+    cells, running, queue, start, deadlines, nows = scenario
+    loaded = [
+        _loaded(cells, running, queue, start, deadlines, memoize=m, horizon=horizon)
+        for m in (True, False, False)
+    ]
+    if idle:
+        for machine, _ in loaded:
+            _make_idle(machine)
+    (inc, inc_est), (ora, ora_est), (ref, ref_est) = loaded
+    tasks = [
+        Task(task_id=100 + i, task_type=t, arrival=min(start, d), deadline=d)
+        for i, (t, d) in enumerate(probes)
+    ]
+    for now in nows:
+        got = inc_est.chances_for(tasks, [inc], now)[:, 0]
+        assert np.array_equal(got, ora_est.chances_for(tasks, [ora], now)[:, 0])
+        assert np.array_equal(got, inc_est.chances_for_pairs([(t, inc) for t in tasks], now))
+        assert [inc_est.chance_of_success(t, inc, now) for t in tasks] == got.tolist()
+        avail = ref_est._build_chain(ref, now)[-1]
+        for task, g in zip(tasks, got.tolist()):
+            pct = avail.convolve(cells[task.task_type]).truncate(now + horizon)
+            w = pct.cdf_at(task.deadline)
+            if pct.tail > 0.0:
+                assert g == w
+            else:
+                assert abs(g - w) <= BOUND
+                assert (g == 0.0) == (w == 0.0)
+
+
+class TestNewTasksAgainstTheChain:
+    @settings(max_examples=120, deadline=None)
+    @given(new_task_scenarios())
+    def test_running_bases(self, case):
+        _check_new_tasks(*case)
+
+    @settings(max_examples=50, deadline=None)
+    @given(new_task_scenarios())
+    def test_idle_base(self, case):
+        _check_new_tasks(*case, idle=True)
+
+    @settings(max_examples=50, deadline=None)
+    @given(new_task_scenarios(), st.sampled_from([0.5, 2.0, 5.0, 9.0]))
+    def test_binding_horizon_equals_the_chain(self, case, horizon):
+        _check_new_tasks(*case, horizon=horizon)
+
+
 class TestKernel:
     @settings(max_examples=200, deadline=None)
     @given(pet_cells(), pet_cells(), st.integers(0, 25))
@@ -210,8 +276,8 @@ class TestExactTies:
         consulted = []
         original = CompletionEstimator.chain_chance
 
-        def spy(self, machine, now, index):
-            value = original(self, machine, now, index)
+        def spy(self, task, machine, now, index=None):
+            value = original(self, task, machine, now, index)
             consulted.append(value)
             return value
 

@@ -1,12 +1,12 @@
 """The incremental estimation layer against the from-scratch reference.
 
-The prefix-convolution cache must be *invisible*: every chance of
-success it reports has to be exactly what a full Eq. 1 reconvolution
-would produce, no matter how the machine queues mutate or time advances.
+The product caches must be *invisible*: every chance of success they
+report has to be exactly what the ``memoize=False`` oracle computes from
+scratch, no matter how the machine queues mutate or time advances.
 These tests drive real simulations and hand-built scenarios, comparing
 the incremental estimator against ``memoize=False`` references with
-strict equality (not approx) — the cache replays identical float
-operations, so the values must match bit for bit.
+strict equality (not approx) — both evaluate the same float operations,
+so the values must match bit for bit.
 """
 
 import numpy as np
@@ -39,15 +39,22 @@ def pet():
     return generate_pet_matrix(2, 2, seed=42, mean_range=(4.0, 9.0), samples_per_cell=150)
 
 
-def assert_chains_equal(est_inc, est_ref, cluster, now):
+def assert_chances_equal(est_inc, est_ref, cluster, now):
+    """Queued-task chances and new-task chances of every machine equal
+    the oracle's bit for bit."""
+    probes = [
+        Task(task_id=10_000 + k, task_type=k, arrival=now, deadline=now + 10.0 + 15.0 * k)
+        for k in range(est_inc.model.num_task_types)
+    ]
     for machine in cluster.machines:
-        a = est_inc._pct_chain(machine, now)
-        b = est_ref._pct_chain(machine, now)
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert x.offset == y.offset
-            assert x.tail == y.tail
-            assert np.array_equal(x.probs, y.probs)
+        assert np.array_equal(
+            est_inc.queue_chances_suffix(machine, now),
+            est_ref.queue_chances_suffix(machine, now),
+        )
+    assert np.array_equal(
+        est_inc.chances_for(probes, cluster.machines, now),
+        est_ref.chances_for(probes, cluster.machines, now),
+    )
 
 
 class TestClusterWideQueries:
@@ -129,7 +136,7 @@ class TestExactEquivalence:
             assert inc.expected_release(cluster[0], now) == ref.expected_release(
                 cluster[0], now
             )
-            assert_chains_equal(inc, ref, cluster, now)
+            assert_chances_equal(inc, ref, cluster, now)
 
     def test_mutation_sequence_matches_reference(self, pet):
         """Enqueues, drops, time advance, starts: every step bit-exact."""
@@ -139,19 +146,19 @@ class TestExactEquivalence:
         ref = CompletionEstimator(pet, memoize=False)
 
         tasks = [put(cluster, sim, 0, i, ttype=i % 2) for i in range(5)]
-        assert_chains_equal(inc, ref, cluster, 0.0)
-        # Time advances: re-anchor, no reconvolution...
-        assert_chains_equal(inc, ref, cluster, 0.7)
-        assert_chains_equal(inc, ref, cluster, 3.3)
+        assert_chances_equal(inc, ref, cluster, 0.0)
+        # Time advances: products kept, no reconvolution...
+        assert_chances_equal(inc, ref, cluster, 0.7)
+        assert_chances_equal(inc, ref, cluster, 3.3)
         # ...mid-queue drop: suffix reconvolved.
         cluster[0].remove(tasks[2])
-        assert_chains_equal(inc, ref, cluster, 3.3)
+        assert_chances_equal(inc, ref, cluster, 3.3)
         # ...enqueue: one-step extension.
         put(cluster, sim, 0, 99, ttype=1)
-        assert_chains_equal(inc, ref, cluster, 4.1)
+        assert_chances_equal(inc, ref, cluster, 4.1)
         # ...batch removal.
         cluster[0].remove_many([tasks[1], tasks[4]])
-        assert_chains_equal(inc, ref, cluster, 5.9)
+        assert_chances_equal(inc, ref, cluster, 5.9)
 
     def test_full_simulation_outcomes_identical(self, pet):
         """End-to-end: incremental and uncached runs are identical."""
@@ -197,16 +204,19 @@ class TestExactEquivalence:
 
 
 class TestIncrementalInvalidations:
+    """Work counters of the product cache under queue mutations and
+    clock ticks."""
+
     def test_enqueue_costs_one_convolution(self, pet):
         cluster = Cluster.heterogeneous(1)
         sim = Simulator()
         est = CompletionEstimator(pet)
         for i in range(4):
             put(cluster, sim, 0, i)
-        est.availability_pct(cluster[0], 0.0)
+        est.queue_chances(cluster[0], 0.0)
         convs = est.convolutions
         put(cluster, sim, 0, 99)
-        est.availability_pct(cluster[0], 0.0)
+        est.queue_chances(cluster[0], 0.0)
         assert est.convolutions == convs + 1
 
     def test_mid_queue_drop_reconvolves_only_suffix(self, pet):
@@ -216,42 +226,42 @@ class TestIncrementalInvalidations:
         # Alternate types so the post-drop suffix is a *novel* type
         # sequence the §V-A product cache cannot shortcut.
         tasks = [put(cluster, sim, 0, i, ttype=i % 2) for i in range(6)]
-        est.availability_pct(cluster[0], 0.0)  # queue: tasks 1..5
+        est.queue_chances(cluster[0], 0.0)  # queue: tasks 1..5
         convs = est.convolutions
         cluster[0].remove(tasks[3])  # queue index 2 of 5
-        est.availability_pct(cluster[0], 0.0)
-        # entries behind the dropped task: positions 2, 3 (4 queued left)
+        est.queue_chances(cluster[0], 0.0)
+        # products behind the dropped task: positions 2, 3 (4 queued left)
         assert est.convolutions == convs + 2
 
     def test_mid_queue_drop_replays_memoized_products(self, pet):
-        """Uniform-type queue: the re-convolved suffix is a task-type
+        """Uniform-type queue: the post-drop suffix is a task-type
         product the §V-A cache has already materialized, so the drop
-        costs zero convolutions — and the chain still matches the
+        costs zero convolutions — and the chances still match the
         from-scratch reference bit for bit."""
         cluster = Cluster.heterogeneous(1)
         sim = Simulator()
         est = CompletionEstimator(pet)
         ref = CompletionEstimator(pet, memoize=False)
         tasks = [put(cluster, sim, 0, i) for i in range(6)]
-        est.availability_pct(cluster[0], 0.0)
+        est.queue_chances(cluster[0], 0.0)
         convs = est.convolutions
         cluster[0].remove(tasks[3])
-        est.availability_pct(cluster[0], 0.0)
+        est.queue_chances(cluster[0], 0.0)
         assert est.convolutions == convs
-        assert_chains_equal(est, ref, cluster, 0.0)
+        assert_chances_equal(est, ref, cluster, 0.0)
 
     def test_untouched_machine_is_pure_hit_across_time(self, pet):
         """While the running task's conditioning cut is unchanged (PET
         offsets are >= 1, so nothing is ruled out before now=1), a clock
-        tick re-anchors the chain without any convolution."""
+        tick answers the queue from the memo without any convolution."""
         cluster = Cluster.heterogeneous(2)
         sim = Simulator()
         est = CompletionEstimator(pet)
         for i in range(3):
             put(cluster, sim, 0, i)
-        est.availability_pct(cluster[0], 0.0)
+        est.queue_chances(cluster[0], 0.0)
         convs, hits = est.convolutions, est.cache_hits
-        est.availability_pct(cluster[0], 0.9)
+        est.queue_chances(cluster[0], 0.9)
         assert est.convolutions == convs
         assert est.cache_hits > hits
 
@@ -263,26 +273,28 @@ class TestIncrementalInvalidations:
         est = CompletionEstimator(pet)
         for i in range(3):
             put(cluster, sim, 0, i)
-        est.availability_pct(cluster[0], 0.0)
+        est.queue_chances(cluster[0], 0.0)
         ref = CompletionEstimator(pet, memoize=False)
-        assert_chains_equal(est, ref, cluster, 6.0)
+        assert_chances_equal(est, ref, cluster, 6.0)
 
-    def test_defer_check_promotes_into_chain(self, pet):
-        """pct_for_new immediately followed by a dispatch of that type
-        reuses the product as the chain extension (no extra convolution)."""
+    def test_defer_check_promotes_into_products(self, pet):
+        """A new-task chance followed by an enqueue of that type costs no
+        convolution: the new-task product becomes the queue's next
+        product."""
         cluster = Cluster.heterogeneous(1)
         sim = Simulator()
         est = CompletionEstimator(pet)
         put(cluster, sim, 0, 0)  # running
-        put(cluster, sim, 0, 1)  # queued, keeps machine busy
-        est.pct_for_new(0, cluster[0], 0.0)
+        put(cluster, sim, 0, 1, ttype=1)  # queued, keeps machine busy
+        probe = Task(task_id=50, task_type=0, arrival=0.0, deadline=20.0)
+        est.chance_of_success(probe, cluster[0], 0.0)
         convs = est.convolutions
-        put(cluster, sim, 0, 2, ttype=0)  # enqueue same type at same now
-        est.availability_pct(cluster[0], 0.0)
+        put(cluster, sim, 0, 2, ttype=0)  # enqueue the same type
+        est.queue_chances(cluster[0], 0.0)
         assert est.convolutions == convs  # promotion, not reconvolution
-        # and the promoted chain matches the reference exactly
+        # and the promoted product gives the reference's chances exactly
         ref = CompletionEstimator(pet, memoize=False)
-        assert_chains_equal(est, ref, cluster, 0.0)
+        assert_chances_equal(est, ref, cluster, 0.0)
 
     def test_empty_queue_chain(self, pet):
         """Empty-queue machines: trivial chains, batched queries included."""
@@ -290,16 +302,16 @@ class TestIncrementalInvalidations:
         sim = Simulator()
         est = CompletionEstimator(pet)
         # Idle machine: chain is a single delta at `now`.
-        chain = est._pct_chain(cluster[0], 5.0)
+        chain = est._build_chain(cluster[0], 5.0)
         assert len(chain) == 1
         assert chain[0].support_size == 1 and chain[0].min_time == 5.0
         assert est.queue_chances(cluster[0], 5.0) == []
         # Running task, empty queue.
         put(cluster, sim, 1, 0)
-        chain = est._pct_chain(cluster[1], 0.0)
+        chain = est._build_chain(cluster[1], 0.0)
         assert len(chain) == 1
         assert est.queue_chances(cluster[1], 0.0) == []
-        # Batched grid over both still answers (uses pct_for_new).
+        # Batched grid over both still answers (the PET is the product).
         probe = Task(task_id=1, task_type=0, arrival=0.0, deadline=30.0)
         grid = est.chances_for([probe], cluster.machines, 0.0)
         assert grid.shape == (1, 2)
@@ -338,7 +350,7 @@ class TestBatchedQueries:
         # product: 2 machines -> exactly 2 products for 6 cells (the grid
         # deduplicates (task type, machine) pairs before any PCT work).
         assert (est.convolutions + est.convolutions_avoided) - convs_before == 2
-        # A repeat query re-anchors the shared products out of the cache.
+        # A repeat query reuses the machines' new-task products.
         grid2 = est.chances_for(probes, cluster.machines, 0.0)
         assert np.array_equal(grid, grid2)
         assert est.cache_hits >= 2
@@ -361,7 +373,7 @@ class TestModesAndStats:
         sim = Simulator()
         est = CompletionEstimator(pet)
         put(cluster, sim, 0, 0)
-        est.availability_pct(cluster[0], 0.0)  # subscribes
+        est.expected_available(cluster[0], 0.0)  # subscribes
         inv = est.invalidations
         put(cluster, sim, 0, 1)
         assert est.invalidations > inv
