@@ -1,6 +1,12 @@
 """Mapping heuristics (§III): immediate-mode, batch-mode, homogeneous."""
 
-from .base import BatchHeuristic, ImmediateHeuristic, Plan, TwoPhaseBatchHeuristic
+from .base import (
+    BatchHeuristic,
+    ImmediateHeuristic,
+    Plan,
+    PlanningContext,
+    TwoPhaseBatchHeuristic,
+)
 from .batch import MMU, MSD, MinMin
 from .extra import LLF, MaxMin, RandomBatch
 from .homogeneous import EDF, FCFSRR, SJF
@@ -18,6 +24,7 @@ __all__ = [
     "ImmediateHeuristic",
     "BatchHeuristic",
     "TwoPhaseBatchHeuristic",
+    "PlanningContext",
     "Plan",
     "RoundRobin",
     "MET",

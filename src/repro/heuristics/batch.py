@@ -39,10 +39,13 @@ class MSD(TwoPhaseBatchHeuristic):
     def select_winner(
         self, best_completion: np.ndarray, deadlines: np.ndarray, active: np.ndarray
     ) -> int:
-        d = np.where(active, deadlines, np.inf)
+        # Only a task that can finish somewhere is a candidate: a soonest
+        # deadline on an ``inf`` completion must not win the slot.
+        candidate = active & np.isfinite(best_completion)
+        d = np.where(candidate, deadlines, np.inf)
         soonest = d.min()
         # Tie-break on minimum expected completion time (paper §III-C-b).
-        tied = np.flatnonzero(d == soonest)
+        tied = np.flatnonzero(candidate & (d == soonest))
         return int(tied[np.argmin(best_completion[tied])])
 
 

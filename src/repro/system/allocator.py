@@ -20,7 +20,7 @@ from collections.abc import Callable, Sequence
 
 from ..core.accounting import Accounting
 from ..core.pruner import Pruner
-from ..heuristics.base import BatchHeuristic, ImmediateHeuristic
+from ..heuristics.base import BatchHeuristic, ImmediateHeuristic, PlanningContext
 from ..sim.cluster import Cluster
 from ..sim.engine import Simulator
 from ..sim.machine import Machine
@@ -408,9 +408,10 @@ class BatchAllocator(ResourceAllocator):
 
         # Fig. 5 steps 7–11: repeatedly plan and dispatch; deferred tasks
         # leave the eligible set for this event but stay in the batch
-        # queue for the next one.
+        # queue for the next one.  The eligible set is the event's
+        # planning context, which carries its arrays across the rounds.
         defer_enabled = self.pruner is not None and self.pruner.config.enable_deferring
-        eligible = list(self.batch_queue)
+        eligible = PlanningContext(self.batch_queue, self.cluster, self.estimator)
         while eligible and self.cluster.any_free_slot():
             plan = self.heuristic.plan(eligible, self.cluster, self.estimator, now)
             if not plan:
@@ -445,7 +446,7 @@ class BatchAllocator(ResourceAllocator):
                 self._dispatch(task, machine)
             if not consumed:
                 break
-            eligible = [t for t in eligible if t.task_id not in consumed]
+            eligible.consume(consumed)
 
     def _remove_from_batch(self, task: Task) -> None:
         for idx, queued in enumerate(self.batch_queue):

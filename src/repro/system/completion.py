@@ -233,6 +233,10 @@ class _MachineState:
         "product_key",
         "new_products",
         "chances_memo",
+        "queue_end",
+        "forms",
+        "forms_version",
+        "forms_now",
         "scalar_chain",
         "scalar_version",
         "scalar_release",
@@ -260,6 +264,13 @@ class _MachineState:
         #: Last full chance array of the queue with its key (see
         #: ``CompletionEstimator._memo_chances``).
         self.chances_memo: tuple[tuple, float | None, np.ndarray] | None = None
+        #: The queue end and, per task type, the new-task form of the
+        #: last new-task query, valid at ``(forms_version, forms_now)``
+        #: (``CompletionEstimator._new_task_form``).
+        self.queue_end: tuple = ()
+        self.forms: dict[int, tuple] = {}
+        self.forms_version: int = -1
+        self.forms_now: float = math.nan
         #: Scalar (expected-value) chain cache for the incremental mode;
         #: valid for one (machine.version, release time) pair.
         self.scalar_chain: list[float] | None = None
@@ -368,9 +379,6 @@ class CompletionEstimator:
         #: directly instead of bouncing through ``model.mean``.
         self._means = getattr(model, "means", None)
         self._states: dict[int, _MachineState] = {}
-        #: Last ``cluster_expected_available`` answer with its key
-        #: ``(now, machines, versions)``; incremental mode only.
-        self._avail_memo: tuple[tuple, np.ndarray] | None = None
         # Stats counters (exposed through cache_stats / SimulationResult).
         self.cache_hits = 0
         self.cache_misses = 0
@@ -399,30 +407,13 @@ class CompletionEstimator:
     ) -> np.ndarray:
         """Scalar availability of every machine in one array — phase 1 of
         the batch heuristics' virtual-queue planner consumes this (the
-        cluster-wide face of the scalar view).
-
-        Incremental mode remembers the last answer, keyed on ``now``, the
-        machines and their versions: a batch mapping event re-plans with
-        no machine touched between rounds whenever the pruner defers the
-        whole plan.  A repeat costs one key compare and counts one cache
-        hit per machine — the hits the per-machine scalar chains would
-        have scored.  Callers get a fresh copy (planners mutate it).
-        """
-        if self.memoize:
-            key = (now, tuple(machines), tuple([m.version for m in machines]))
-            memo = self._avail_memo
-            if memo is not None and memo[0] == key:
-                self.cache_hits += len(machines)
-                return memo[1].copy()
-        avail = np.fromiter(
+        cluster-wide face of the scalar view).  A fresh array: planners
+        accumulate into it."""
+        return np.fromiter(
             (self._scalar_chain(m, now)[-1] for m in machines),
             dtype=np.float64,
             count=len(machines),
         )
-        if not self.memoize:
-            return avail
-        self._avail_memo = (key, avail)
-        return avail.copy()
 
     def expected_release(self, machine: Machine, now: float) -> float:
         """Expected time the *running* task (if any) finishes."""
@@ -965,16 +956,20 @@ class CompletionEstimator:
         return products
 
     def _new_product(
-        self, machine: Machine, task_type: int, products: list[_Product]
+        self,
+        machine: Machine,
+        task_type: int,
+        products: list[_Product],
+        state: _MachineState | None,
     ) -> _Product:
         """The product entry of a new ``task_type`` task behind the whole
         queue (``products`` from :meth:`_queue_products`).  Incremental
-        mode keeps it per machine and type until the queue changes; an
-        enqueue of that type promotes it (:meth:`on_enqueue`)."""
+        mode keeps it in the machine's synced ``state`` per type until the
+        queue changes; an enqueue of that type promotes it
+        (:meth:`on_enqueue`).  The oracle passes no state."""
         prev = products[-1] if products else None
-        if not self.memoize:
+        if state is None:
             return self._product_step(prev, self.model.pmf(task_type, machine.machine_type), None)
-        state = self._synced_state(machine)
         entry = state.new_products.get(task_type)
         if entry is not None:
             self.cache_hits += 1
@@ -1028,6 +1023,50 @@ class CompletionEstimator:
             offset = offset + pet_offset
         return (*_base_parts(base), offset, products)
 
+    def _new_task_form(
+        self, machine: Machine, task_type: int, now: float, ends: dict[int, tuple]
+    ) -> tuple:
+        """``(b, b_cum, q_cum, offset)``: the :func:`_factored_cdf_at`
+        inputs of a new ``task_type`` task appended to the machine's queue.
+
+        Incremental mode keeps the queue end and these forms on the
+        machine state, valid for one ``(version, now)``: a batch mapping
+        event's defer rounds ask again about every machine no dispatch
+        touched, and the version pins both the queue and the running
+        task.  A form hit scores the hit of the new-task product lookup
+        it skips.  The oracle shares one queue end per machine and query
+        through ``ends``.
+        """
+        if not self.memoize:
+            end = ends.get(machine.machine_id)
+            if end is None:
+                end = ends[machine.machine_id] = self._queue_end(machine, now)
+            return self._form_behind(machine, task_type, end, None)
+        state = self._synced_state(machine)
+        forms = state.forms
+        if state.forms_version != machine.version or state.forms_now != now:
+            state.forms_version = machine.version
+            state.forms_now = now
+            state.queue_end = self._queue_end(machine, now)
+            forms.clear()
+        else:
+            form = forms.get(task_type)
+            if form is not None:
+                self.cache_hits += 1
+                self.convolutions_avoided += 1
+                return form
+        form = forms[task_type] = self._form_behind(machine, task_type, state.queue_end, state)
+        return form
+
+    def _form_behind(
+        self, machine: Machine, task_type: int, end: tuple, state: _MachineState | None
+    ) -> tuple:
+        """The form of a new ``task_type`` task behind ``end`` (a
+        :meth:`_queue_end` answer)."""
+        b, b_cum, offset, products = end
+        pet_offset, _, q_cum = self._new_product(machine, task_type, products, state)
+        return b, b_cum, q_cum, offset + pet_offset
+
     def _new_task_chances(
         self, cells: Sequence[tuple[Task, Machine]], now: float
     ) -> np.ndarray:
@@ -1036,10 +1075,11 @@ class CompletionEstimator:
 
         Work is deduplicated before any distribution work: the base and
         queue products once per machine, the new-task product once per
-        distinct (task type, machine) pair.  A cell is then one
-        :func:`_factored_cdf_at`; a pair the factored form does not
-        cover reads its from-scratch PCT (:meth:`pct_for_new`), and those
-        cells go through one :func:`batch_cdf_at`.
+        distinct (task type, machine) pair (:meth:`_new_task_form`).  A
+        cell is then one :func:`_factored_cdf_at`; a pair the factored
+        form does not cover reads its from-scratch PCT
+        (:meth:`pct_for_new`), and those cells go through one
+        :func:`batch_cdf_at`.
         """
         out = np.empty(len(cells), dtype=np.float64)
         cutoff = now + self.horizon
@@ -1053,12 +1093,7 @@ class CompletionEstimator:
             pair = (task.task_type, machine.machine_id)
             form = forms.get(pair)
             if form is None:
-                end = ends.get(machine.machine_id)
-                if end is None:
-                    end = ends[machine.machine_id] = self._queue_end(machine, now)
-                b, b_cum, offset, products = end
-                pet_offset, _, q_cum = self._new_product(machine, task.task_type, products)
-                form = forms[pair] = (b, b_cum, q_cum, offset + pet_offset)
+                form = forms[pair] = self._new_task_form(machine, task.task_type, now, ends)
             chance = _factored_cdf_at(*form, task.deadline, cutoff, max_support)
             if chance is None:
                 slot = slots.get(pair)

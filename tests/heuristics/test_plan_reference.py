@@ -9,6 +9,11 @@ minimum, applies the heuristic's phase-2 rule over the candidates, and
 moves one machine's availability.  Both must produce the same plan, in
 the same order, for MM, MSD, MMU, LLF, MaxMin and RandomBatch — and
 RandomBatch must leave its RNG exactly where the reference's copy is.
+
+A mapping event plans its rounds from one :class:`PlanningContext`,
+which masks consumed tasks and rebuilds only when a machine moved; the
+last section pins every round of a reused context to a fresh ``plan``
+over the same pending tasks.
 """
 
 import math
@@ -18,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.heuristics import LLF, MMU, MSD, MaxMin, MinMin, RandomBatch
+from repro.heuristics import LLF, MMU, MSD, MaxMin, MinMin, PlanningContext, RandomBatch
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
@@ -40,9 +45,8 @@ def _mm(cands, best, active, deadlines, rng):
 
 
 def _msd(cands, best, active, deadlines, rng):
-    live = [i for i in range(len(best)) if active[i]]
-    soonest = min(deadlines[i] for i in live)
-    tied = [i for i in live if deadlines[i] == soonest]
+    soonest = min(deadlines[i] for i in cands)
+    tied = [i for i in cands if deadlines[i] == soonest]
     return min(tied, key=lambda i: best[i][0])
 
 
@@ -247,3 +251,102 @@ def test_infinite_mean_stops_planning_like_the_reference(cls):
     model = ETCMatrix(means)
     cluster = Cluster.heterogeneous(NUM_TYPES, queue_limit=3)
     check_against_reference(cls, _batch(6), cluster, model, 0.0)
+
+
+@pytest.mark.parametrize("cls", list(RULES), ids=lambda c: c.name)
+def test_soonest_deadline_that_cannot_finish_is_not_picked(cls):
+    # Task 1 has the strictly soonest deadline but no machine can run its
+    # type.  No rule may place it (MSD used to, on the drained machine 0
+    # that the all-``inf`` row's argmin points at).
+    means = np.array([[2.0, 4.0, 3.0], [5.0, 1.0, 2.0], [np.inf, np.inf, np.inf]])
+    model = ETCMatrix(means)
+    cluster = Cluster.heterogeneous(NUM_TYPES, queue_limit=2)
+    cluster.machines[0].drain()
+    tasks = [
+        Task(task_id=0, task_type=0, arrival=0.0, deadline=10.0),
+        Task(task_id=1, task_type=2, arrival=0.0, deadline=5.0),
+        Task(task_id=2, task_type=1, arrival=0.0, deadline=8.0),
+    ]
+    plan = _make(cls).plan(tasks, cluster, CompletionEstimator(model), 0.0)
+    assert plan and all(t.task_id != 1 and m.machine_id != 0 for t, m in plan)
+    check_against_reference(cls, tasks, cluster, model, 0.0)
+
+
+# ----------------------------------------------------------------------
+# A reused planning context against a fresh plan, round by round
+# ----------------------------------------------------------------------
+@st.composite
+def event_scenarios(draw):
+    """A scenario whose cluster may be tight (one free slot in total) and
+    whose type 2 may be unable to run anywhere (an ``inf`` means row)."""
+    tasks, cluster, model, now = draw(scenarios())
+    if draw(st.booleans()):
+        _leave_one_slot(cluster, model)
+    # Only a type no machine is running or queueing can be made hopeless.
+    placed = {t.task_type for m in cluster.machines for t in (m.running, *m.queue) if t}
+    idle_types = [k for k in range(NUM_TYPES) if k not in placed]
+    if idle_types and draw(st.booleans()):
+        means = np.array(model.means, dtype=np.float64)
+        means[draw(st.sampled_from(idle_types))] = np.inf
+        model = ETCMatrix(means)
+    return tasks, cluster, model, now
+
+
+def _leave_one_slot(cluster, model):
+    """Fill every bounded machine with type-0 tasks, leaving a single
+    free slot on the first one that has any (unbounded machines keep
+    theirs)."""
+    sim = Simulator()
+    spare = True
+    for machine in cluster.machines:
+        free = machine.free_slots()
+        if free is None or free <= 0:
+            continue
+        keep = 1 if spare else 0
+        spare = False
+        for k in range(free - keep):
+            filler = Task(task_id=5000 + 10 * machine.machine_id + k, task_type=0,
+                          arrival=0.0, deadline=1000.0)
+            _dispatch(machine, sim, filler, model)
+
+
+@pytest.mark.parametrize("cls", list(RULES), ids=lambda c: c.name)
+@settings(max_examples=60, deadline=None)
+@given(scenario=event_scenarios(), data=st.data())
+def test_reused_context_equals_a_fresh_plan(cls, scenario, data):
+    """Rounds of one event: each defers (consumes) some planned tasks,
+    and may first dispatch one for real (a version bump), drain a
+    machine or move the clock.  Every round's plan from the reused
+    context equals a fresh ``plan`` over the pending tasks, and
+    RandomBatch's two streams stay in step."""
+    tasks, cluster, model, now = scenario
+    reused, fresh = _make(cls), _make(cls)
+    est_reused, est_fresh = CompletionEstimator(model), CompletionEstimator(model)
+    context = PlanningContext(tasks, cluster, est_reused)
+    sim = Simulator()
+    while context:
+        got = reused.plan(context, cluster, est_reused, now)
+        want = fresh.plan(list(context), cluster, est_fresh, now)
+        assert [(t.task_id, m.machine_id) for t, m in got] == [
+            (t.task_id, m.machine_id) for t, m in want
+        ]
+        if cls is RandomBatch:
+            assert reused._rng.bit_generator.state == fresh._rng.bit_generator.state
+        if not got:
+            break
+        consumed = {t.task_id for t, _ in got}
+        if len(got) > 1:
+            keep = data.draw(st.sets(st.sampled_from(sorted(consumed)), max_size=len(got) - 1))
+            consumed -= keep
+        move = data.draw(st.sampled_from(["defer", "dispatch", "drain", "tick"]))
+        if move == "dispatch":
+            task, machine = next((t, m) for t, m in got if t.task_id in consumed)
+            if machine.has_free_slot:
+                _dispatch(machine, sim, task, model)
+        elif move == "drain":
+            machine = data.draw(st.sampled_from(list(cluster.machines)))
+            if machine.online and machine.running is None:
+                machine.drain()
+        elif move == "tick":
+            now += 1.0
+        context.consume(consumed)

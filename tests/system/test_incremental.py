@@ -15,6 +15,7 @@ import pytest
 from repro.core.config import PruningConfig, ToggleMode
 from repro.experiments.campaign import level_spec
 from repro.experiments.runner import pet_matrix
+from repro.heuristics import base as heuristics_base
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Simulator
 from repro.sim.task import Task
@@ -24,6 +25,8 @@ from repro.system.completion import CompletionEstimator
 from repro.system.serverless import ServerlessSystem
 from repro.workload import WorkloadSpec, generate_workload
 from repro.workload.spec import ArrivalPattern
+
+from tests.conftest import make_deterministic_pet
 
 
 def put(cluster, sim, machine_id, i, ttype=0, duration=10.0, deadline=1000.0):
@@ -440,3 +443,74 @@ class TestMemoizationPayoff:
         assert systems[False].estimator.cache_hits == 0
         assert _outcome(systems[True]) == _outcome(systems[False])
         assert systems[True].estimator.convolutions < systems[False].estimator.convolutions
+
+
+class TestDeferRoundsReuseTheEvent:
+    """One batch mapping event over three one-slot machines, its rounds
+    counted: a round that dispatches nothing leaves every machine as it
+    was, so the next round reuses the event's arrays and Eq.-2 inputs.
+    Work counters, not wall-clock."""
+
+    #: Type 0 runs in 2 and type 1 in 10 on every machine.
+    MEANS = np.array([[2.0, 2.0, 2.0], [10.0, 10.0, 10.0]])
+
+    def _event(self, monkeypatch, tasks):
+        system = ServerlessSystem(
+            make_deterministic_pet(self.MEANS), "MM",
+            pruning=PruningConfig.defer_only(0.5), queue_limit=1, seed=0,
+        )
+        allocator = system.allocator
+        for task in tasks:
+            allocator.accounting.record_arrival(task)
+            allocator.batch_queue.append(task)
+        counts = {"exec_means": 0, "avail": 0, "queue_end": [], "plans": 0}
+        exec_means = heuristics_base._exec_mean_matrix
+        avail = CompletionEstimator.cluster_expected_available
+        queue_end = CompletionEstimator._queue_end
+        plan = heuristics_base.TwoPhaseBatchHeuristic.plan
+
+        def count_exec_means(*args):
+            counts["exec_means"] += 1
+            return exec_means(*args)
+
+        def count_avail(self, machines, now):
+            counts["avail"] += 1
+            return avail(self, machines, now)
+
+        def count_queue_end(self, machine, now):
+            counts["queue_end"].append(machine.machine_id)
+            return queue_end(self, machine, now)
+
+        def count_plans(self, *args):
+            counts["plans"] += 1
+            return plan(self, *args)
+
+        monkeypatch.setattr(heuristics_base, "_exec_mean_matrix", count_exec_means)
+        monkeypatch.setattr(CompletionEstimator, "cluster_expected_available", count_avail)
+        monkeypatch.setattr(CompletionEstimator, "_queue_end", count_queue_end)
+        monkeypatch.setattr(heuristics_base.TwoPhaseBatchHeuristic, "plan", count_plans)
+        allocator.kick()
+        return allocator, counts
+
+    @staticmethod
+    def _hopeless(n, first_id=0):
+        """Type-1 tasks due at 1.0: chance 0 anywhere, always deferred."""
+        return [Task(task_id=first_id + i, task_type=1, arrival=0.0, deadline=1.0) for i in range(n)]
+
+    def test_all_defer_event_builds_once(self, monkeypatch):
+        allocator, counts = self._event(monkeypatch, self._hopeless(9))
+        assert allocator.accounting.total_defers == 9
+        assert counts["plans"] == 3  # three slots a round, nine tasks
+        assert counts["exec_means"] == 1
+        assert counts["avail"] == 1
+        assert sorted(counts["queue_end"]) == [0, 1, 2]
+
+    def test_one_dispatch_costs_one_rebuild(self, monkeypatch):
+        viable = Task(task_id=100, task_type=0, arrival=0.0, deadline=50.0)
+        allocator, counts = self._event(monkeypatch, [viable, *self._hopeless(9)])
+        assert viable.machine_id is not None and allocator.accounting.total_defers == 9
+        assert counts["plans"] == 4
+        assert counts["exec_means"] == 1
+        assert counts["avail"] == 2  # the build and the one rebuild
+        # Once per machine, and once more on the machine the dispatch moved.
+        assert sorted(counts["queue_end"]) == sorted([0, 1, 2, viable.machine_id])

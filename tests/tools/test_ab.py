@@ -105,6 +105,58 @@ class TestSummary:
         assert rows == []
 
 
+class TestMetricVerdict:
+    """The verdict column, on canned runs of ten pairs."""
+
+    @staticmethod
+    def rows(ab, parent_events, change_events, parent_p99=1.0, change_p99=1.0):
+        pairs = [
+            (run(ab, p, parent_p99), run(ab, c, change_p99))
+            for p, c in zip(parent_events, change_events)
+        ]
+        return {r.name: r for r in ab.summarize(METRICS, pairs)}
+
+    def test_gain_needs_nine_wins_and_a_move_past_the_spread(self, ab):
+        parent = [1000.0 + 10 * i for i in range(10)]  # q1–q3 spread 45
+        rows = self.rows(ab, parent, [p * 1.3 for p in parent])
+        assert rows["events_per_s"].verdict == "gain"
+        assert "gain" in ab.format_rows(list(rows.values()))
+        # Nine wins still count; eight do not.
+        nine = [p * 1.3 for p in parent[:9]] + [parent[9] - 1.0]
+        assert self.rows(ab, parent, nine)["events_per_s"].verdict == "gain"
+        eight = [p * 1.3 for p in parent[:8]] + [p - 1.0 for p in parent[8:]]
+        assert self.rows(ab, parent, eight)["events_per_s"].verdict == "within bound"
+
+    def test_a_move_inside_the_spread_is_not_a_gain(self, ab):
+        parent = [1000.0 + 10 * i for i in range(10)]
+        rows = self.rows(ab, parent, [p + 1.0 for p in parent])  # ten wins, Δ 1
+        assert rows["events_per_s"].verdict == "within bound"
+
+    def test_ties_are_within_bound(self, ab):
+        rows = self.rows(ab, [1000.0] * 10, [1000.0] * 10)
+        assert {r.verdict for r in rows.values()} == {"within bound"}
+
+    def test_worse_than_bound_follows_the_declared_direction(self, ab):
+        parent = [1000.0] * 10
+        rows = self.rows(ab, parent, [740.0] * 10, change_p99=1.3)
+        assert rows["events_per_s"].verdict == "worse than bound"  # higher is better
+        assert rows["latency_ms_p99"].verdict == "worse than bound"  # lower is better
+        rows = self.rows(ab, parent, [760.0] * 10, change_p99=1.2)
+        assert rows["events_per_s"].verdict == "within bound"
+        assert rows["latency_ms_p99"].verdict == "within bound"
+
+    def test_a_parent_spread_past_the_bound_is_unresolved(self, ab):
+        parent = [500.0, 600.0, 700.0, 800.0, 900.0, 1100.0, 1200.0, 1300.0, 1400.0, 1500.0]
+        rows = self.rows(ab, parent, parent)  # q1–q3 spread 625 on a median 1000
+        assert rows["events_per_s"].verdict == "unresolved"
+
+    def test_a_metric_without_a_bound_only_decides_gains(self, ab):
+        free = [{"name": "events_per_s", "unit": "1/s", "better": "higher"}]
+        pairs = [(run(ab, 1000.0, 1.0), run(ab, 10.0, 1.0))] * 10
+        (row,) = ab.summarize(free, pairs)
+        assert row.verdict == "-"
+
+
 class TestVerdict:
     def test_clean_pairs_pass(self, ab):
         pairs = [(run(ab, 1.0, 1.0), run(ab, 2.0, 1.0))] * 2

@@ -6,8 +6,9 @@ directory, then runs ``perfbench/run.py`` (untraced) on both trees for
 ``--pairs`` pairs per workload, swapping which tree runs first on every
 pair.  Per workload it prints each end-to-end metric of
 ``BENCHMARK.json`` as the parent's median with its quartiles, the
-change's median, their ratio (change / parent) and the pairs the change
-won, plus whether the outcome digests agree::
+change's median, their ratio (change / parent), the pairs the change
+won and a verdict (:func:`verdict`), plus whether the outcome digests
+agree::
 
     python tools/ab.py HEAD~1 --pairs 5 --seconds 15 --workload drop-25k
     python tools/ab.py HEAD --pairs 1 --seconds 1 --tiny     # smoke
@@ -52,6 +53,7 @@ class Row:
     ratio: float  # change median / parent median
     wins: int
     pairs: int
+    verdict: str
 
 
 def parse_run(returncode: int, stdout: str) -> Run:
@@ -96,6 +98,40 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return at(0.25), at(0.5), at(0.75)
 
 
+def verdict(
+    parent: tuple[float, float, float],
+    change: float,
+    wins: int,
+    pairs: int,
+    higher: bool,
+    bound: float | None,
+) -> str:
+    """How a metric moved, first match wins:
+
+    * ``gain`` — the change won at least 9 pairs in 10 and its median is
+      farther from the parent's than the parent's q1–q3 spread;
+    * ``worse than bound`` — the change's median is worse than the
+      parent's by more than the relative ``bound``;
+    * ``unresolved`` — the parent's own q1–q3 spread exceeds the bound,
+      so a move within it cannot be told from noise;
+    * ``within bound`` — otherwise.
+
+    Without a ``bound`` only ``gain`` is decided (``-`` otherwise).
+    """
+    q1, med, q3 = parent
+    spread = q3 - q1
+    if 10 * wins >= 9 * pairs and abs(change - med) > spread:
+        return "gain"
+    if bound is None:
+        return "-"
+    worse = change < med * (1.0 - bound) if higher else change > med * (1.0 + bound)
+    if worse:
+        return "worse than bound"
+    if spread > bound * abs(med):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(
     metrics: list[dict], pairs: list[tuple[Run, Run]]
 ) -> list[Row]:
@@ -117,7 +153,8 @@ def summarize(
         higher = m["better"] == "higher"
         wins = sum(1 for p, c in both if (c > p if higher else c < p))
         ratio = change / parent[1] if parent[1] else float("nan")
-        rows.append(Row(name, m["unit"], parent, change, ratio, wins, len(both)))
+        judged = verdict(parent, change, wins, len(both), higher, m.get("bound"))
+        rows.append(Row(name, m["unit"], parent, change, ratio, wins, len(both), judged))
     return rows
 
 
@@ -140,14 +177,14 @@ def problems(workload: str, pairs: list[tuple[Run, Run]]) -> list[str]:
 def format_rows(rows: list[Row]) -> str:
     out = [
         f"  {'metric':<16} {'parent median (q1–q3)':>34} {'change':>12} "
-        f"{'ratio':>7} {'wins':>6}"
+        f"{'ratio':>7} {'wins':>6} {'verdict':<17} unit"
     ]
     for r in rows:
         q1, med, q3 = r.parent
         parent = f"{med:.4g} ({q1:.4g}–{q3:.4g})"
         out.append(
             f"  {r.name:<16} {parent:>34} {r.change:>12.4g} {r.ratio:>7.3f} "
-            f"{r.wins:>3}/{r.pairs:<2} {r.unit}"
+            f"{r.wins:>3}/{r.pairs:<2} {r.verdict:<17} {r.unit}"
         )
     return "\n".join(out)
 
