@@ -32,6 +32,8 @@ byte-identical replay of the discrete-event schedule.
 from __future__ import annotations
 
 import asyncio
+import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Sequence
@@ -222,16 +224,23 @@ class SchedulerService:
         missing = [f for f in _REQUIRED_FIELDS if f not in record]
         if missing:
             return None, f"missing fields: {', '.join(missing)}"
-        try:
-            task_type = int(record["task_type"])
-            slack = float(record["deadline_slack"])
-        except (TypeError, ValueError) as exc:
-            return None, f"bad field value: {exc}"
+        # Values are taken as they come, never coerced: a bool, a string
+        # or a fractional type id is a client bug to report, not to guess.
+        task_type = record["task_type"]
+        if isinstance(task_type, bool) or not isinstance(task_type, numbers.Integral):
+            return None, f"bad field value: task_type must be an integer, got {task_type!r}"
+        task_type = int(task_type)
+        slack = record["deadline_slack"]
+        if isinstance(slack, bool) or not isinstance(slack, numbers.Real):
+            return None, f"bad field value: deadline_slack must be a number, got {slack!r}"
+        slack = float(slack)
         if task_type < 0 or task_type >= self.system.model.num_task_types:
             return None, (
                 f"task_type {task_type} outside model range "
                 f"[0, {self.system.model.num_task_types})"
             )
+        if not math.isfinite(slack):
+            return None, f"deadline_slack must be finite, got {slack}"
         if not slack > 0:
             return None, f"deadline_slack must be positive, got {slack}"
         task_id = self._next_task_id

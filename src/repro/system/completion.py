@@ -15,33 +15,33 @@ comes from one representation that factors the running task out of
 Eq. 1.  The task at queue position ``k`` has PCT ``b ⊛ Q_k``, where
 ``b`` is the running task's conditioned completion belief (a unit delta
 when the machine is idle) and ``Q_k = pet_0 ⊛ … ⊛ pet_k`` depends on
-the queued task types alone; a new task of type ``t`` appended to an
-``n``-task queue is position ``n`` with ``Q = Q_{n-1} ⊛ pet_t``.  So
-Eq. 2 is one dot product per task::
+the queued task types alone.  So Eq. 2 is one dot product per task::
 
     F_k(d) = Σ_j b[j] · F_{Q_k}(K − j),   K = floor(d − offset_k + tol)
 
 (:func:`~repro.stochastic.pmf.convolved_cdf_at`), where ``offset_k`` is
 the chain's own left-to-right offset sum and ``tol`` the
-:meth:`~repro.stochastic.pmf.PMF.cdf_at` grid-boundary tolerance.
+:meth:`~repro.stochastic.pmf.PMF.cdf_at` grid-boundary tolerance.  A new
+task of type ``t`` appended to an ``n``-task queue reads the same sum
+with Eq. 1's own split, ``PCT(n − 1) ⊛ pet_t``: the machine's
+availability ``A = b ⊛ Q_{n-1}`` (``Q_{n-1}`` itself when idle), which
+does not depend on ``t``, against the PET's cumulative sums.
 
 * ``Q_k`` comes from a product cache keyed on ``(machine type, t_0, …,
   t_k)``, shared across machines and clock ticks.  Each machine keeps
-  its queue's products and, per new-task type, the product one position
-  past the queue.  The estimator subscribes to the machines' queue-delta
-  notifications (:class:`~repro.sim.cluster.QueueObserver`): a mutation
-  at queue index ``i`` drops only the products from ``i`` on, and an
-  enqueue turns the new-task product of its type into the next queue
-  product.
+  its queue's products; the estimator subscribes to the machines'
+  queue-delta notifications (:class:`~repro.sim.cluster.QueueObserver`),
+  and a mutation at queue index ``i`` drops only the products from ``i``
+  on.
 * ``b`` comes from a cache of conditioned shapes per cut index, and the
   base records how it depends on ``now``, so a clock tick that leaves
-  the running task's conditioning cut in place costs no convolution;
-  each machine's queued-task chance array is memoized until its queue or
-  cut changes.
-* Grid queries (``chances_for``, ``chances_for_pairs``) deduplicate
-  distinct (task type, machine) pairs before any distribution work;
-  ``cluster_expected_available`` is the scalar mirror for the batch
-  heuristics' phase 1.
+  the running task's conditioning cut in place costs no convolution.
+  Each machine's queued-task chance array and its availability ``A`` are
+  memoized until its queue or cut changes, so a new task type costs no
+  convolution.
+* Grid queries (``chances_for``, ``chances_for_pairs``) read each
+  machine's availability once per query; ``cluster_expected_available``
+  is the scalar mirror for the batch heuristics' phase 1.
 
 The left-associated chain ``b ⊛ pet_0 ⊛ … ⊛ pet_k``, built from scratch
 (:meth:`CompletionEstimator._build_chain`), is the fallback.  It answers
@@ -55,8 +55,9 @@ Two modes, one per job:
 
 * ``memoize=True`` — the caches above (the simulator's path);
 * ``memoize=False`` — the from-scratch oracle: every query rebuilds the
-  base, reconvolves the queue products and evaluates the same formulas;
-  the incremental mode must match it bitwise.
+  base, reconvolves the queue products and the availability and
+  evaluates the same formulas; the incremental mode must match it
+  bitwise.
 
 A running task's completion belief is its start-anchored PCT conditioned
 on it not having finished yet (``PMF.condition_at_least(now)``); the
@@ -170,6 +171,16 @@ _DELTA_CUMSUM = np.ones(1, dtype=np.float64)
 #: not a clean full-support one).
 _Product = tuple[float, "np.ndarray | None", "np.ndarray | None"]
 
+#: A machine's availability ``A = b ⊛ Q_{n-1}`` (Eq. 1's ``PCT(n − 1)``):
+#: its probabilities and cumulative sums (both ``None`` where the
+#: factored form does not apply) and its offset, summed left to right
+#: as the chain does.
+_Availability = tuple["np.ndarray | None", "np.ndarray | None", float]
+
+#: A PET as new-task chances read it: its offset, its cumulative sums
+#: and those sums reversed (both ``None`` for a PET with tail mass).
+_PetEntry = tuple[float, "np.ndarray | None", "np.ndarray | None"]
+
 #: Shared empty chance array for machines with empty queues.
 _EMPTY_CHANCES = np.zeros(0, dtype=np.float64)
 
@@ -194,10 +205,12 @@ def _factored_cdf_at(
     d: float,
     cutoff: float,
     max_support: int,
+    q_rev: np.ndarray | None = None,
 ) -> float | None:
     """``cdf_at(d)`` of the PCT ``b ⊛ Q`` anchored at ``offset``, without
     forming it: :meth:`PMF.cdf_at`'s tolerance and clamp around
-    :func:`convolved_cdf_at`.
+    :func:`convolved_cdf_at` (``q_rev``, when given, is ``q_cum``
+    reversed).
 
     ``None`` where the chain would fold or truncate mass — a base or
     product with tail mass (``b_cum`` / ``q_cum`` is ``None``), more
@@ -212,7 +225,7 @@ def _factored_cdf_at(
     x = d - offset + min(CDF_REL_EPS * max(1.0, abs(d), abs(offset)), CDF_TOL_CAP)
     if not x >= 0.0:
         return 0.0
-    return convolved_cdf_at(b, b_cum, q_cum, last if x >= last else math.floor(x))
+    return convolved_cdf_at(b, b_cum, q_cum, last if x >= last else math.floor(x), q_rev)
 
 
 class _MachineState:
@@ -231,12 +244,8 @@ class _MachineState:
         "version_seen",
         "products",
         "product_key",
-        "new_products",
         "chances_memo",
-        "queue_end",
-        "forms",
-        "forms_version",
-        "forms_now",
+        "avail_memo",
         "scalar_chain",
         "scalar_version",
         "scalar_release",
@@ -258,19 +267,12 @@ class _MachineState:
         #: Product-cache key of the last entry of ``products``:
         #: ``(machine type, t_0, …, t_k)``.
         self.product_key: tuple = (machine.machine_type,)
-        #: task type -> the product of a new task of that type appended
-        #: to the whole queue; valid until the queue changes.
-        self.new_products: dict[int, _Product] = {}
         #: Last full chance array of the queue with its key (see
         #: ``CompletionEstimator._memo_chances``).
         self.chances_memo: tuple[tuple, float | None, np.ndarray] | None = None
-        #: The queue end and, per task type, the new-task form of the
-        #: last new-task query, valid at ``(forms_version, forms_now)``
-        #: (``CompletionEstimator._new_task_form``).
-        self.queue_end: tuple = ()
-        self.forms: dict[int, tuple] = {}
-        self.forms_version: int = -1
-        self.forms_now: float = math.nan
+        #: Last availability with the same key and the convolutions it
+        #: cost (see ``CompletionEstimator._availability``).
+        self.avail_memo: tuple[tuple, _Availability, int] | None = None
         #: Scalar (expected-value) chain cache for the incremental mode;
         #: valid for one (machine.version, release time) pair.
         self.scalar_chain: list[float] | None = None
@@ -300,11 +302,9 @@ class _MachineState:
         self.release_mean = None
 
     def truncate_suffix(self, index: int) -> None:
-        """Drop the products of queue positions ``>= index`` and every
-        new-task product (each was one position past the old queue)."""
+        """Drop the products of queue positions ``>= index``."""
         del self.products[index:]
         self.product_key = self.product_key[: index + 1]
-        self.new_products.clear()
 
 
 class CompletionEstimator:
@@ -378,6 +378,8 @@ class CompletionEstimator:
         #: ETCMatrix both do); lets the scalar view index the array
         #: directly instead of bouncing through ``model.mean``.
         self._means = getattr(model, "means", None)
+        #: (task type, machine type) -> the PET's :data:`_PetEntry`.
+        self._pets: dict[tuple[int, int], _PetEntry] = {}
         self._states: dict[int, _MachineState] = {}
         # Stats counters (exposed through cache_stats / SimulationResult).
         self.cache_hits = 0
@@ -527,7 +529,7 @@ class CompletionEstimator:
         """The running machine's base at ``now``: the state's own when
         the recorded base facts prove it current, otherwise built and
         installed.  ``state`` must come from :meth:`_synced_state`."""
-        sig = self._base_signature(machine)
+        sig = (machine.running.task_id, machine.running_started_at)
         if not (
             state.base is not None
             and state.base_sig == sig
@@ -556,8 +558,9 @@ class CompletionEstimator:
     def availability_pct(self, machine: Machine, now: float) -> PMF:
         """PCT of the *last* task currently on the machine (Eq. 1's
         ``PCT(i-1, j)``): when the machine would start one more task.
-        Built from scratch — a reference accessor; chance queries never
-        form it."""
+        The left-associated chain, built from scratch — the reference
+        for the factored availability that new-task chances read
+        (:meth:`_availability`)."""
         return self._build_chain(machine, now)[-1]
 
     def pct_for_new(self, task_type: int, machine: Machine, now: float) -> PMF:
@@ -602,12 +605,6 @@ class CompletionEstimator:
             state.truncate_suffix(0)
             state.version_seen = machine.version
         return state
-
-    @staticmethod
-    def _base_signature(machine: Machine) -> tuple:
-        if machine.running is None:
-            return ("idle",)
-        return ("run", machine.running.task_id, machine.running_started_at)
 
     def _build_base(self, state: _MachineState, machine: Machine, now: float) -> PMF:
         """The running-machine base, recording how it depends on ``now``.
@@ -708,16 +705,7 @@ class CompletionEstimator:
         state = self._observed(machine)
         if state is None:
             return
-        # The products stay valid.  A new-task product of the enqueued
-        # type was built behind exactly this queue (the allocator's
-        # defer check immediately precedes dispatch): it *is* the next
-        # queue product.
-        ttype = machine.queue[index].task_type
-        entry = state.new_products.get(ttype) if len(state.products) == index else None
-        state.new_products.clear()
-        if entry is not None:
-            state.products.append(entry)
-            state.product_key = state.product_key + (ttype,)
+        # The products stay valid; the version bump retires the memos.
         self.invalidations += 1
 
     def on_dequeue(self, machine: Machine, index: int) -> None:
@@ -862,21 +850,29 @@ class CompletionEstimator:
         if not self.memoize:
             return self._factored_chances(machine, now, 0, self._queue_base(machine, now))[0]
         state = self._synced_state(machine)
-        if machine.running is None:
-            base = _delta(now)
-            key: tuple = (machine.version, "idle", now)
-        else:
-            base = self._established_base(state, machine, now)
-            kind = state.base_kind
-            key = (machine.version, kind, now if kind == "tdep" else state.base_cut)
+        key = self._memo_key(state, machine, now)
         memo = state.chances_memo
         if memo is not None and memo[0] == key and (memo[1] is None or memo[1] == now):
             self.cache_hits += 1
             return memo[2]
         self.cache_misses += 1
+        base = _delta(now) if machine.running is None else state.base
         chances, clock_bound = self._factored_chances(machine, now, 0, base)
         state.chances_memo = (key, now if clock_bound else None, chances)
         return chances
+
+    def _memo_key(self, state: _MachineState, machine: Machine, now: float) -> tuple:
+        """The memo key of the answers built on the machine's base at
+        ``now`` (:meth:`_memo_chances`, :meth:`_availability`):
+        ``(version, base kind, cut)``, with ``now`` in place of the cut
+        for idle and clock-tracking bases.  A running machine's base is
+        established in ``state`` (:meth:`_established_base`) on the way.
+        ``state`` must come from :meth:`_synced_state`."""
+        if machine.running is None:
+            return (machine.version, "idle", now)
+        self._established_base(state, machine, now)
+        kind = state.base_kind
+        return (machine.version, kind, now if kind == "tdep" else state.base_cut)
 
     def _queue_base(self, machine: Machine, now: float) -> PMF:
         """The running task's belief (``delta(now)`` when idle)."""
@@ -923,7 +919,9 @@ class CompletionEstimator:
         self.chance_evaluations += count
         return out, chain is not None
 
-    def _queue_products(self, machine: Machine) -> list[_Product]:
+    def _queue_products(
+        self, machine: Machine, state: _MachineState | None = None
+    ) -> list[_Product]:
         """The product entry of every queue position ``k``:
         ``(pet_k.offset, Q_k.probs, Q_k.cumulative())`` with
         ``Q_k = pet_0 ⊛ … ⊛ pet_k``.
@@ -931,14 +929,15 @@ class CompletionEstimator:
         Incremental mode keeps the valid prefix in the machine state and
         takes new products from the §V-A product cache
         (:meth:`_product_step`).  The oracle convolves every product
-        from scratch on every query.
+        from scratch on every query.  ``state``, when given, is the
+        machine's synced state.
         """
         queue = machine.queue
-        state = None
         key = None
         products: list[_Product] = []
         if self.memoize:
-            state = self._synced_state(machine)
+            if state is None:
+                state = self._synced_state(machine)
             products = state.products
             if len(products) == len(queue):
                 return products
@@ -954,34 +953,6 @@ class CompletionEstimator:
         if state is not None:
             state.product_key = key
         return products
-
-    def _new_product(
-        self,
-        machine: Machine,
-        task_type: int,
-        products: list[_Product],
-        state: _MachineState | None,
-    ) -> _Product:
-        """The product entry of a new ``task_type`` task behind the whole
-        queue (``products`` from :meth:`_queue_products`).  Incremental
-        mode keeps it in the machine's synced ``state`` per type until the
-        queue changes; an enqueue of that type promotes it
-        (:meth:`on_enqueue`).  The oracle passes no state."""
-        prev = products[-1] if products else None
-        if state is None:
-            return self._product_step(prev, self.model.pmf(task_type, machine.machine_type), None)
-        entry = state.new_products.get(task_type)
-        if entry is not None:
-            self.cache_hits += 1
-            self.convolutions_avoided += 1
-            return entry
-        self.cache_misses += 1
-        entry = state.new_products[task_type] = self._product_step(
-            prev,
-            self.model.pmf(task_type, machine.machine_type),
-            state.product_key + (task_type,),
-        )
-        return entry
 
     def _product_step(self, prev: _Product | None, pet: PMF, key: tuple | None) -> _Product:
         """The product entry one queue position past ``prev`` (``None``
@@ -1012,60 +983,72 @@ class CompletionEstimator:
             self._product_cache.put(key, (q.probs, q.cumulative()))
         return pet.offset, q.probs, q.cumulative()
 
-    def _queue_end(self, machine: Machine, now: float) -> tuple:
-        """``(b, b_cum, offset, products)``: the base's arrays
-        (:func:`_base_parts`), the offset of the queue's last PCT summed
-        left to right as the chain does, and the queue products."""
-        base = self._queue_base(machine, now)
-        products = self._queue_products(machine)
+    def _availability(self, machine: Machine, now: float) -> _Availability:
+        """The machine's availability ``A`` (:meth:`_build_availability`).
+
+        Incremental mode memoizes it on the machine state under the key
+        of :meth:`_memo_chances`: it depends on the queue and the base
+        alone, and every new-task type reads the same ``A``.  The oracle
+        builds it from scratch.
+        """
+        if not self.memoize:
+            return self._build_availability(
+                machine, self._queue_base(machine, now), self._queue_products(machine)
+            )
+        state = self._synced_state(machine)
+        key = self._memo_key(state, machine, now)
+        memo = state.avail_memo
+        if memo is not None and memo[0] == key:
+            self.cache_hits += 1
+            self.convolutions_avoided += memo[2]
+            return memo[1]
+        self.cache_misses += 1
+        base = _delta(now) if machine.running is None else state.base
+        products = self._queue_products(machine, state)
+        convolutions = self.convolutions
+        avail = self._build_availability(machine, base, products)
+        state.avail_memo = (key, avail, self.convolutions - convolutions)
+        return avail
+
+    def _build_availability(
+        self, machine: Machine, base: PMF, products: list[_Product]
+    ) -> _Availability:
+        """Eq. 1's ``PCT(n − 1)`` of an ``n``-task queue in the factored
+        form: ``A = base ⊛ Q_{n-1}``, the base itself for an empty queue
+        and ``Q_{n-1}`` for an idle machine (``base`` is then a unit
+        delta), convolved by :meth:`PMF.convolve_truncated` otherwise.
+        The offset is summed left to right as the chain does.  The arrays
+        are ``None`` when the base or product carries tail mass or the
+        convolution folds or trims it: the chain answers then."""
         offset = base.offset
         for pet_offset, _, _ in products:
             offset = offset + pet_offset
-        return (*_base_parts(base), offset, products)
+        if not products:
+            return (*_base_parts(base), offset)
+        _, q, q_cum = products[-1]
+        if machine.running is None:
+            return q, q_cum, offset
+        if q is None or base.tail != 0.0:
+            return None, None, offset
+        self.convolutions += 1
+        a = PMF._from_parts(q, 0.0, 0.0, q_cum).convolve_truncated(
+            base, cutoff=math.inf, max_support=self.max_support
+        )
+        if a.tail != 0.0 or a.probs.size != base.probs.size + q.size - 1:
+            return None, None, offset
+        return a.probs, a.cumulative(), offset
 
-    def _new_task_form(
-        self, machine: Machine, task_type: int, now: float, ends: dict[int, tuple]
-    ) -> tuple:
-        """``(b, b_cum, q_cum, offset)``: the :func:`_factored_cdf_at`
-        inputs of a new ``task_type`` task appended to the machine's queue.
-
-        Incremental mode keeps the queue end and these forms on the
-        machine state, valid for one ``(version, now)``: a batch mapping
-        event's defer rounds ask again about every machine no dispatch
-        touched, and the version pins both the queue and the running
-        task.  A form hit scores the hit of the new-task product lookup
-        it skips.  The oracle shares one queue end per machine and query
-        through ``ends``.
-        """
-        if not self.memoize:
-            end = ends.get(machine.machine_id)
-            if end is None:
-                end = ends[machine.machine_id] = self._queue_end(machine, now)
-            return self._form_behind(machine, task_type, end, None)
-        state = self._synced_state(machine)
-        forms = state.forms
-        if state.forms_version != machine.version or state.forms_now != now:
-            state.forms_version = machine.version
-            state.forms_now = now
-            state.queue_end = self._queue_end(machine, now)
-            forms.clear()
+    def _pet_entry(self, key: tuple[int, int]) -> _PetEntry:
+        """The :data:`_PetEntry` of the PET of ``key = (task type,
+        machine type)``, built once per estimator (PETs are immutable)."""
+        pet = self.model.pmf(*key)
+        if pet.tail != 0.0 or not pet.probs.size:
+            entry: _PetEntry = (pet.offset, None, None)
         else:
-            form = forms.get(task_type)
-            if form is not None:
-                self.cache_hits += 1
-                self.convolutions_avoided += 1
-                return form
-        form = forms[task_type] = self._form_behind(machine, task_type, state.queue_end, state)
-        return form
-
-    def _form_behind(
-        self, machine: Machine, task_type: int, end: tuple, state: _MachineState | None
-    ) -> tuple:
-        """The form of a new ``task_type`` task behind ``end`` (a
-        :meth:`_queue_end` answer)."""
-        b, b_cum, offset, products = end
-        pet_offset, _, q_cum = self._new_product(machine, task_type, products, state)
-        return b, b_cum, q_cum, offset + pet_offset
+            cum = pet.cumulative()
+            entry = (pet.offset, cum, np.ascontiguousarray(cum[::-1]))
+        self._pets[key] = entry
+        return entry
 
     def _new_task_chances(
         self, cells: Sequence[tuple[Task, Machine]], now: float
@@ -1073,29 +1056,38 @@ class CompletionEstimator:
         """Eq. 2 of each ``(task, machine)`` cell, the task appended to
         the machine's current queue.
 
-        Work is deduplicated before any distribution work: the base and
-        queue products once per machine, the new-task product once per
-        distinct (task type, machine) pair (:meth:`_new_task_form`).  A
-        cell is then one :func:`_factored_cdf_at`; a pair the factored
-        form does not cover reads its from-scratch PCT
-        (:meth:`pct_for_new`), and those cells go through one
-        :func:`batch_cdf_at`.
+        Each machine's availability is read once per query
+        (:meth:`_availability`); a cell is then one
+        :func:`_factored_cdf_at` of the availability against the PET's
+        cumulative sums, read in reverse from a cached copy
+        (:meth:`_pet_entry`) so that its dot product reads contiguous
+        slices.  A (task type, machine) pair the factored form
+        does not cover reads its from-scratch PCT (:meth:`pct_for_new`)
+        once, and those cells go through one :func:`batch_cdf_at`.
         """
         out = np.empty(len(cells), dtype=np.float64)
         cutoff = now + self.horizon
         max_support = self.max_support
-        ends: dict[int, tuple] = {}
-        forms: dict[tuple[int, int], tuple] = {}
+        pets = self._pets
+        avails: dict[int, _Availability] = {}
         slots: dict[tuple[int, int], int] = {}
         pmfs: list[PMF] = []
         fallback: list[tuple[int, int, float]] = []  # (cell, slot, deadline)
         for pos, (task, machine) in enumerate(cells):
-            pair = (task.task_type, machine.machine_id)
-            form = forms.get(pair)
-            if form is None:
-                form = forms[pair] = self._new_task_form(machine, task.task_type, now, ends)
-            chance = _factored_cdf_at(*form, task.deadline, cutoff, max_support)
+            avail = avails.get(machine.machine_id)
+            if avail is None:
+                avail = avails[machine.machine_id] = self._availability(machine, now)
+            pet_key = (task.task_type, machine.machine_type)
+            pet = pets.get(pet_key)
+            if pet is None:
+                pet = self._pet_entry(pet_key)
+            a, a_cum, offset = avail
+            pet_offset, q_cum, q_rev = pet
+            chance = _factored_cdf_at(
+                a, a_cum, q_cum, offset + pet_offset, task.deadline, cutoff, max_support, q_rev
+            )
             if chance is None:
+                pair = (task.task_type, machine.machine_id)
                 slot = slots.get(pair)
                 if slot is None:
                     slot = slots[pair] = len(pmfs)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+
 from repro.service import snapshot_service
 from repro.service.http import MAX_BODY, ServiceHTTP
 from repro.service.service import run_until_quiescent
@@ -108,6 +110,34 @@ def test_malformed_json_is_structured_400_and_service_survives(make_service, run
         await run_until_quiescent(service)
         assert service.stats.malformed == 3
         assert service.stats.admitted == 1
+        await http.stop()
+        await service.stop()
+
+    run_async(scenario())
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ({"task_type": 1.7, "deadline_slack": 5.0}, "task_type"),
+        ({"task_type": True, "deadline_slack": 5.0}, "task_type"),
+        ({"task_type": "2", "deadline_slack": 5.0}, "task_type"),
+        ({"task_type": 0, "deadline_slack": "5"}, "deadline_slack"),
+        ({"task_type": 0, "deadline_slack": True}, "deadline_slack"),
+        ({"task_type": 0, "deadline_slack": float("inf")}, "deadline_slack"),  # Infinity
+    ],
+    ids=["fractional-type", "bool-type", "string-type", "string-slack", "bool-slack",
+         "infinite-slack"],
+)
+def test_uncoerced_field_values_are_400(make_service, run_async, record, field):
+    async def scenario():
+        service, _, http = await _serving(make_service)
+        status, body = await _post_task(http.port, record)
+        assert status == 400
+        assert body["status"] == "malformed"
+        assert field in body["error"]
+        assert service.stats.malformed == 1
+        assert service.system.accounting.total_arrived == 0
         await http.stop()
         await service.stop()
 

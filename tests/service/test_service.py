@@ -119,6 +119,55 @@ def test_malformed_records_resolve_immediately(make_service, run_async, record, 
     run_async(scenario())
 
 
+#: Field values that ``int()`` / ``float()`` would coerce into a task:
+#: the edge rejects each by name instead.
+UNCOERCED = [
+    pytest.param({"task_type": 1.7, "deadline_slack": 5.0}, "task_type", id="fractional-type"),
+    pytest.param({"task_type": 1.0, "deadline_slack": 5.0}, "task_type", id="float-type"),
+    pytest.param({"task_type": True, "deadline_slack": 5.0}, "task_type", id="bool-type"),
+    pytest.param({"task_type": "2", "deadline_slack": 5.0}, "task_type", id="string-type"),
+    pytest.param({"task_type": 0, "deadline_slack": "5"}, "deadline_slack", id="string-slack"),
+    pytest.param({"task_type": 0, "deadline_slack": True}, "deadline_slack", id="bool-slack"),
+    pytest.param(
+        {"task_type": 0, "deadline_slack": float("inf")}, "deadline_slack", id="infinite-slack"
+    ),
+    pytest.param({"task_type": 0, "deadline_slack": float("nan")}, "deadline_slack", id="nan-slack"),
+]
+
+
+@pytest.mark.parametrize("record, field", UNCOERCED)
+def test_uncoerced_field_values_are_malformed(make_service, run_async, record, field):
+    async def scenario():
+        service, _ = make_service()
+        await service.start()
+        decision = await service.offer(record)
+        assert decision.status == "malformed"
+        assert field in decision.error
+        assert service.system.accounting.total_arrived == 0
+        assert service._next_task_id == 0
+        await service.stop()
+        assert (service.stats.malformed, service.stats.admitted) == (1, 0)
+
+    run_async(scenario())
+
+
+def test_integer_like_numbers_are_accepted(make_service, run_async):
+    """NumPy integers and floats are the real numbers they hold."""
+
+    async def scenario():
+        service, _ = make_service()
+        await service.start()
+        decision = await service.offer(
+            {"task_type": np.int64(1), "deadline_slack": np.float64(40.0)}
+        )
+        assert decision.status == "admitted"
+        assert service.system.tasks[0].task_type == 1
+        await run_until_quiescent(service)
+        await service.stop()
+
+    run_async(scenario())
+
+
 def test_backpressure_sheds_beyond_ingress_capacity(make_service, run_async):
     async def scenario():
         service, _ = make_service(ingress_capacity=2)

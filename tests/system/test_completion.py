@@ -153,34 +153,45 @@ class TestETCDegeneracy:
 
 
 class TestMemoization:
-    """Work counters of the product cache: queue products, new-task
-    products and the running task's base are reused until their inputs
-    change."""
+    """Work counters of the estimator's memos: queue products, each
+    machine's availability (the new-task form) and the running task's
+    base are reused until their inputs change."""
 
     @staticmethod
     def probe(deadline=30.0, ttype=0):
         return Task(task_id=99, task_type=ttype, arrival=0.0, deadline=deadline)
 
     def test_chance_cache_hit(self, det_env):
+        """A repeat query reads every machine's memoized availability:
+        one hit per machine, no miss, no convolution, the same form."""
         _, cluster, sim, est = det_env
         put(cluster, sim, 0, 0)
         put(cluster, sim, 0, 1)
         first = est.chances_for([self.probe()], cluster.machines, 0.0)
+        memos = [est._states[m.machine_id].avail_memo for m in cluster.machines]
         misses, hits, convs = est.cache_misses, est.cache_hits, est.convolutions
         again = est.chances_for([self.probe()], cluster.machines, 0.0)
         assert np.array_equal(first, again)
         assert est.cache_misses == misses
         assert est.cache_hits == hits + len(cluster.machines)
         assert est.convolutions == convs
+        for memo, m in zip(memos, cluster.machines):
+            assert est._states[m.machine_id].avail_memo is memo
 
     def test_queue_change_invalidates(self, det_env):
+        """An enqueue retires the availability of the machine it touched
+        (one miss) and of no other (one hit), and the rebuilt form gives
+        the oracle's chances."""
         _, cluster, sim, est = det_env
         put(cluster, sim, 0, 0)
         est.chances_for([self.probe()], cluster.machines, 0.0)
         put(cluster, sim, 0, 1)  # version bump
-        misses = est.cache_misses
-        est.chances_for([self.probe()], cluster.machines, 0.0)
-        assert est.cache_misses > misses
+        misses, hits = est.cache_misses, est.cache_hits
+        got = est.chances_for([self.probe()], cluster.machines, 0.0)
+        assert est.cache_misses == misses + 1
+        assert est.cache_hits == hits + 1
+        oracle = CompletionEstimator(est.model, memoize=False)
+        assert np.array_equal(got, oracle.chances_for([self.probe()], cluster.machines, 0.0))
 
     def test_clock_tick_at_unchanged_cut_costs_no_convolution(self, det_env):
         """Advancing the clock keeps the products: while the running
@@ -204,18 +215,31 @@ class TestMemoization:
         est.chances_for([self.probe()], cluster.machines, 0.0)
         assert est.cache_hits == 0
 
-    def test_same_type_shares_new_task_product(self, det_env):
-        """Tasks of one type on one machine share one new-task product,
-        whatever their deadlines: the second query costs no convolution."""
-        _, cluster, sim, est = det_env
-        put(cluster, sim, 0, 0)
-        put(cluster, sim, 0, 1)
-        a = est.chance_of_success(self.probe(25.0), cluster[0], 0.0)
-        convs, hits = est.convolutions, est.cache_hits
-        b = est.chance_of_success(self.probe(35.0), cluster[0], 0.0)
-        assert (a, b) == (0.0, 1.0)
-        assert est.convolutions == convs
-        assert est.cache_hits == hits + 1
+    def test_every_type_shares_one_availability(self):
+        """New tasks of any type and deadline read one availability per
+        machine: the first query pays one convolution on the loaded
+        machine, every later type and deadline costs none, and each
+        answer equals the oracle's."""
+        cells = [PMF.from_dict({k: 1.0 / n for k in range(2, 2 + n)}) for n in (3, 5, 7)]
+        pet = PETMatrix([[c, c] for c in cells])
+        cluster = Cluster.heterogeneous(2)
+        sim = Simulator()
+        est = CompletionEstimator(pet)
+        oracle = CompletionEstimator(pet, memoize=False)
+        put(cluster, sim, 0, 0, ttype=2)  # running
+        put(cluster, sim, 0, 1, ttype=1)  # queued
+        first = est.chances_for([self.probe(9.0, 0)], cluster.machines, 0.0)
+        assert est.convolutions == 1  # A = b ⊛ pet_1; machine 1 is idle
+        for deadline, ttype in [(12.0, 1), (15.0, 2), (7.0, 1), (20.0, 0)]:
+            convs, hits = est.convolutions, est.cache_hits
+            got = est.chances_for([self.probe(deadline, ttype)], cluster.machines, 0.0)
+            assert est.convolutions == convs
+            assert est.cache_hits == hits + len(cluster.machines)
+            want = oracle.chances_for([self.probe(deadline, ttype)], cluster.machines, 0.0)
+            assert np.array_equal(got, want)
+        assert np.array_equal(
+            first, oracle.chances_for([self.probe(9.0, 0)], cluster.machines, 0.0)
+        )
 
     def test_results_identical_with_and_without_cache(self, stoch_env):
         pet, cluster, sim, _ = stoch_env

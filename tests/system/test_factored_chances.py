@@ -1,13 +1,14 @@
 """Chances of success with the running task factored out of Eq. 1.
 
 Queued-task queries (``queue_chances_suffix`` / ``cluster_queue_chances``)
-and new-task queries (``chances_for`` / ``chances_for_pairs`` /
-``chance_of_success``) answer Eq. 2 as ``F_k(d) = Σ_j b[j] · F_{Q_k}(K −
-j)`` — the running base ``b`` against the running-task-free product
-``Q_k`` — instead of reading the left-associated chain ``b ⊛ pet_0 ⊛ … ⊛
-pet_k``.  The two differ only in float association, so against the chain
-the bound is a few ulps; the incremental mode and the ``memoize=False``
-oracle compute the same formula and agree bitwise.
+answer Eq. 2 as ``F_k(d) = Σ_j b[j] · F_{Q_k}(K − j)`` — the running
+base ``b`` against the running-task-free product ``Q_k`` — and new-task
+queries (``chances_for`` / ``chances_for_pairs`` / ``chance_of_success``)
+read the machine's availability ``A = b ⊛ Q_{n-1}`` against the new
+task's PET, instead of reading the left-associated chain ``b ⊛ pet_0 ⊛ …
+⊛ pet_k``.  The forms differ only in float association, so against the
+chain the bound is a few ulps; the incremental mode and the
+``memoize=False`` oracle compute the same formula and agree bitwise.
 """
 
 import numpy as np
@@ -219,6 +220,115 @@ class TestNewTasksAgainstTheChain:
         _check_new_tasks(*case, horizon=horizon)
 
 
+class TestAvailabilityForm:
+    """Every new-task chance reads the machine's availability ``A = b ⊛
+    Q_{n-1}`` (Eq. 1's ``PCT(n − 1)``, ``Q_{n-1}`` itself when idle).
+    The memoized form equals the oracle's bitwise, sits within ``BOUND``
+    of the chain's availability, and is reused while its key holds."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(scenarios(), st.sampled_from([512.0, 0.5, 2.0, 5.0, 9.0]), st.booleans())
+    def test_memo_equals_the_oracle_and_the_chain(self, scenario, horizon, idle):
+        cells, running, queue, start, deadlines, nows = scenario
+        loaded = [
+            _loaded(cells, running, queue, start, deadlines, memoize=m, horizon=horizon)
+            for m in (True, False, False)
+        ]
+        if idle:
+            for machine, _ in loaded:
+                _make_idle(machine)
+        (inc, inc_est), (ora, ora_est), (ref, ref_est) = loaded
+        for now in nows:
+            form = inc_est._availability(inc, now)
+            assert inc_est._availability(inc, now) is form  # the memo answers
+            a, a_cum, offset = form
+            o, o_cum, o_offset = ora_est._availability(ora, now)
+            assert offset == o_offset
+            assert (a is None) == (o is None)
+            if a is None:
+                continue
+            assert np.array_equal(a, o) and np.array_equal(a_cum, o_cum)
+            chain = ref_est.availability_pct(ref, now)
+            if chain.tail == 0.0:
+                assert chain.offset == offset
+                assert chain.probs.size == a.size
+                assert np.max(np.abs(chain.probs - a)) <= BOUND
+
+    def test_every_base_kind(self):
+        """A clock sweep through the running task's support reaches the
+        uncut, interior and clock-tracking (``tdep``) bases, and an idle
+        machine its own: new-task chances equal the oracle's bitwise at
+        every step."""
+        wide = PMF(np.linspace(1.0, 2.0, 12) / np.linspace(1.0, 2.0, 12).sum(), 2.0)
+        cells = [wide, PMF([0.2, 0.5, 0.3], 1.0), PMF([0.6, 0.4], 3.0)]
+        deadlines = [9.0, 12.5, 15.0]
+        inc, inc_est = _loaded(cells, 0, [1, 2, 1], 0.5, deadlines, memoize=True)
+        ora, ora_est = _loaded(cells, 0, [1, 2, 1], 0.5, deadlines, memoize=False)
+        probes = [
+            Task(task_id=100 + t, task_type=t, arrival=0.0, deadline=14.0 + 3 * t)
+            for t in range(3)
+        ]
+        kinds = set()
+        for step in range(1, 40):
+            now = 0.5 + step / 2
+            if step == 30:
+                _make_idle(inc)
+                _make_idle(ora)
+            got = inc_est.chances_for(probes, [inc], now)
+            assert np.array_equal(got, ora_est.chances_for(probes, [ora], now))
+            kinds.add(inc_est._states[inc.machine_id].base_kind)
+        assert kinds == {"uncut", "interior", "tdep", "idle"}
+
+
+class TestNewTaskTypesCostNoConvolution:
+    """K offers of K distinct task types to an unchanged two-machine
+    cluster: only the first offer convolves, and a clock tick that moves
+    the running tasks' cuts costs at most one convolution per machine."""
+
+    K = 6
+
+    def _cluster(self, memoize):
+        rng = np.random.default_rng(3)
+        cells = [
+            [PMF(w / w.sum(), float(1 + (t + m) % 3)) for m in range(2)]
+            for t in range(self.K)
+            for w in [rng.uniform(0.1, 1.0, size=4 + t)]
+        ]
+        pet = PETMatrix(cells)
+        cluster = Cluster.heterogeneous(2)
+        sim = Simulator(start_time=0.25)
+        for m in range(2):
+            for i, ttype in enumerate((0, 1, 2)):
+                task = Task(task_id=10 * m + i, task_type=ttype, arrival=0.0, deadline=1e6)
+                task.mark_mapped(m, 0.25)
+                cluster[m].dispatch(task, sim, lambda *a: 1.0, lambda *a: None)
+        return cluster, CompletionEstimator(pet, memoize=memoize)
+
+    def test_only_the_first_offer_convolves(self):
+        cluster, est = self._cluster(True)
+        oracle_cluster, oracle = self._cluster(False)
+        now = 1.0
+        for k in range(self.K):
+            probe = Task(task_id=100 + k, task_type=k, arrival=now, deadline=now + 12.0)
+            before = est.convolutions
+            got = est.chances_for([probe], cluster.machines, now)
+            if k == 0:
+                assert est.convolutions > before
+            else:
+                assert est.convolutions == before
+            assert np.array_equal(got, oracle.chances_for([probe], oracle_cluster.machines, now))
+        kinds = set()
+        for step in range(1, 12):
+            now = 1.0 + step
+            probe = Task(task_id=200 + step, task_type=step % self.K, arrival=now, deadline=now + 12.0)
+            before = est.convolutions
+            got = est.chances_for([probe], cluster.machines, now)
+            assert est.convolutions - before <= len(cluster.machines)
+            assert np.array_equal(got, oracle.chances_for([probe], oracle_cluster.machines, now))
+            kinds.update(est._states[m.machine_id].base_kind for m in cluster.machines)
+        assert "interior" in kinds
+
+
 class TestKernel:
     @settings(max_examples=200, deadline=None)
     @given(pet_cells(), pet_cells(), st.integers(0, 25))
@@ -227,6 +337,17 @@ class TestKernel:
         want = full[min(k, full.size - 1)]
         got = convolved_cdf_at(b.probs, b.cumulative(), q.cumulative(), k)
         assert abs(got - want) <= BOUND
+
+    @settings(max_examples=200, deadline=None)
+    @given(pet_cells(), pet_cells(), st.integers(0, 25))
+    def test_reversed_cumulative_reads_the_same_sum(self, b, q, k):
+        """New-task chances pass ``Y``'s cumulative sums reversed: the
+        same terms in another association, so within ``BOUND``."""
+        q_rev = np.ascontiguousarray(q.cumulative()[::-1])
+        got = convolved_cdf_at(b.probs, b.cumulative(), q.cumulative(), k, q_rev)
+        want = convolved_cdf_at(b.probs, b.cumulative(), q.cumulative(), k)
+        assert abs(got - want) <= BOUND
+        assert (got == 0.0) == (want == 0.0)
 
 
 class TestMovingCutCostsNoConvolution:

@@ -280,22 +280,30 @@ class TestIncrementalInvalidations:
         ref = CompletionEstimator(pet, memoize=False)
         assert_chances_equal(est, ref, cluster, 6.0)
 
-    def test_defer_check_promotes_into_products(self, pet):
-        """A new-task chance followed by an enqueue of that type costs no
-        convolution: the new-task product becomes the queue's next
-        product."""
-        cluster = Cluster.heterogeneous(1)
+    def test_enqueue_after_a_new_task_query_costs_one_product(self, pet):
+        """The defer check reads the machine's availability, not a
+        per-type product, so the enqueue it precedes costs the queue
+        exactly one new product; a second machine of the same type that
+        receives the same queue replays every product from the product
+        cache.  Both answer the oracle's chances exactly."""
+        cluster = Cluster.homogeneous(2)
         sim = Simulator()
         est = CompletionEstimator(pet)
-        put(cluster, sim, 0, 0)  # running
-        put(cluster, sim, 0, 1, ttype=1)  # queued, keeps machine busy
+        for m in (0, 1):
+            put(cluster, sim, m, 10 * m, ttype=0)  # running
+            put(cluster, sim, m, 10 * m + 1, ttype=1)  # queued
         probe = Task(task_id=50, task_type=0, arrival=0.0, deadline=20.0)
         est.chance_of_success(probe, cluster[0], 0.0)
+        assert est.convolutions == 1  # the availability b ⊛ pet_1
         convs = est.convolutions
-        put(cluster, sim, 0, 2, ttype=0)  # enqueue the same type
+        put(cluster, sim, 0, 2, ttype=0)  # enqueue the probed type
         est.queue_chances(cluster[0], 0.0)
-        assert est.convolutions == convs  # promotion, not reconvolution
-        # and the promoted product gives the reference's chances exactly
+        assert est.convolutions == convs + 1  # Q = pet_1 ⊛ pet_0, once
+        put(cluster, sim, 1, 12, ttype=0)
+        convs, avoided = est.convolutions, est.convolutions_avoided
+        est.queue_chances(cluster[1], 0.0)
+        assert est.convolutions == convs
+        assert est.convolutions_avoided == avoided + 2  # head PET + cache hit
         ref = CompletionEstimator(pet, memoize=False)
         assert_chances_equal(est, ref, cluster, 0.0)
 
@@ -341,22 +349,31 @@ class TestBatchedQueries:
             assert g == ref.chance_of_success(t, m, 1.0)
 
     def test_grid_shape_and_type_sharing(self, pet):
+        """A grid reads one availability per machine, whatever the task
+        types: the first grid builds two forms (one per machine; only
+        the loaded machine's costs a convolution), a grid of other types
+        and deadlines builds none, and every cell equals the oracle's."""
         cluster = Cluster.heterogeneous(2)
+        sim = Simulator()
+        put(cluster, sim, 0, 100)  # running
+        put(cluster, sim, 0, 101, ttype=1)  # queued
         est = CompletionEstimator(pet)
+        ref = CompletionEstimator(pet, memoize=False)
         probes = [
-            Task(task_id=k, task_type=0, arrival=0.0, deadline=10.0 + k) for k in range(3)
+            Task(task_id=k, task_type=k % 2, arrival=0.0, deadline=10.0 + k) for k in range(3)
         ]
-        convs_before = est.convolutions + est.convolutions_avoided
         grid = est.chances_for(probes, cluster.machines, 0.0)
         assert grid.shape == (3, 2)
-        # Same type on the same machine shares one availability ⊛ PET
-        # product: 2 machines -> exactly 2 products for 6 cells (the grid
-        # deduplicates (task type, machine) pairs before any PCT work).
-        assert (est.convolutions + est.convolutions_avoided) - convs_before == 2
-        # A repeat query reuses the machines' new-task products.
-        grid2 = est.chances_for(probes, cluster.machines, 0.0)
-        assert np.array_equal(grid, grid2)
-        assert est.cache_hits >= 2
+        assert (est.cache_misses, est.cache_hits, est.convolutions) == (2, 0, 1)
+        assert np.array_equal(grid, ref.chances_for(probes, cluster.machines, 0.0))
+        others = [
+            Task(task_id=10 + k, task_type=1 - k % 2, arrival=0.0, deadline=7.0 + 2 * k)
+            for k in range(4)
+        ]
+        grid2 = est.chances_for(others, cluster.machines, 0.0)
+        assert grid2.shape == (4, 2)
+        assert (est.cache_misses, est.cache_hits, est.convolutions) == (2, 2, 1)
+        assert np.array_equal(grid2, ref.chances_for(others, cluster.machines, 0.0))
 
 
 class TestModesAndStats:
@@ -463,10 +480,10 @@ class TestDeferRoundsReuseTheEvent:
         for task in tasks:
             allocator.accounting.record_arrival(task)
             allocator.batch_queue.append(task)
-        counts = {"exec_means": 0, "avail": 0, "queue_end": [], "plans": 0}
+        counts = {"exec_means": 0, "avail": 0, "forms": [], "plans": 0}
         exec_means = heuristics_base._exec_mean_matrix
         avail = CompletionEstimator.cluster_expected_available
-        queue_end = CompletionEstimator._queue_end
+        build_form = CompletionEstimator._build_availability
         plan = heuristics_base.TwoPhaseBatchHeuristic.plan
 
         def count_exec_means(*args):
@@ -477,9 +494,9 @@ class TestDeferRoundsReuseTheEvent:
             counts["avail"] += 1
             return avail(self, machines, now)
 
-        def count_queue_end(self, machine, now):
-            counts["queue_end"].append(machine.machine_id)
-            return queue_end(self, machine, now)
+        def count_forms(self, machine, *args):
+            counts["forms"].append(machine.machine_id)
+            return build_form(self, machine, *args)
 
         def count_plans(self, *args):
             counts["plans"] += 1
@@ -487,7 +504,7 @@ class TestDeferRoundsReuseTheEvent:
 
         monkeypatch.setattr(heuristics_base, "_exec_mean_matrix", count_exec_means)
         monkeypatch.setattr(CompletionEstimator, "cluster_expected_available", count_avail)
-        monkeypatch.setattr(CompletionEstimator, "_queue_end", count_queue_end)
+        monkeypatch.setattr(CompletionEstimator, "_build_availability", count_forms)
         monkeypatch.setattr(heuristics_base.TwoPhaseBatchHeuristic, "plan", count_plans)
         allocator.kick()
         return allocator, counts
@@ -503,7 +520,7 @@ class TestDeferRoundsReuseTheEvent:
         assert counts["plans"] == 3  # three slots a round, nine tasks
         assert counts["exec_means"] == 1
         assert counts["avail"] == 1
-        assert sorted(counts["queue_end"]) == [0, 1, 2]
+        assert sorted(counts["forms"]) == [0, 1, 2]
 
     def test_one_dispatch_costs_one_rebuild(self, monkeypatch):
         viable = Task(task_id=100, task_type=0, arrival=0.0, deadline=50.0)
@@ -513,4 +530,4 @@ class TestDeferRoundsReuseTheEvent:
         assert counts["exec_means"] == 1
         assert counts["avail"] == 2  # the build and the one rebuild
         # Once per machine, and once more on the machine the dispatch moved.
-        assert sorted(counts["queue_end"]) == sorted([0, 1, 2, viable.machine_id])
+        assert sorted(counts["forms"]) == sorted([0, 1, 2, viable.machine_id])
