@@ -580,11 +580,7 @@ def _finish_conv(
 
 
 def convolved_cdf_at(
-    b: np.ndarray,
-    b_cum: np.ndarray,
-    q_cum: np.ndarray,
-    k: int,
-    q_rev: np.ndarray | None = None,
+    b: np.ndarray, b_cum: np.ndarray, q_cum: np.ndarray, k: int
 ) -> float:
     """``P(X + Y <= k)`` for independent grid variables anchored at 0,
     without forming their convolution.
@@ -599,11 +595,6 @@ def convolved_cdf_at(
     the cumulative sum of ``b ⊛ q`` at ``k`` (the chain's
     :meth:`PMF.cdf_at` value); the float association differs, so the
     two agree to a few ulps rather than bitwise.
-
-    ``q_rev``, a contiguous copy of ``q_cum[::-1]``, lets the dot
-    product read two forward slices instead of a reversed view: faster
-    for a ``Y`` that many queries share, and within a few ulps of the
-    reversed-view sum.
     """
     nb = b.size
     a = k - q_cum.size + 2  # j < a: Y's whole mass lies at or below k - j
@@ -615,10 +606,7 @@ def convolved_cdf_at(
     else:
         a = 0
     hi = k if k < nb else nb - 1
-    if q_rev is None:
-        return float(head + b[a : hi + 1].dot(q_cum[k - hi : k - a + 1][::-1]))
-    n = q_rev.size
-    return float(head + b[a : hi + 1].dot(q_rev[n - 1 - k + a : n - k + hi]))
+    return float(head + b[a : hi + 1].dot(q_cum[k - hi : k - a + 1][::-1]))
 
 
 #: Largest batch :func:`batch_cdf_at` answers with per-query

@@ -177,10 +177,6 @@ _Product = tuple[float, "np.ndarray | None", "np.ndarray | None"]
 #: as the chain does.
 _Availability = tuple["np.ndarray | None", "np.ndarray | None", float]
 
-#: A PET as new-task chances read it: its offset, its cumulative sums
-#: and those sums reversed (both ``None`` for a PET with tail mass).
-_PetEntry = tuple[float, "np.ndarray | None", "np.ndarray | None"]
-
 #: Shared empty chance array for machines with empty queues.
 _EMPTY_CHANCES = np.zeros(0, dtype=np.float64)
 
@@ -205,12 +201,10 @@ def _factored_cdf_at(
     d: float,
     cutoff: float,
     max_support: int,
-    q_rev: np.ndarray | None = None,
 ) -> float | None:
     """``cdf_at(d)`` of the PCT ``b ⊛ Q`` anchored at ``offset``, without
     forming it: :meth:`PMF.cdf_at`'s tolerance and clamp around
-    :func:`convolved_cdf_at` (``q_rev``, when given, is ``q_cum``
-    reversed).
+    :func:`convolved_cdf_at`.
 
     ``None`` where the chain would fold or truncate mass — a base or
     product with tail mass (``b_cum`` / ``q_cum`` is ``None``), more
@@ -225,7 +219,7 @@ def _factored_cdf_at(
     x = d - offset + min(CDF_REL_EPS * max(1.0, abs(d), abs(offset)), CDF_TOL_CAP)
     if not x >= 0.0:
         return 0.0
-    return convolved_cdf_at(b, b_cum, q_cum, last if x >= last else math.floor(x), q_rev)
+    return convolved_cdf_at(b, b_cum, q_cum, last if x >= last else math.floor(x))
 
 
 class _MachineState:
@@ -378,8 +372,6 @@ class CompletionEstimator:
         #: ETCMatrix both do); lets the scalar view index the array
         #: directly instead of bouncing through ``model.mean``.
         self._means = getattr(model, "means", None)
-        #: (task type, machine type) -> the PET's :data:`_PetEntry`.
-        self._pets: dict[tuple[int, int], _PetEntry] = {}
         self._states: dict[int, _MachineState] = {}
         # Stats counters (exposed through cache_stats / SimulationResult).
         self.cache_hits = 0
@@ -919,9 +911,7 @@ class CompletionEstimator:
         self.chance_evaluations += count
         return out, chain is not None
 
-    def _queue_products(
-        self, machine: Machine, state: _MachineState | None = None
-    ) -> list[_Product]:
+    def _queue_products(self, machine: Machine) -> list[_Product]:
         """The product entry of every queue position ``k``:
         ``(pet_k.offset, Q_k.probs, Q_k.cumulative())`` with
         ``Q_k = pet_0 ⊛ … ⊛ pet_k``.
@@ -929,15 +919,14 @@ class CompletionEstimator:
         Incremental mode keeps the valid prefix in the machine state and
         takes new products from the §V-A product cache
         (:meth:`_product_step`).  The oracle convolves every product
-        from scratch on every query.  ``state``, when given, is the
-        machine's synced state.
+        from scratch on every query.
         """
         queue = machine.queue
         key = None
+        state = None
         products: list[_Product] = []
         if self.memoize:
-            if state is None:
-                state = self._synced_state(machine)
+            state = self._synced_state(machine)
             products = state.products
             if len(products) == len(queue):
                 return products
@@ -1004,7 +993,7 @@ class CompletionEstimator:
             return memo[1]
         self.cache_misses += 1
         base = _delta(now) if machine.running is None else state.base
-        products = self._queue_products(machine, state)
+        products = self._queue_products(machine)
         convolutions = self.convolutions
         avail = self._build_availability(machine, base, products)
         state.avail_memo = (key, avail, self.convolutions - convolutions)
@@ -1038,18 +1027,6 @@ class CompletionEstimator:
             return None, None, offset
         return a.probs, a.cumulative(), offset
 
-    def _pet_entry(self, key: tuple[int, int]) -> _PetEntry:
-        """The :data:`_PetEntry` of the PET of ``key = (task type,
-        machine type)``, built once per estimator (PETs are immutable)."""
-        pet = self.model.pmf(*key)
-        if pet.tail != 0.0 or not pet.probs.size:
-            entry: _PetEntry = (pet.offset, None, None)
-        else:
-            cum = pet.cumulative()
-            entry = (pet.offset, cum, np.ascontiguousarray(cum[::-1]))
-        self._pets[key] = entry
-        return entry
-
     def _new_task_chances(
         self, cells: Sequence[tuple[Task, Machine]], now: float
     ) -> np.ndarray:
@@ -1059,16 +1036,14 @@ class CompletionEstimator:
         Each machine's availability is read once per query
         (:meth:`_availability`); a cell is then one
         :func:`_factored_cdf_at` of the availability against the PET's
-        cumulative sums, read in reverse from a cached copy
-        (:meth:`_pet_entry`) so that its dot product reads contiguous
-        slices.  A (task type, machine) pair the factored form
+        cumulative sums.  A (task type, machine) pair the factored form
         does not cover reads its from-scratch PCT (:meth:`pct_for_new`)
         once, and those cells go through one :func:`batch_cdf_at`.
         """
         out = np.empty(len(cells), dtype=np.float64)
         cutoff = now + self.horizon
         max_support = self.max_support
-        pets = self._pets
+        pmf = self.model.pmf
         avails: dict[int, _Availability] = {}
         slots: dict[tuple[int, int], int] = {}
         pmfs: list[PMF] = []
@@ -1077,14 +1052,11 @@ class CompletionEstimator:
             avail = avails.get(machine.machine_id)
             if avail is None:
                 avail = avails[machine.machine_id] = self._availability(machine, now)
-            pet_key = (task.task_type, machine.machine_type)
-            pet = pets.get(pet_key)
-            if pet is None:
-                pet = self._pet_entry(pet_key)
             a, a_cum, offset = avail
-            pet_offset, q_cum, q_rev = pet
+            pet = pmf(task.task_type, machine.machine_type)
+            q_cum = pet.cumulative() if pet.tail == 0.0 and pet.probs.size else None
             chance = _factored_cdf_at(
-                a, a_cum, q_cum, offset + pet_offset, task.deadline, cutoff, max_support, q_rev
+                a, a_cum, q_cum, offset + pet.offset, task.deadline, cutoff, max_support
             )
             if chance is None:
                 pair = (task.task_type, machine.machine_id)

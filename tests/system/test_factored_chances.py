@@ -338,17 +338,6 @@ class TestKernel:
         got = convolved_cdf_at(b.probs, b.cumulative(), q.cumulative(), k)
         assert abs(got - want) <= BOUND
 
-    @settings(max_examples=200, deadline=None)
-    @given(pet_cells(), pet_cells(), st.integers(0, 25))
-    def test_reversed_cumulative_reads_the_same_sum(self, b, q, k):
-        """New-task chances pass ``Y``'s cumulative sums reversed: the
-        same terms in another association, so within ``BOUND``."""
-        q_rev = np.ascontiguousarray(q.cumulative()[::-1])
-        got = convolved_cdf_at(b.probs, b.cumulative(), q.cumulative(), k, q_rev)
-        want = convolved_cdf_at(b.probs, b.cumulative(), q.cumulative(), k)
-        assert abs(got - want) <= BOUND
-        assert (got == 0.0) == (want == 0.0)
-
 
 class TestMovingCutCostsNoConvolution:
     """One running machine, a fixed 4-task queue, and a clock stepping

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.workload.arrivals import (
     bursty_arrivals,
@@ -24,8 +25,6 @@ from repro.workload.arrivals import (
     spiky_rate_profile,
 )
 from repro.workload.spec import WorkloadSpec
-
-stats = pytest.importorskip("scipy.stats")
 
 RUNS = 200
 SPAN = 100.0
