@@ -14,10 +14,10 @@ Three spellings resolve to a :class:`~repro.core.config.ControllerConfig`:
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Mapping
 
 from ..core.config import CONTROLLER_KINDS, ControllerConfig, PruningConfig
+from ..core.convert import as_bool, as_float, as_int, parse_text
 from .controllers import (
     BanditController,
     Controller,
@@ -31,6 +31,7 @@ from .signals import Setpoints
 
 __all__ = [
     "CONTROLLERS",
+    "convert_param",
     "make_controller",
     "make_driver",
     "parse_controller_spec",
@@ -48,63 +49,24 @@ CONTROLLERS: dict[str, type[Controller]] = {
 assert set(CONTROLLERS) == set(CONTROLLER_KINDS)
 
 
-# ----------------------------------------------------------------------
-# Typed spec-value converters.  A spec value arrives as the raw string
-# from a ``k=v`` item or, after JSON parsing (values starting with ``[``
-# or ``{``), as a list/dict — each converter normalizes both spellings
-# and raises a bare-reason ValueError; ``_convert`` prefixes the
-# offending key so every error names what was wrong *and where*.
-# ----------------------------------------------------------------------
-def _as_float(value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_int(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    as_float = float(value)
-    if not as_float.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(as_float)
-
-
-def _as_bool(value: object) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        lowered = value.strip().lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-    raise ValueError(f"expected true/false, got {value!r}")
-
-
-def _as_float_tuple(value: object) -> tuple[float, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(_as_float(v) for v in value)
-    return (_as_float(value),)  # a bare scalar is a 1-element grid
-
-
-def _as_int_tuple(value: object) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(_as_int(v) for v in value)
-    return (_as_int(value),)
+def _grid(convert: Callable[[object], object]) -> Callable[[object], tuple]:
+    """A list converter that takes a bare scalar as a 1-element grid."""
+    return lambda value: tuple(
+        convert(v) for v in (value if isinstance(value, (list, tuple)) else (value,))
+    )
 
 
 def _as_breakpoints(value: object) -> tuple[tuple[float, float], ...]:
     """Schedule breakpoints from a JSON dict (``{"0": 0.25, "120": 0.75}``)
     or pair list (``[[0, 0.25], [120, 0.75]]``)."""
     if isinstance(value, Mapping):
-        pairs = [(_as_float(t), _as_float(v)) for t, v in value.items()]
+        pairs = [(as_float(_value(t)), as_float(v)) for t, v in value.items()]
     elif isinstance(value, (list, tuple)):
         pairs = []
         for point in value:
             if not isinstance(point, (list, tuple)) or len(point) != 2:
                 raise ValueError(f"expected [t, value] pairs, got {point!r}")
-            pairs.append((_as_float(point[0]), _as_float(point[1])))
+            pairs.append((as_float(point[0]), as_float(point[1])))
     else:
         raise ValueError(f"expected a {{t: value}} dict or [t, value] pairs, got {value!r}")
     return tuple(sorted(pairs))
@@ -112,23 +74,23 @@ def _as_breakpoints(value: object) -> tuple[tuple[float, float], ...]:
 
 #: ControllerConfig fields a spec string / mapping may set → converter.
 _FIELD_TYPES: dict[str, Callable[[object], object]] = {
-    "low": _as_float,
-    "high": _as_float,
-    "step": _as_float,
-    "cooldown": _as_int,
-    "window": _as_int,
-    "adapt_alpha": _as_bool,
-    "beta_min": _as_float,
-    "beta_max": _as_float,
-    "target": _as_float,
-    "settle": _as_int,
-    "epsilon": _as_float,
-    "ucb_c": _as_float,
-    "seed": _as_int,
-    "betas": _as_float_tuple,
-    "alphas": _as_int_tuple,
-    "miss_bands": _as_float_tuple,
-    "queue_bands": _as_int_tuple,
+    "low": as_float,
+    "high": as_float,
+    "step": as_float,
+    "cooldown": as_int,
+    "window": as_int,
+    "adapt_alpha": as_bool,
+    "beta_min": as_float,
+    "beta_max": as_float,
+    "target": as_float,
+    "settle": as_int,
+    "epsilon": as_float,
+    "ucb_c": as_float,
+    "seed": as_int,
+    "betas": _grid(as_float),
+    "alphas": _grid(as_int),
+    "miss_bands": _grid(as_float),
+    "queue_bands": _grid(as_int),
     "schedule": _as_breakpoints,
     "alpha_schedule": _as_breakpoints,
 }
@@ -183,23 +145,21 @@ def _split_spec_items(text: str) -> list[str]:
     return items
 
 
-def _convert(key: str, raw: object) -> object:
-    """Coerce one parameter of either spelling: a spec string's raw
-    ``k=v`` text or a mapping entry's (JSON-typed) value."""
+def _value(raw: object) -> object:
+    """A spec value: text (a ``k=v`` item's or a mapping's) is parsed."""
+    return parse_text(raw) if isinstance(raw, str) else raw
+
+
+def convert_param(key: str, raw: object) -> object:
+    """Coerce one parameter of either spelling — a spec string's ``k=v``
+    text or a mapping entry's value — through the shared strict
+    converters; the error names the key."""
     if key not in _FIELD_TYPES:
         raise ValueError(
             f"unknown controller parameter {key!r}; allowed: {sorted(_FIELD_TYPES)}"
         )
-    value = raw
-    if isinstance(raw, str) and raw[:1] in "[{":
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"controller parameter {key}={raw!r} is not valid JSON: {exc}"
-            ) from exc
     try:
-        return _FIELD_TYPES[key](value)
+        return _FIELD_TYPES[key](_value(raw))
     except ValueError as exc:
         raise ValueError(f"controller parameter {key}={raw!r}: {exc}") from exc
 
@@ -214,6 +174,15 @@ def parse_controller_spec(spec: str) -> ControllerConfig:
     positional ``t=β`` pairs (``"schedule:0=0.25,120=0.75"``) with named
     α breakpoints via ``alpha@t=value`` (``"schedule:0=0.3,alpha@60=2"``).
     """
+    label, config = _parse_spec(spec)
+    if label is not None:
+        raise ValueError("a label= item names a grid cell; use resolve_controller")
+    return config
+
+
+def _parse_spec(spec: str) -> tuple[str | None, ControllerConfig]:
+    """``parse_controller_spec`` plus the ``label=`` item that names the
+    grid cell (``None`` when absent) — not a controller parameter."""
     spec = spec.strip()
     if not spec:
         raise ValueError("empty controller spec")
@@ -223,6 +192,7 @@ def parse_controller_spec(spec: str) -> ControllerConfig:
         raise ValueError(
             f"unknown controller {kind!r}; choose from {sorted(CONTROLLERS)}"
         )
+    label = None
     kwargs: dict = {}
     schedule: list[tuple[float, float]] = []
     alpha_schedule: list[tuple[float, float]] = []
@@ -236,28 +206,33 @@ def parse_controller_spec(spec: str) -> ControllerConfig:
                 raise ValueError(f"controller spec item {item!r} is not key=value")
             key = key.strip()
             value = value.strip()
+            if key == "label":
+                label = value
+                continue
             # Schedule kind: bare ``t=β`` / ``alpha@t=v`` breakpoints —
             # but a *named* parameter (window=, schedule={...}) is still
             # a parameter, so known field names take precedence.
             if kind == "schedule" and key not in _FIELD_TYPES:
+                points, t = (
+                    (alpha_schedule, key[len("alpha@"):])
+                    if key.startswith("alpha@")
+                    else (schedule, key)
+                )
                 try:
-                    if key.startswith("alpha@"):
-                        alpha_schedule.append((float(key[len("alpha@"):]), float(value)))
-                    else:
-                        schedule.append((float(key), float(value)))
-                    continue
+                    points.append((as_float(_value(t)), as_float(_value(value))))
                 except ValueError as exc:
                     raise ValueError(
                         f"schedule breakpoint {item!r} is not t=beta "
                         f"(or alpha@t=value): {exc}"
                     ) from exc
-            kwargs[key] = _convert(key, value)
+                continue
+            kwargs[key] = convert_param(key, value)
     if kind == "schedule":
         named = kwargs.pop("schedule", ())
         named_alpha = kwargs.pop("alpha_schedule", ())
         kwargs["schedule"] = tuple(sorted((*schedule, *named)))
         kwargs["alpha_schedule"] = tuple(sorted((*alpha_schedule, *named_alpha)))
-    return ControllerConfig(kind=kind, **kwargs)
+    return label, ControllerConfig(kind=kind, **kwargs)
 
 
 def resolve_controller(entry: object) -> tuple[str, ControllerConfig | None]:
@@ -279,20 +254,7 @@ def resolve_controller(entry: object) -> tuple[str, ControllerConfig | None]:
     if entry is None or entry == "none":
         return "", None
     if isinstance(entry, str):
-        # Pull a label= item out before parsing — it names the grid cell,
-        # it is not a controller parameter.
-        label = None
-        kind, sep, rest = entry.partition(":")
-        if sep:
-            params = []
-            for item in _split_spec_items(rest):
-                key, eq, value = item.partition("=")
-                if eq and key.strip() == "label":
-                    label = value.strip()
-                else:
-                    params.append(item)
-            entry = kind + (":" + ",".join(params) if params else "")
-        config = parse_controller_spec(entry)
+        label, config = _parse_spec(entry)
         return label or config.kind, config
     if isinstance(entry, Mapping):
         fields = dict(entry)
@@ -304,9 +266,8 @@ def resolve_controller(entry: object) -> tuple[str, ControllerConfig | None]:
                 f"unknown controller keys {sorted(unknown)}; allowed: "
                 f"{sorted(allowed | {'label'})}"
             )
-        for key in fields:
-            if key != "kind":
-                fields[key] = _convert(key, fields[key])
-        config = ControllerConfig(**fields)
+        config = ControllerConfig(
+            **{k: v if k == "kind" else convert_param(k, v) for k, v in fields.items()}
+        )
         return str(label) if label else config.kind, config
-    raise ValueError(f"unrecognized controller entry: {entry!r}")
+    raise ValueError(f"unrecognized controller entry {entry!r}: not a spec or mapping")

@@ -20,6 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
+from .convert import as_int, convert_named
+
 __all__ = ["PruningConfig", "ToggleMode", "ControllerConfig", "CONTROLLER_KINDS"]
 
 #: Registered controller kinds (the :mod:`repro.control` registry keys).
@@ -124,17 +126,12 @@ class ControllerConfig:
             raise ValueError(f"step must be positive, got {self.step}")
         if not 0.0 < self.target < 1.0:
             raise ValueError(f"target must be in (0, 1), got {self.target}")
-        for name in ("cooldown", "window", "settle"):
-            value = getattr(self, name)
-            # JSON producers emit 8 as 8.0; these count ticks, so coerce
-            # integral floats and reject the rest.
-            if isinstance(value, float):
-                if not value.is_integer():
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
-                object.__setattr__(self, name, int(value))
-                value = int(value)
-            if value < 1:
+        for name in ("cooldown", "window", "settle", "seed"):
+            # These count ticks (or seed a stream): JSON's 8.0 is 8.
+            value = convert_named(name, as_int, getattr(self, name))
+            if value < 1 and name != "seed":
                 raise ValueError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
         self._init_bandit_fields()
 
     def _init_bandit_fields(self) -> None:
@@ -145,13 +142,6 @@ class ControllerConfig:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.ucb_c < 0.0:
             raise ValueError(f"ucb_c must be >= 0, got {self.ucb_c}")
-        seed = self.seed
-        if isinstance(seed, float):
-            if not seed.is_integer():
-                raise ValueError(f"seed must be an integer, got {seed!r}")
-            object.__setattr__(self, "seed", int(seed))
-        elif not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
         betas = tuple(float(b) for b in self.betas)
         if self.kind == "bandit" and not betas:
             betas = (0.25, 0.5, 0.75, 0.95)  # canonical default arm grid

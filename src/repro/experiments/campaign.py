@@ -33,7 +33,6 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import os
 import re
 import shutil
@@ -43,6 +42,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any
 
 import numpy
 import scipy
@@ -50,6 +50,8 @@ import scipy
 from .. import __version__
 from ..control.registry import resolve_controller
 from ..core.config import PruningConfig, ToggleMode
+from ..core.convert import NotA, as_bool, as_float, as_floats, as_int, as_str, convert_named
+from ..heuristics.registry import heuristic_name
 from ..metrics.collector import SimulationResult
 from ..metrics.robustness import aggregate_robustness
 from ..sim.dynamics import DynamicsSpec
@@ -72,6 +74,7 @@ __all__ = [
     "LEVELS",
     "BASE_TIME_SPAN",
     "level_spec",
+    "is_trace_level",
     "DEFAULT_CACHE_DIR",
     "CACHE_SCHEMA",
 ]
@@ -505,234 +508,21 @@ def run_cell_trials(
 # ======================================================================
 # Declarative sweep grids
 # ======================================================================
-def _as_int(value: object) -> int:
-    """A count: an int or an integral float (JSON producers emit 2 as
-    2.0) — never a bool or a fractional number."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"must be an integer, got {value!r}")
-
-
-def _as_float(value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_bool(value: object) -> bool:
-    """Only real booleans — ``bool("false")`` is True, which would
-    silently run the opposite configuration."""
-    if not isinstance(value, bool):
-        raise ValueError(f"must be a boolean (expected true/false), got {value!r}")
-    return value
-
-
-def _as_window(value: object) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"must be a [lo, hi] pair, got {value!r}")
-    return tuple(_as_float(v) for v in value)
-
-
 def _as_params(value: object) -> dict:
     if not isinstance(value, Mapping) or not value:
-        raise ValueError(f"must be a non-empty mapping, got {value!r}")
+        raise NotA("a non-empty mapping", value)
     return dict(value)
 
 
-def _build_pruning(fields: dict) -> tuple[str, PruningConfig]:
-    # Only keys actually present are passed through — the paper
-    # defaults live in PruningConfig alone, never duplicated here.
-    config = PruningConfig(**fields)
-    label = f"P{round(config.pruning_threshold * 100)}"
-    if config.toggle_mode is not ToggleMode.REACTIVE:
-        label += f"-{config.toggle_mode.value}"
-    # Non-default switches must be visible, or two distinct variants
-    # would collide on the same derived label.
-    off = {"enable_deferring": "-nodefer", "enable_dropping": "-nodrop", "enable_fairness": "-nofair"}
-    label += "".join(tag for name, tag in off.items() if not getattr(config, name))
-    return label, config
+def _one_of(noun: str, choices: Mapping[str, object]) -> Callable[[object], tuple]:
+    """A ``parse`` resolving a name among ``choices`` to its value."""
 
+    def parse(entry: object) -> tuple[str, object]:
+        if not isinstance(entry, str) or entry not in choices:
+            raise ValueError(f"unknown {noun} {entry!r}; choose from {list(choices)}")
+        return entry, choices[entry]
 
-def _build_dynamics(fields: dict) -> tuple[str, DynamicsSpec | None]:
-    spec = DynamicsSpec(**fields)
-    if spec.is_static:
-        # All-zero event counts are the static cluster: same cell
-        # identity (label and cache key) as the "none" entry, so the
-        # grid cannot silently double-compute identical cells.
-        return "static", None
-    parts = []
-    if spec.failures:
-        parts.append(f"f{spec.failures}")
-        if spec.mean_downtime != DynamicsSpec.mean_downtime:
-            # Distinct downtimes are distinct scenarios; without this
-            # the derived labels would collide.
-            parts.append(f"d{spec.mean_downtime:g}")
-    if spec.scale_up:
-        parts.append(f"up{spec.scale_up}")
-    if spec.scale_down:
-        parts.append(f"down{spec.scale_down}")
-    return "dyn-" + "-".join(parts), spec
-
-
-def _build_dag(fields: dict) -> tuple[str, dict]:
-    """DAG entries resolve to WorkloadSpec field overrides."""
-    if not fields.get("dag_layers"):
-        raise ValueError('a dag entry must set "layers" >= 2 (use "none" for independent tasks)')
-    label = f"dag{fields['dag_layers']}"
-    # Non-default wiring knobs must be visible, or two distinct
-    # variants would collide on the same derived label.
-    if fields.get("dag_edge_prob", WorkloadSpec.dag_edge_prob) != WorkloadSpec.dag_edge_prob:
-        label += f"-p{fields['dag_edge_prob']:g}"
-    if fields.get("dag_max_parents", WorkloadSpec.dag_max_parents) != WorkloadSpec.dag_max_parents:
-        label += f"-m{fields['dag_max_parents']}"
-    return label, fields
-
-
-def _build_tuning(fields: dict) -> tuple[str, dict]:
-    """Tuning entries resolve to a knob patch (:mod:`repro.tuning.params`),
-    spelled out or replayed from a tuner trial ledger."""
-    # Deferred: repro.tuning imports this module.
-    from ..tuning.ledger import ledger_best
-    from ..tuning.params import params_label
-
-    if ("params" in fields) == ("ledger" in fields):
-        raise ValueError(
-            f'a tuning entry needs exactly one of "params" or "ledger", '
-            f"got {sorted(fields)}"
-        )
-    if "params" in fields:
-        if "rank" in fields:
-            raise ValueError("unknown tuning-entry keys ['rank']; allowed: ['label', 'params']")
-        params = fields["params"]
-    else:
-        params = ledger_best(fields["ledger"], rank=fields.get("rank", 0))
-    return params_label(params), params
-
-
-@dataclass(frozen=True)
-class _Axis:
-    """One row of :data:`_AXES`: how entries of one grid axis resolve."""
-
-    #: Label of the ``"none"``/``None`` entry, whose value is ``None``.
-    none_label: str
-    #: Mapping-entry key → (field handed to ``build``, converter).
-    keys: Mapping[str, tuple[str, Callable[[object], object]]] = field(default_factory=dict)
-    #: ``build(fields) -> (derived label, value)`` over converted fields.
-    build: Callable[[dict], tuple[str, object]] | None = None
-    #: String shortcut → the mapping entry it stands for.
-    shortcuts: Mapping[str, Mapping] = field(default_factory=dict)
-    #: The axis only varies pruned cells: baseline cells are emitted
-    #: once, not once per entry of this axis.
-    pruned_only: bool = False
-    #: Resolves every non-``none`` entry itself instead.
-    resolve: Callable[[object], tuple[str, object]] | None = None
-
-
-#: The grid axes with ``"none"``/shortcut/mapping entries, in
-#: :meth:`SweepGrid.expand`'s emission order.  The field table in
-#: ``docs/experiments.md`` documents every key.
-_AXES: dict[str, _Axis] = {
-    "dag": _Axis(
-        none_label="none",
-        shortcuts={"layered": {"layers": 4}},
-        keys={
-            "layers": ("dag_layers", _as_int),
-            "edge_prob": ("dag_edge_prob", _as_float),
-            "max_parents": ("dag_max_parents", _as_int),
-        },
-        build=_build_dag,
-    ),
-    "pruning": _Axis(
-        none_label="base",
-        shortcuts={
-            "paper": {"label": "P"},
-            "defer-only": {"label": "D50", "toggle": "never", "drop": False},
-            "drop-only": {"label": "T", "defer": False},
-        },
-        keys={
-            "threshold": ("pruning_threshold", _as_float),
-            "toggle": ("toggle_mode", ToggleMode),
-            "dropping_toggle": ("dropping_toggle", _as_int),
-            "fairness_factor": ("fairness_factor", _as_float),
-            "defer": ("enable_deferring", _as_bool),
-            "drop": ("enable_dropping", _as_bool),
-            "fairness": ("enable_fairness", _as_bool),
-        },
-        build=_build_pruning,
-    ),
-    "controller": _Axis(none_label="", resolve=resolve_controller, pruned_only=True),
-    "tuning": _Axis(
-        none_label="none",
-        keys={
-            "params": ("params", _as_params),
-            "ledger": ("ledger", str),
-            "rank": ("rank", _as_int),
-        },
-        build=_build_tuning,
-        pruned_only=True,
-    ),
-    "dynamics": _Axis(
-        none_label="static",
-        shortcuts={"churn": {"label": "churn", "failures": 3}},
-        keys={
-            "failures": ("failures", _as_int),
-            "mean_downtime": ("mean_downtime", _as_float),
-            "scale_up": ("scale_up", _as_int),
-            "scale_down": ("scale_down", _as_int),
-            "window": ("window", _as_window),
-            "min_online": ("min_online", _as_int),
-        },
-        build=_build_dynamics,
-    ),
-}
-
-
-def _resolve(axis: str, entry: object) -> tuple[str, object]:
-    """Resolve one entry of a table axis to ``(label, value)``.
-
-    ``"none"``/``None``, then a string shortcut, then a mapping: its
-    optional ``"label"`` overrides the derived one, and every other key
-    must be one the row converts.  Errors are prefixed ``<axis> axis:``.
-    """
-    row = _AXES[axis]
-    try:
-        if entry is None or entry == "none":
-            return row.none_label, None
-        if row.resolve is not None:
-            return row.resolve(entry)
-        if isinstance(entry, str) and entry in row.shortcuts:
-            entry = row.shortcuts[entry]
-        if not isinstance(entry, Mapping):
-            raise ValueError(f"unrecognized {axis} entry: {entry!r}")
-        fields = dict(entry)
-        label = fields.pop("label", None)
-        unknown = set(fields) - set(row.keys)
-        if unknown:
-            raise ValueError(
-                f"unknown {axis} keys {sorted(unknown)}; allowed: "
-                f"{sorted({*row.keys, 'label'})}"
-            )
-        converted: dict[str, object] = {}
-        for key, value in fields.items():
-            target, convert = row.keys[key]
-            try:
-                converted[target] = convert(value)
-            except ValueError as exc:
-                raise ValueError(f'"{key}" {exc}') from None
-        assert row.build is not None
-        derived, value = row.build(converted)
-    except ValueError as exc:
-        raise ValueError(f"{axis} axis: {exc}") from exc
-    return (str(label) if label else derived), value
-
-
-#: SweepGrid's entry-list fields, in the order expand() crosses them.
-_GRID_AXES = (
-    "heuristics", "levels", "patterns", "dag", "heterogeneity", "pruning", "controller",
-    "tuning", "dynamics",
-)
+    return parse
 
 
 #: Scaled task counts per oversubscription level, preserving the paper's
@@ -775,65 +565,296 @@ def level_spec(
     return base.scaled(scale)
 
 
-def _resolve_level(
-    entry: object, pattern: ArrivalPattern, scale: float
-) -> tuple[str, WorkloadSpec]:
-    """Resolve one grid ``levels`` entry to (name, WorkloadSpec).
+def _named_level(entry: object, scale: float = 1.0) -> tuple[str, WorkloadSpec]:
+    if not isinstance(entry, str):
+        raise ValueError(f"unrecognized level entry: {entry!r}")
+    return entry, level_spec(entry, scale=scale)
 
-    A string names a predefined oversubscription level (``"15k"``,
-    ``"20k"``, ``"25k"`` — the paper's arrival-rate ratios); a mapping
-    specifies a custom workload (``num_tasks``/``time_span`` plus any
-    :class:`~repro.workload.spec.WorkloadSpec` field, and an optional
-    ``name``); a mapping with a ``trace`` key replays a recorded CSV/JSON
-    trace (``{"trace": "traces/foo.csv", "name": "foo"}`` — the spec is
-    derived from the file, the grid's pattern axis does not apply).
-    """
-    if isinstance(entry, str):
-        return entry, level_spec(entry, pattern, scale)
-    if isinstance(entry, Mapping) and "trace" in entry:
-        fields = dict(entry)
-        path = str(fields.pop("trace"))
-        name = fields.pop("name", None)
-        trim = fields.pop("trim_edge_tasks", None)
-        fmt = str(fields.pop("format", "auto"))
-        sample = float(fields.pop("sample", 1.0))
-        if fields:
-            raise ValueError(
-                f"unknown trace-level keys {sorted(fields)}; allowed: "
-                f"['format', 'name', 'sample', 'trace', 'trim_edge_tasks']"
-            )
+
+#: Level-mapping keys: each WorkloadSpec field a synthetic level sets,
+#: converted by the type of its default (the pattern comes from the
+#: pattern axis, trace fields from the file), then the trace-replay keys.
+_LEVEL_KEYS: dict[str, tuple[str, Callable[[object], object]]] = {
+    **{
+        f.name: (f.name, {int: as_int, float: as_float, tuple: as_floats}[type(f.default)])
+        for f in WorkloadSpec.__dataclass_fields__.values()
+        if isinstance(f.default, (int, float, tuple)) and not f.name.startswith("trace_")
+    },
+    "trim_edge_tasks": ("trim_edge_tasks", lambda v: None if v is None else as_int(v)),
+    "trace": ("path", as_str),
+    "format": ("fmt", as_str),
+    "sample": ("sample", as_float),
+}
+
+
+def _build_level(fields: dict, scale: float = 1.0) -> WorkloadSpec:
+    """A synthetic level's spec at ``scale`` (each cell sets its
+    pattern), or a trace level's spec derived from the file — the
+    pattern and scale axes do not apply to a replayed trace."""
+    if "path" in fields:
+        extra = set(fields) - {"path", "fmt", "sample", "trim_edge_tasks"}
+        if extra:
+            raise ValueError(f"keys {sorted(extra)} do not apply to trace levels")
         try:
-            spec = trace_spec(path, trim_edge_tasks=trim, fmt=fmt, sample=sample)
+            return trace_spec(**fields)
         except (OSError, ValueError) as exc:
-            raise ValueError(f"cannot load trace level {path!r}: {exc}") from exc
-        return str(name) if name else Path(path).stem, spec
-    if isinstance(entry, Mapping):
+            raise ValueError(f"cannot load trace level {fields['path']!r}: {exc}") from exc
+    if {"fmt", "sample"} & set(fields):
+        raise ValueError('"format" and "sample" apply only to trace levels (with a "trace" key)')
+    fields = {"num_tasks": 300, "time_span": 200.0, **fields}
+    spec = WorkloadSpec(**fields).scaled(scale)
+    if "num_spikes" in fields and spec.num_spikes != fields["num_spikes"]:
+        # An explicitly pinned spike count survives scaling.
+        spec = spec.with_(num_spikes=fields["num_spikes"])
+    return spec
+
+
+def _level_label(spec: WorkloadSpec) -> str:
+    if spec.pattern is ArrivalPattern.TRACE:
+        return Path(spec.trace_path).stem
+    # The post-scale count — it's what actually runs.
+    return f"{spec.num_tasks}t"
+
+
+def is_trace_level(entry: object) -> bool:
+    """Whether a ``levels`` entry replays a trace file."""
+    return isinstance(entry, Mapping) and "trace" in entry
+
+
+def _build_dag(fields: dict) -> dict:
+    """DAG entries resolve to WorkloadSpec field overrides."""
+    if not fields.get("dag_layers"):
+        raise ValueError('a dag entry must set "layers" >= 2 (use "none" for independent tasks)')
+    return fields
+
+
+def _dag_label(fields: Mapping) -> str:
+    label = f"dag{fields['dag_layers']}"
+    # Non-default wiring knobs must be visible, or two distinct
+    # variants would collide on the same derived label.
+    if fields.get("dag_edge_prob", WorkloadSpec.dag_edge_prob) != WorkloadSpec.dag_edge_prob:
+        label += f"-p{fields['dag_edge_prob']:g}"
+    if fields.get("dag_max_parents", WorkloadSpec.dag_max_parents) != WorkloadSpec.dag_max_parents:
+        label += f"-m{fields['dag_max_parents']}"
+    return label
+
+
+def _pruning_label(config: PruningConfig) -> str:
+    label = f"P{round(config.pruning_threshold * 100)}"
+    if config.toggle_mode is not ToggleMode.REACTIVE:
+        label += f"-{config.toggle_mode.value}"
+    # Non-default switches must be visible, or two distinct variants
+    # would collide on the same derived label.
+    off = {"enable_deferring": "-nodefer", "enable_dropping": "-nodrop", "enable_fairness": "-nofair"}
+    return label + "".join(tag for name, tag in off.items() if not getattr(config, name))
+
+
+def _build_dynamics(fields: dict) -> DynamicsSpec | None:
+    spec = DynamicsSpec(**fields)
+    # All-zero event counts are the static cluster: same cell identity
+    # (label and cache key) as the "none" entry, so the grid cannot
+    # silently double-compute identical cells.
+    return None if spec.is_static else spec
+
+
+def _dynamics_label(spec: DynamicsSpec) -> str:
+    parts = []
+    if spec.failures:
+        parts.append(f"f{spec.failures}")
+        if spec.mean_downtime != DynamicsSpec.mean_downtime:
+            # Distinct downtimes are distinct scenarios; without this
+            # the derived labels would collide.
+            parts.append(f"d{spec.mean_downtime:g}")
+    if spec.scale_up:
+        parts.append(f"up{spec.scale_up}")
+    if spec.scale_down:
+        parts.append(f"down{spec.scale_down}")
+    return "dyn-" + "-".join(parts) if parts else "static"
+
+
+def _build_tuning(fields: dict) -> dict:
+    """Tuning entries resolve to a knob patch (:mod:`repro.tuning.params`),
+    spelled out or replayed from a tuner trial ledger."""
+    # Deferred: repro.tuning imports this module.
+    from ..tuning.ledger import ledger_best
+
+    if ("params" in fields) == ("ledger" in fields):
+        raise ValueError(
+            f'a tuning entry needs exactly one of "params" or "ledger", '
+            f"got {sorted(fields)}"
+        )
+    if "params" in fields:
+        if "rank" in fields:
+            raise ValueError("unknown tuning-entry keys ['rank']; allowed: ['label', 'params']")
+        return fields["params"]
+    return ledger_best(fields["ledger"], rank=fields.get("rank", 0))
+
+
+def params_label(params: Mapping) -> str:
+    """Deterministic short label of a tuning knob patch (``tuned-<hex>``)."""
+    return f"tuned-{fingerprint(dict(params), length=8)}"
+
+
+@dataclass(frozen=True)
+class _Axis:
+    """One row of :data:`_AXES`: how entries of one grid axis resolve."""
+
+    #: The entry's name in errors ("unknown level keys"; default: the axis).
+    noun: str = ""
+    #: Label of the ``"none"``/``None`` entry (value ``None``), if any.
+    none_label: str | None = None
+    #: Mapping-entry key → (field handed to ``build``, converter).
+    keys: Mapping[str, tuple[str, Callable[[object], object]]] = field(default_factory=dict)
+    #: ``build(fields) -> value`` over the converted fields.
+    build: Callable[..., object] | None = None
+    #: The label derived from a resolved (non-``None``) value.
+    label: Callable[[Any], str] = str
+    #: The mapping key that overrides the derived label.
+    label_key: str = "label"
+    #: How errors name a mapping key.
+    key_name: str = '"{}"'
+    #: String shortcut → the mapping entry it stands for.
+    shortcuts: Mapping[str, Mapping] = field(default_factory=dict)
+    #: ``parse(entry) -> (label, value)`` for every other entry.
+    parse: Callable[..., tuple[str, object]] | None = None
+    #: Baseline cells are emitted once, not once per entry of this axis.
+    pruned_only: bool = False
+
+
+#: Every grid axis (SweepGrid's entry-list fields), in the order
+#: :meth:`SweepGrid.expand` crosses them.  The field table in
+#: ``docs/experiments.md`` documents every key.
+_AXES: dict[str, _Axis] = {
+    "heuristics": _Axis(parse=lambda entry: (heuristic_name(entry),) * 2),
+    "levels": _Axis(
+        noun="level",
+        keys=_LEVEL_KEYS,
+        build=_build_level,
+        label=_level_label,
+        label_key="name",
+        key_name="level {}",
+        parse=_named_level,
+    ),
+    "patterns": _Axis(
+        parse=_one_of("pattern", {p.value: p for p in ArrivalPattern}), label=lambda p: p.value
+    ),
+    "dag": _Axis(
+        none_label="none",
+        shortcuts={"layered": {"layers": 4}},
+        keys={
+            "layers": ("dag_layers", as_int),
+            "edge_prob": ("dag_edge_prob", as_float),
+            "max_parents": ("dag_max_parents", as_int),
+        },
+        build=_build_dag,
+        label=_dag_label,
+    ),
+    "heterogeneity": _Axis(  # the PET-matrix kinds of runner.pet_matrix
+        parse=_one_of(
+            "heterogeneity kind", {k: k for k in ("inconsistent", "consistent", "homogeneous")}
+        )
+    ),
+    "pruning": _Axis(
+        none_label="base",
+        shortcuts={
+            "paper": {"label": "P"},
+            "defer-only": {"label": "D50", "toggle": "never", "drop": False},
+            "drop-only": {"label": "T", "defer": False},
+        },
+        keys={
+            "threshold": ("pruning_threshold", as_float),
+            "toggle": ("toggle_mode", ToggleMode),
+            "dropping_toggle": ("dropping_toggle", as_int),
+            "fairness_factor": ("fairness_factor", as_float),
+            "defer": ("enable_deferring", as_bool),
+            "drop": ("enable_dropping", as_bool),
+            "fairness": ("enable_fairness", as_bool),
+        },
+        # Only keys actually present are passed through — the paper
+        # defaults live in PruningConfig alone, never duplicated here.
+        build=lambda fields: PruningConfig(**fields),
+        label=_pruning_label,
+    ),
+    "controller": _Axis(
+        none_label="",
+        parse=resolve_controller,
+        label=lambda config: config.kind,
+        pruned_only=True,
+    ),
+    "tuning": _Axis(
+        none_label="none",
+        keys={
+            "params": ("params", _as_params),
+            "ledger": ("ledger", as_str),
+            "rank": ("rank", as_int),
+        },
+        build=_build_tuning,
+        label=params_label,
+        pruned_only=True,
+    ),
+    "dynamics": _Axis(
+        none_label="static",
+        shortcuts={"churn": {"label": "churn", "failures": 3}},
+        keys={
+            "failures": ("failures", as_int),
+            "mean_downtime": ("mean_downtime", as_float),
+            "scale_up": ("scale_up", as_int),
+            "scale_down": ("scale_down", as_int),
+            "window": ("window", as_floats),
+            "min_online": ("min_online", as_int),
+        },
+        build=_build_dynamics,
+        label=_dynamics_label,
+    ),
+}
+
+
+def _resolve(axis: str, entry: object, **context: object) -> tuple[str, object]:
+    """Resolve one entry of a grid axis to ``(label, value)``.
+
+    ``"none"``/``None`` (on axes that have it), then a string shortcut,
+    then a mapping: its optional label key overrides the derived label,
+    and every other key must be one the row converts.  Any other entry
+    goes to ``parse``.  ``context`` reaches ``parse``/``build`` (levels
+    take the grid's ``scale``).  Errors start ``<axis> axis:``.
+    """
+    row = _AXES[axis]
+    noun = row.noun or axis
+    try:
+        if row.none_label is not None and (entry is None or entry == "none"):
+            return row.none_label, None
+        if isinstance(entry, str) and entry in row.shortcuts:
+            entry = row.shortcuts[entry]
+        if not (row.keys and isinstance(entry, Mapping)):
+            if row.parse is None:
+                raise ValueError(f"unrecognized {noun} entry: {entry!r}")
+            return row.parse(entry, **context)
         fields = dict(entry)
-        allowed = set(WorkloadSpec.__dataclass_fields__) - {"pattern"} | {"name"}
-        unknown = set(fields) - allowed
+        label = fields.pop(row.label_key, None)
+        unknown = set(fields) - set(row.keys)
         if unknown:
             raise ValueError(
-                f"unknown level keys {sorted(unknown)}; allowed: {sorted(allowed)}"
+                f"unknown {noun} keys {sorted(unknown)}; allowed: "
+                f"{sorted({*row.keys, row.label_key})}"
             )
-        explicit_name = fields.pop("name", None)
-        fields.setdefault("num_tasks", 300)
-        fields.setdefault("time_span", 200.0)
-        # The count fields feed RNG stream names and cache keys, so a
-        # JSON 40.0 must mean exactly 40.
-        for key in ("num_tasks", "num_task_types", "num_spikes", "trim_edge_tasks"):
-            if fields.get(key) is not None:
-                try:
-                    fields[key] = _as_int(fields[key])
-                except ValueError as exc:
-                    raise ValueError(f"level {key} {exc}") from None
-        spec = WorkloadSpec(pattern=pattern, **fields).scaled(scale)
-        if "num_spikes" in fields and spec.num_spikes != fields["num_spikes"]:
-            # An explicitly pinned spike count survives scaling.
-            spec = spec.with_(num_spikes=fields["num_spikes"])
-        # Derived names use the post-scale count — it's what actually runs.
-        name = str(explicit_name) if explicit_name else f"{spec.num_tasks}t"
-        return name, spec
-    raise ValueError(f"unrecognized level entry: {entry!r}")
+        converted: dict[str, object] = {}
+        for key, raw in fields.items():
+            target, convert = row.keys[key]
+            converted[target] = convert_named(row.key_name.format(key), convert, raw)
+        assert row.build is not None
+        value = row.build(converted, **context)
+    except ValueError as exc:
+        raise ValueError(f"{axis} axis: {exc}") from exc
+    return (str(label) if label else _label(axis, value)), value
+
+
+def _label(axis: str, value: object) -> str:
+    """The label ``axis``'s row derives for a resolved ``value``."""
+    row = _AXES[axis]
+    if value is None:
+        assert row.none_label is not None
+        return row.none_label
+    return row.label(value)
 
 
 @dataclass(frozen=True)
@@ -873,7 +894,7 @@ class SweepGrid:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        for fname in _GRID_AXES:
+        for fname in _AXES:
             value = getattr(self, fname)
             if isinstance(value, (str, Mapping)):
                 value = (value,)
@@ -886,11 +907,8 @@ class SweepGrid:
             if not value:
                 raise ValueError(f"{fname} must not be empty")
             object.__setattr__(self, fname, value)
-        for fname, convert in (("trials", _as_int), ("base_seed", _as_int), ("scale", _as_float)):
-            try:
-                object.__setattr__(self, fname, convert(getattr(self, fname)))
-            except ValueError as exc:
-                raise ValueError(f"{fname} {exc}") from None
+        for fname, convert in (("trials", as_int), ("base_seed", as_int), ("scale", as_float)):
+            object.__setattr__(self, fname, convert_named(fname, convert, getattr(self, fname)))
         if self.trials <= 0:
             raise ValueError("trials must be positive")
         if self.scale <= 0:
@@ -909,15 +927,15 @@ class SweepGrid:
         """Per-axis entry indices (``{axis field: entry index}``) of every
         cell, aligned with :meth:`expand`'s cells."""
         pruned_only = [axis for axis, row in _AXES.items() if row.pruned_only]
-        for combo in itertools.product(*(range(len(getattr(self, a))) for a in _GRID_AXES)):
-            index = dict(zip(_GRID_AXES, combo))
+        for combo in itertools.product(*(range(len(getattr(self, a))) for a in _AXES)):
+            index = dict(zip(_AXES, combo))
             level = self.levels[index["levels"]]
             pruning = self.pruning[index["pruning"]]
             # Trace levels replay a fixed file: the pattern axis does not
             # apply, so each trace cell is emitted for the first pattern
             # only.  Baseline cells have no β/α to control and no knobs
             # to tune: emitted for the first entry of those axes only.
-            if (isinstance(level, Mapping) and "trace" in level and index["patterns"]) or (
+            if (is_trace_level(level) and index["patterns"]) or (
                 (pruning is None or pruning == "none") and any(index[a] for a in pruned_only)
             ):
                 continue
@@ -926,68 +944,43 @@ class SweepGrid:
     def expand(self) -> list[CampaignCell]:
         """The grid's cells, in deterministic cross-product order.
 
-        Every axis is validated here, so a typo'd grid fails before any
-        trial runs instead of mid-campaign inside a worker.
+        Every entry of every axis resolves through :data:`_AXES` here,
+        so a typo'd grid fails before any trial runs instead of
+        mid-campaign inside a worker.
         """
-        from ..heuristics import ALL_HEURISTICS
-
-        # Normalize to registry spelling: "mm" and "MM" are the same
-        # experiment and must share one cache identity and label.
-        heuristics = []
-        for name in self.heuristics:
-            key = str(name).upper().replace("_", "-")
-            if key not in ALL_HEURISTICS:
-                raise ValueError(
-                    f"unknown heuristic {name!r}; choose from {sorted(ALL_HEURISTICS)}"
-                )
-            heuristics.append(key)
-        kinds = ("inconsistent", "consistent", "homogeneous")
-        for kind in self.heterogeneity:
-            if kind not in kinds:
-                raise ValueError(
-                    f"unknown heterogeneity kind {kind!r}; choose from {list(kinds)}"
-                )
-        trace_levels = [
-            entry for entry in self.levels if isinstance(entry, Mapping) and "trace" in entry
-        ]
-        if "trace" in self.patterns and len(trace_levels) < len(self.levels):
+        # Resolve each entry once — its meaning does not depend on the
+        # combination it lands in (a level's only on the grid's scale).
+        choices = {
+            axis: [
+                _resolve(axis, entry, **({"scale": self.scale} if axis == "levels" else {}))
+                for entry in getattr(self, axis)
+            ]
+            for axis in _AXES
+        }
+        trace_levels = [entry for entry in self.levels if is_trace_level(entry)]
+        synthetic = [entry for entry in self.levels if not is_trace_level(entry)]
+        if synthetic and ("trace", ArrivalPattern.TRACE) in choices["patterns"]:
             # "trace" is not a generator: it only describes trace levels
             # (which carry it implicitly).  Resolving it against a
             # synthetic level would surface a confusing WorkloadSpec
             # error from deep inside the library.
-            synthetic = [entry for entry in self.levels if entry not in trace_levels]
             raise ValueError(
                 f"pattern 'trace' applies only to trace levels, but the "
                 f"grid has synthetic level(s) {synthetic!r}; give levels "
                 f'as {{"trace": "path.csv"}} mappings or drop the pattern'
             )
-        # Resolve each entry once — its meaning does not depend on the
-        # combination it lands in (levels only on pattern and scale).
-        choices: dict[str, Sequence] = {
-            "heuristics": heuristics,
-            "levels": self.levels,
-            "patterns": self.patterns,
-            "heterogeneity": self.heterogeneity,
-        }
-        for axis in _AXES:
-            choices[axis] = [_resolve(axis, entry) for entry in getattr(self, axis)]
         if trace_levels and any(fields is not None for _, fields in choices["dag"]):
             raise ValueError(
                 "the dag axis applies only to synthetic levels — trace "
                 "files carry explicit dependency edges (JSON v3) — but "
                 f"the grid has trace level(s) {trace_levels!r}"
             )
-        specs = {
-            (pattern_name, li): _resolve_level(
-                entry, ArrivalPattern(pattern_name), self.scale
-            )
-            for pattern_name in self.patterns
-            for li, entry in enumerate(self.levels)
-        }
         cells: list[CampaignCell] = []
         for index in self.cell_indices():
             pick = {axis: choices[axis][i] for axis, i in index.items()}
-            level, spec = specs[pick["patterns"], index["levels"]]
+            level, spec = pick["levels"]
+            if spec.pattern is not ArrivalPattern.TRACE:
+                spec = spec.with_(pattern=pick["patterns"][1])
             plabel, pconfig = pick["pruning"]
             glabel, gfields = pick["dag"]
             clabel, cconfig = pick["controller"]
@@ -1000,18 +993,18 @@ class SweepGrid:
             # rows report what actually runs.
             pattern = spec.pattern.value
             label = (
-                f"{pick['heuristics']}/{vlabel}{f'~{tlabel}' if tuned else ''}"
-                f"@{level}/{pattern}/{pick['heterogeneity']}"
+                f"{pick['heuristics'][1]}/{vlabel}{f'~{tlabel}' if tuned else ''}"
+                f"@{level}/{pattern}/{pick['heterogeneity'][1]}"
             )
             if gfields is not None:
                 label += f"/{glabel}"
             if dspec is not None:
                 label += f"/{dlabel}"
             config = ExperimentConfig(
-                heuristic=pick["heuristics"],
+                heuristic=pick["heuristics"][1],
                 spec=spec if gfields is None else spec.with_(**gfields),
                 pruning=pconfig.with_(controller=cconfig) if controlled else pconfig,
-                heterogeneity=pick["heterogeneity"],
+                heterogeneity=pick["heterogeneity"][1],
                 trials=self.trials,
                 base_seed=self.base_seed,
                 label=label,
@@ -1038,8 +1031,8 @@ class SweepGrid:
             )
         _check_unique_labels(
             cells,
-            f"give the colliding {'/'.join(_AXES)} entries explicit 'label' "
-            "keys (or level entries explicit 'name' keys)",
+            "give the colliding entries explicit 'label' keys (or level "
+            "entries explicit 'name' keys)",
         )
         return cells
 
@@ -1082,7 +1075,7 @@ class SweepGrid:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         payload = {name: getattr(self, name) for name in self.__dataclass_fields__}
-        for name in _GRID_AXES:
+        for name in _AXES:
             payload[name] = [dict(e) if isinstance(e, Mapping) else e for e in payload[name]]
         return payload
 
@@ -1199,26 +1192,26 @@ class Campaign:
     def from_configs(
         cls, configs: Sequence[ExperimentConfig], *, name: str = "campaign"
     ) -> Campaign:
-        """Wrap ad-hoc :class:`ExperimentConfig` s (grid coordinates are
-        derived from each config)."""
-        cells = [
-            CampaignCell(
-                config=c,
-                level=f"{c.spec.num_tasks}t",
-                pattern=c.spec.pattern.value,
-                pruning_label="base" if c.pruning is None else "P",
-                dynamics_label="static" if c.dynamics is None else "dyn",
-                controller_label=(
-                    ""
-                    if c.pruning is None or c.pruning.controller is None
-                    else c.pruning.controller.kind
-                ),
-                dag_label=(
-                    f"dag{c.spec.dag_layers}" if c.spec.dag_layers else "none"
-                ),
+        """Wrap ad-hoc :class:`ExperimentConfig` s; each grid coordinate is
+        the label the axis's :data:`_AXES` row derives from the config."""
+        cells = []
+        for c in configs:
+            plabel = _label("pruning", c.pruning)
+            clabel = _label("controller", c.pruning and c.pruning.controller)
+            dag = None
+            if c.spec.dag_layers:
+                dag = {f: getattr(c.spec, f) for f, _ in _AXES["dag"].keys.values()}
+            cells.append(
+                CampaignCell(
+                    config=c,
+                    level=_label("levels", c.spec),
+                    pattern=_label("patterns", c.spec.pattern),
+                    pruning_label=f"{plabel}+{clabel}" if clabel else plabel,
+                    dynamics_label=_label("dynamics", c.dynamics),
+                    controller_label=clabel,
+                    dag_label=_label("dag", dag),
+                )
             )
-            for c in configs
-        ]
         _check_unique_labels(cells, "give the configs distinct 'label' values")
         return cls(cells, name=name)
 

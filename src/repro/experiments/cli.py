@@ -33,7 +33,6 @@ import re
 import sys
 import time
 from pathlib import Path
-from collections.abc import Mapping
 
 from . import scenarios
 from .campaign import (
@@ -44,6 +43,7 @@ from .campaign import (
     Campaign,
     ResultCache,
     SweepGrid,
+    is_trace_level,
 )
 from .report import FigureResult
 
@@ -204,14 +204,12 @@ def _with_overrides(grid: SweepGrid, args: argparse.Namespace) -> SweepGrid:
     if args.paper_scale or args.scale is not None:
         overrides["scale"] = _figure_scale(args)
     if args.trace_sample is not None:
-        if not any(isinstance(lv, Mapping) and "trace" in lv for lv in grid.levels):
+        if not any(is_trace_level(lv) for lv in grid.levels):
             raise ValueError("--trace-sample applies to trace levels, but the grid has none")
         # Stamp the rate onto every trace level; the value is validated
         # at expand() time by the workload spec (must be in (0, 1]).
         overrides["levels"] = tuple(
-            {**lv, "sample": args.trace_sample}
-            if isinstance(lv, Mapping) and "trace" in lv
-            else lv
+            {**lv, "sample": args.trace_sample} if is_trace_level(lv) else lv
             for lv in grid.levels
         )
     if overrides:
@@ -228,10 +226,11 @@ def _with_overrides(grid: SweepGrid, args: argparse.Namespace) -> SweepGrid:
 def _prepare(name: str, args: argparse.Namespace) -> tuple[SweepGrid, Campaign]:
     """Load → override → expand one command's grid.
 
-    Every grid error (bad axis values, colliding labels, non-positive
-    trials or scale, out-of-range β/α) surfaces here as a ``ValueError``
-    — or a ``KeyError`` for an unknown level name — before any trial
-    runs.
+    Expansion resolves every entry of every axis (and reads each trace
+    level's file), so every grid error surfaces here before any trial
+    runs: a ``ValueError`` naming the axis and key of a bad entry, or
+    reporting colliding labels, non-positive trials or scale, or an
+    out-of-range β/α — and a ``KeyError`` for an unknown level name.
     """
     if name == "sweep":
         grid = SweepGrid.load(args.grid)

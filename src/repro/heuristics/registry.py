@@ -21,6 +21,7 @@ __all__ = [
     "HOMOGENEOUS_HEURISTICS",
     "EXTRA_HEURISTICS",
     "ALL_HEURISTICS",
+    "heuristic_name",
     "make_heuristic",
 ]
 
@@ -60,13 +61,19 @@ ALL_HEURISTICS: dict[str, Callable[[], Heuristic]] = {
 }
 
 
+def heuristic_name(name: object) -> str:
+    """The registry spelling of a heuristic name: "mm" and "MM" (and
+    "fcfs_rr" and "FCFS-RR") are one heuristic, so one cache identity."""
+    key = str(name).upper().replace("_", "-")
+    if key not in ALL_HEURISTICS:
+        raise ValueError(f"unknown heuristic {name!r}; choose from {sorted(ALL_HEURISTICS)}")
+    return key
+
+
 def make_heuristic(name: str, **kwargs) -> Heuristic:
     """Instantiate a heuristic by its paper name (case-insensitive)."""
-    key = name.upper().replace("_", "-")
     try:
-        factory = ALL_HEURISTICS[key]
-    except KeyError:
-        raise KeyError(
-            f"unknown heuristic {name!r}; choose from {sorted(ALL_HEURISTICS)}"
-        ) from None
-    return factory(**kwargs)
+        key = heuristic_name(name)
+    except ValueError as exc:
+        raise KeyError(exc.args[0]) from None
+    return ALL_HEURISTICS[key](**kwargs)

@@ -574,7 +574,7 @@ class CompletionEstimator:
         cutoff = now + self.horizon
         for queued in machine.queue:
             pet = self.model.pmf(queued.task_type, machine.machine_type)
-            base = base.convolve(pet, max_support=self.max_support).truncate(cutoff)
+            base = base.convolve_truncated(pet, cutoff=cutoff, max_support=self.max_support)
             self.convolutions += 1
             chain.append(base)
         return chain

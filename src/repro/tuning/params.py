@@ -13,14 +13,17 @@ Knobs
 ``alpha``
     The dropping-Toggle α.
 ``controller``
-    A controller spec string (``"hysteresis:high=0.2"``,
-    ``"bandit:betas=[0.3,0.7]"``) or ``"none"`` to detach the control
-    plane.
+    A controller entry, exactly as on the grid's ``controller`` axis: a
+    spec string (``"hysteresis:high=0.2"``, ``"bandit:betas=[0.3,0.7]"``),
+    a mapping (``{"kind": "hysteresis", "high": 0.2}``), or ``"none"`` to
+    detach the control plane.
 ``controller.<field>``
     One :class:`~repro.core.config.ControllerConfig` field of the
     cell's controller (``controller.high``, ``controller.step``, …),
     applied after any ``controller`` knob so the two compose.
 
+Values resolve through the sweep grid's own rows and converters (β and
+α as the ``pruning`` row's ``threshold`` and ``dropping_toggle``).
 β/α/controller knobs require the cell to have a pruning config —
 patching a baseline (no-pruning) cell is an error, not a silent no-op.
 """
@@ -28,21 +31,21 @@ patching a baseline (no-pruning) cell is an error, not a silent no-op.
 from __future__ import annotations
 
 from dataclasses import replace
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 
+from ..control.registry import convert_param
 from ..core.config import ControllerConfig
+from ..core.convert import convert_named
+from ..experiments.campaign import _AXES, _resolve, params_label
 from ..experiments.runner import ExperimentConfig
-from ..sim.rng import fingerprint
 
 __all__ = ["apply_params", "params_label", "PARAM_KNOBS"]
 
 #: Fixed (non-``controller.<field>``) knob names, in application order.
 PARAM_KNOBS = ("heuristic", "beta", "alpha", "controller")
 
-
-def params_label(params: Mapping) -> str:
-    """Deterministic short label of a parameter patch (``tuned-<hex>``)."""
-    return f"tuned-{fingerprint(dict(params), length=8)}"
+#: β/α knob → the ``pruning`` grid row's key it stands for.
+_PRUNING_KEYS = {"beta": "threshold", "alpha": "dropping_toggle"}
 
 
 def _require_pruning(config: ExperimentConfig, knob: str) -> None:
@@ -51,6 +54,11 @@ def _require_pruning(config: ExperimentConfig, knob: str) -> None:
             f"tuning knob {knob!r} needs a pruning config, but cell "
             f"{config.display_label!r} is a no-pruning baseline"
         )
+
+
+def _row_value(axis: str) -> Callable[[object], object]:
+    """The value ``axis``'s grid row resolves an entry to."""
+    return lambda entry: _resolve(axis, entry)[1]
 
 
 def apply_params(config: ExperimentConfig, params: Mapping) -> ExperimentConfig:
@@ -71,45 +79,25 @@ def apply_params(config: ExperimentConfig, params: Mapping) -> ExperimentConfig:
         )
     out = config
     if "heuristic" in fixed:
-        out = replace(out, heuristic=str(fixed["heuristic"]))
-    if "beta" in fixed:
-        _require_pruning(out, "beta")
-        try:
-            out = replace(
-                out, pruning=out.pruning.with_(pruning_threshold=float(fixed["beta"]))
+        heuristic = convert_named(
+            "tuning knob heuristic", _row_value("heuristics"), fixed["heuristic"]
+        )
+        out = replace(out, heuristic=heuristic)
+    for knob, key in _PRUNING_KEYS.items():
+        if knob in fixed:
+            _require_pruning(out, knob)
+            target, convert = _AXES["pruning"].keys[key]
+            pruning = convert_named(
+                f"tuning knob {knob}",
+                lambda v: out.pruning.with_(**{target: convert(v)}),
+                fixed[knob],
             )
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"tuning knob beta={fixed['beta']!r}: {exc}") from exc
-    if "alpha" in fixed:
-        _require_pruning(out, "alpha")
-        value = fixed["alpha"]
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise ValueError(f"tuning knob alpha must be an integer, got {value!r}")
-            value = int(value)
-        try:
-            out = replace(out, pruning=out.pruning.with_(dropping_toggle=int(value)))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"tuning knob alpha={fixed['alpha']!r}: {exc}") from exc
+            out = replace(out, pruning=pruning)
     if "controller" in fixed:
         _require_pruning(out, "controller")
-        entry = fixed["controller"]
-        from ..control.registry import parse_controller_spec  # deferred: keeps layering thin
-
-        if entry is None or entry == "none":
-            controller = None
-        elif isinstance(entry, str):
-            try:
-                controller = parse_controller_spec(entry)
-            except ValueError as exc:
-                raise ValueError(f"tuning knob controller={entry!r}: {exc}") from exc
-        elif isinstance(entry, Mapping):
-            try:
-                controller = ControllerConfig(**dict(entry))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"tuning knob controller={entry!r}: {exc}") from exc
-        else:
-            raise ValueError(f"tuning knob controller={entry!r} is not a spec or mapping")
+        controller = convert_named(
+            "tuning knob controller", _row_value("controller"), fixed["controller"]
+        )
         out = replace(out, pruning=out.pruning.with_(controller=controller))
     for knob in sorted(nested):
         field = knob[len("controller."):]
@@ -124,9 +112,10 @@ def apply_params(config: ExperimentConfig, params: Mapping) -> ExperimentConfig:
                 f"tuning knob {knob!r}: no such controller field; allowed: "
                 f"{sorted(set(ControllerConfig.__dataclass_fields__) - {'kind'})}"
             )
-        try:
-            controller = out.pruning.controller.with_(**{field: nested[knob]})
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"tuning knob {knob}={nested[knob]!r}: {exc}") from exc
+        controller = convert_named(
+            f"tuning knob {knob}",
+            lambda v: out.pruning.controller.with_(**{field: convert_param(field, v)}),
+            nested[knob],
+        )
         out = replace(out, pruning=out.pruning.with_(controller=controller))
     return out

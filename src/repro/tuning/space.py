@@ -25,6 +25,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from ..core.convert import as_int, convert_named
 from ..sim.rng import fingerprint
 
 __all__ = ["Continuous", "Integer", "Categorical", "SearchSpace"]
@@ -93,13 +94,8 @@ class Integer:
 
     def __post_init__(self) -> None:
         for bound in ("low", "high"):
-            value = getattr(self, bound)
-            if isinstance(value, float):
-                if not value.is_integer():
-                    raise ValueError(
-                        f"parameter {self.name!r}: {bound} must be an integer, got {value!r}"
-                    )
-                object.__setattr__(self, bound, int(value))
+            value = convert_named(f"parameter {self.name!r}: {bound}", as_int, getattr(self, bound))
+            object.__setattr__(self, bound, value)
         _check_range(self.name, float(self.low), float(self.high), self.scale)
 
     def value_at(self, u: float) -> int:

@@ -36,6 +36,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from ..core.convert import as_float, as_int, convert_named, parse_text
 from ..sim.rng import tuning_seed
 from .ledger import TrialRecord
 from .space import SearchSpace
@@ -56,15 +57,15 @@ class Strategy(abc.ABC):
     """One search policy over a :class:`SearchSpace`."""
 
     name = "strategy"
-    #: option name → scalar type, the strategy's declared knobs.
+    #: option name → converter, the strategy's declared knobs.
     OPTIONS: dict = {}
 
     def __init__(
         self, space: SearchSpace, *, seed: int, budget: int, **options: object
     ) -> None:
         self.space = space
-        self.seed = int(seed)
-        self.budget = int(budget)
+        self.seed = convert_named("seed", as_int, seed)
+        self.budget = convert_named("budget", as_int, budget)
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
         unknown = sorted(set(options) - set(self.OPTIONS))
@@ -73,30 +74,11 @@ class Strategy(abc.ABC):
                 f"unknown {self.name} option(s) {unknown}; "
                 f"allowed: {sorted(self.OPTIONS)}"
             )
-        coerced: dict = {}
-        for key, kind in self.OPTIONS.items():
-            if key not in options:
-                continue
-            value = options[key]
-            if kind is int:
-                if isinstance(value, float):
-                    if not value.is_integer():
-                        raise ValueError(
-                            f"{self.name} option {key} must be an integer, got {value!r}"
-                        )
-                    value = int(value)
-                elif not isinstance(value, int) or isinstance(value, bool):
-                    raise ValueError(
-                        f"{self.name} option {key} must be an integer, got {value!r}"
-                    )
-            else:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(
-                        f"{self.name} option {key} must be a number, got {value!r}"
-                    )
-                value = float(value)
-            coerced[key] = value
-        self.options = coerced
+        self.options = {
+            key: convert_named(f"{self.name} option {key!r}", convert, options[key])
+            for key, convert in self.OPTIONS.items()
+            if key in options
+        }
 
     def _rng(self, index: int) -> np.random.Generator:
         """The trial's own child of the ``tuning`` named stream —
@@ -136,7 +118,7 @@ class SuccessiveHalvingStrategy(Strategy):
     """
 
     name = "successive-halving"
-    OPTIONS = {"population": int, "eta": int}
+    OPTIONS = {"population": as_int, "eta": as_int}
 
     def __init__(
         self, space: SearchSpace, *, seed: int, budget: int, **options: object
@@ -199,11 +181,11 @@ class BayesStrategy(Strategy):
 
     name = "bayes"
     OPTIONS = {
-        "init": int,
-        "candidates": int,
-        "length_scale": float,
-        "noise": float,
-        "xi": float,
+        "init": as_int,
+        "candidates": as_int,
+        "length_scale": as_float,
+        "noise": as_float,
+        "xi": as_float,
     }
 
     def __init__(
@@ -270,16 +252,6 @@ STRATEGIES: dict[str, type[Strategy]] = {
 }
 
 
-def _parse_option_value(raw: str) -> object:
-    try:
-        return int(raw)
-    except ValueError:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValueError(f"expected a number, got {raw!r}") from None
-
-
 def make_strategy(
     spec: object, space: SearchSpace, *, seed: int, budget: int
 ) -> Strategy:
@@ -314,7 +286,7 @@ def make_strategy(
                 if not eq:
                     raise ValueError(f"strategy option {item!r} is not key=value")
                 try:
-                    options[key.strip()] = _parse_option_value(value.strip())
+                    options[key.strip()] = parse_text(value)
                 except ValueError as exc:
                     raise ValueError(f"strategy option {key.strip()!r}: {exc}") from exc
         return STRATEGIES[kind](space, seed=seed, budget=budget, **options)

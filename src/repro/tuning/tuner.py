@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from collections.abc import Callable, Sequence
 
-from ..experiments.campaign import Campaign, ResultCache, SweepGrid
+from ..core.convert import as_int, convert_named
+from ..experiments.campaign import Campaign, ResultCache, SweepGrid, _config_payload
 from ..experiments.runner import ExperimentConfig
 from ..sim.rng import fingerprint
 from .ledger import TrialRecord, read_ledger, write_ledger
@@ -114,15 +115,13 @@ class Tuner:
             mix_payload: object = mix.to_dict()
         else:
             self.base_configs = list(mix)
-            from ..experiments.campaign import _config_payload
-
             mix_payload = [_config_payload(c) for c in self.base_configs]
         if not self.base_configs:
             raise ValueError("evaluation mix has no cells")
-        self.budget = int(budget)
+        self.budget = convert_named("budget", as_int, budget)
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
-        self.seed = int(seed)
+        self.seed = convert_named("seed", as_int, seed)
         self.strategy = make_strategy(strategy, space, seed=self.seed, budget=self.budget)
         self.objective_name, self.objective = make_objective(objective)
         self.ledger_path = Path(ledger_path) if ledger_path is not None else None

@@ -122,6 +122,8 @@ class WorkloadSpec:
             raise ValueError("trace_sample must be in (0, 1]")
         if self.trace_sample < 1 and self.pattern is not ArrivalPattern.TRACE:
             raise ValueError("trace_sample only applies to trace workloads")
+        if self.trim_edge_tasks is not None and self.trim_edge_tasks < 0:
+            raise ValueError(f"trim_edge_tasks must be >= 0, got {self.trim_edge_tasks}")
         if self.dag_layers < 0:
             raise ValueError("dag_layers must be >= 0")
         if self.dag_layers:

@@ -8,6 +8,7 @@ aggregation is order-independent.
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.metrics.collector import SimulationResult
 from repro.workload.spec import WorkloadSpec
 
 SPEC = WorkloadSpec(num_tasks=60, time_span=50.0, num_task_types=3)
+TRACE = str(Path(__file__).resolve().parents[2] / "examples" / "traces" / "steady_small.csv")
 
 
 def _configs(trials: int = 2) -> list[ExperimentConfig]:
@@ -237,6 +239,28 @@ class TestSweepGrid:
         truncated or carried into a label."""
         with pytest.raises(ValueError, match=match):
             SweepGrid(**{"pruning": ("paper",), "trials": 1, **overrides}).expand()
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"levels": ({"trace": TRACE, "sample": True},)}, "levels axis: .*sample"),
+            ({"levels": ({"trace": TRACE, "sample": "0.5"},)}, "levels axis: .*sample"),
+            ({"levels": ({"trace": TRACE, "trim_edge_tasks": 2.5},)}, "levels axis: .*trim_edge_tasks"),
+            ({"levels": ({"trace": TRACE, "trim_edge_tasks": True},)}, "levels axis: .*trim_edge_tasks"),
+            ({"levels": ({"num_tasks": 40, "time_span": True},)}, "levels axis: .*time_span"),
+            ({"levels": ({"num_tasks": 40, "sample": 0.5},)}, "levels axis: .*sample"),
+            ({"levels": ({"num_tasks": 40, "trim_edge_tasks": -5},)}, "levels axis: trim_edge_tasks"),
+            ({"patterns": ("spikey",)}, "patterns axis: unknown pattern 'spikey'"),
+        ],
+    )
+    def test_level_and_pattern_entries_convert_strictly(self, overrides, match):
+        """Level entries resolve through the same converters as every
+        other axis: a bool or a string is not a sampling rate, span or
+        count, "sample" needs a trace, and each error names the axis and
+        the key."""
+        grid = SweepGrid(**{"pruning": ("none",), "trials": 1, **overrides})
+        with pytest.raises(ValueError, match=match):
+            grid.expand()
 
     def test_mutating_loaded_grid_does_not_corrupt_presets(self):
         grid = SweepGrid.preset("smoke")
@@ -485,6 +509,32 @@ class TestCampaign:
         summary = Campaign.from_configs(_configs(trials=3), name="cmp").run()
         comparison = summary.compare(summary.labels[0], summary.labels[1])
         assert comparison.trials == 3
+
+    def test_from_configs_derives_the_grid_coordinates(self):
+        """Ad-hoc configs get the coordinates the grid's rows derive
+        from the same values (a tuner campaign reads P50+hysteresis,
+        not a made-up "P")."""
+        grid = SweepGrid(
+            levels=({"num_tasks": 40, "time_span": 30.0, "num_task_types": 3},),
+            pruning=("none", {"threshold": 0.5}, {"threshold": 0.7, "drop": False}),
+            controller=("none", "hysteresis"),
+            dynamics=("none", {"failures": 2, "mean_downtime": 25.0}),
+            dag=("none", {"layers": 3, "edge_prob": 0.25}),
+            trials=1,
+        )
+        cells = grid.expand()
+        adhoc = Campaign.from_configs([c.config for c in cells]).cells
+
+        def coordinates(cell):
+            return (
+                cell.level, cell.pattern, cell.pruning_label, cell.dynamics_label,
+                cell.controller_label, cell.dag_label,
+            )
+
+        assert [coordinates(c) for c in adhoc] == [coordinates(c) for c in cells]
+        assert ("P50+hysteresis", "dyn-f2-d25", "dag3-p0.25") in {
+            (c.pruning_label, c.dynamics_label, c.dag_label) for c in adhoc
+        }
 
     def test_from_configs_rejects_colliding_labels(self):
         """Same guard as expand(): two configs deriving the same display

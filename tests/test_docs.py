@@ -48,3 +48,27 @@ def test_unclosed_fence_is_an_error(tmp_path):
     doc.write_text("```python\n>>> 1 + 1\n3\n")
     errors = check_examples(doc)
     assert errors and "unclosed" in errors[0]
+
+
+def test_grid_field_table_documents_every_key():
+    """Each axis's row of the ``docs/experiments.md`` field table names
+    every key and shortcut its ``_AXES`` row accepts.  (The controller
+    row delegates to ``resolve_controller``; its keys are the
+    ``ControllerConfig`` fields documented in ``docs/tuning.md``.)"""
+    from repro.experiments.campaign import _AXES
+
+    text = (Path(__file__).parents[1] / "docs" / "experiments.md").read_text()
+    rows = {
+        line.split("|")[1].strip().strip("`"): line
+        for line in text.splitlines()
+        if line.startswith("| `")
+    }
+    missing = {
+        axis: sorted(
+            key
+            for key in (*row.keys, *row.shortcuts, *([row.label_key] if row.keys else []))
+            if f'"{key}"' not in rows[axis] and f"`{key}`" not in rows[axis]
+        )
+        for axis, row in _AXES.items()
+    }
+    assert not any(missing.values()), missing

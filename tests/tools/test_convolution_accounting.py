@@ -5,11 +5,12 @@ perfbench attributes the PMF layer by wrapping
 the estimator's own ``convolutions`` counter.  The two measure the same
 work only while every convolution the estimator counts goes through
 that method, and every call it makes is counted.  These tests pin the
-parity on two small runs that exercise the new-task path: a gated
-service pass (``chances_for`` from the admission gate) and a
-paper-default trial (``chances_for_pairs`` from the defer check).  On
-both, no entry takes the from-scratch chain, whose steps use
-``PMF.convolve``, which perfbench does not wrap.
+parity on three small runs: a gated service pass (``chances_for`` from
+the admission gate) and a paper-default trial (``chances_for_pairs``
+from the defer check), neither of which takes the from-scratch chain,
+and a paper-default trial under a short horizon, where the chain
+(``_build_chain``) answers the entries the horizon truncates and its
+steps count like every other convolution.
 """
 
 from __future__ import annotations
@@ -78,4 +79,16 @@ def test_paper_default_defer_trial(counted):
     result = system.run(tasks)
     assert result.defer_decisions > 0
     assert counted["chain"] == 0
+    assert system.estimator.convolutions == counted["convolve_truncated"] > 0
+
+
+def test_chain_fallback_trial(counted):
+    pet = pet_matrix()
+    spec = WorkloadSpec(num_tasks=200, time_span=100.0)
+    tasks = generate_workload(spec, pet, np.random.default_rng(500))
+    system = ServerlessSystem(
+        pet, "MM", pruning=PruningConfig.paper_default(), seed=1, horizon=60.0
+    )
+    system.run(tasks)
+    assert counted["chain"] > 0
     assert system.estimator.convolutions == counted["convolve_truncated"] > 0

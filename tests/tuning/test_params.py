@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.control.registry import resolve_controller
 from repro.core.config import ControllerConfig, PruningConfig
+from repro.experiments.campaign import trial_key
 from repro.experiments.runner import ExperimentConfig
 from repro.tuning.params import apply_params, params_label
 from repro.workload.spec import WorkloadSpec
@@ -51,6 +53,31 @@ class TestFixedKnobs:
         with pytest.raises(ValueError, match="tuning knob beta"):
             apply_params(cell(), {"beta": 1.5})
 
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"beta": True}, "tuning knob beta must be a number, got True"),
+            ({"beta": "0.4"}, "tuning knob beta must be a number, got '0.4'"),
+            ({"alpha": True}, "tuning knob alpha must be an integer, got True"),
+            ({"heuristic": "bogus"}, "tuning knob heuristic='bogus': .*unknown heuristic"),
+            ({"controller.cooldown": True}, "tuning knob controller.cooldown=True"),
+        ],
+    )
+    def test_values_convert_strictly(self, params, match):
+        """Knob values convert like grid entries: a bool is not a
+        number, a string not a β, and an unknown heuristic fails here,
+        naming the knob, not later inside the campaign."""
+        base = cell(controller=ControllerConfig(kind="hysteresis"))
+        with pytest.raises(ValueError, match=match):
+            apply_params(base, params)
+
+    def test_heuristic_name_normalized(self):
+        """'mm' and 'MM' are one experiment: one cache identity."""
+        lower = apply_params(cell(), {"heuristic": "mm"})
+        upper = apply_params(cell(), {"heuristic": "MM"})
+        assert lower.heuristic == "MM"
+        assert trial_key(lower, 0) == trial_key(upper, 0)
+
 
 class TestControllerKnobs:
     def test_spec_string_and_none(self):
@@ -67,6 +94,14 @@ class TestControllerKnobs:
         )
         assert out.pruning.controller.kind == "bandit"
         assert out.pruning.controller.betas == (0.3, 0.7)
+
+    def test_mapping_values_convert_as_on_the_grid(self):
+        """A mapping's string value is spec text, on the grid's
+        controller axis and on the knob alike."""
+        entry = {"kind": "hysteresis", "high": "0.3"}
+        out = apply_params(cell(), {"controller": entry})
+        assert out.pruning.controller == resolve_controller(entry)[1]
+        assert out.pruning.controller.high == pytest.approx(0.3)
 
     def test_bad_spec_and_bad_type_named(self):
         with pytest.raises(ValueError, match="tuning knob controller='pid'"):

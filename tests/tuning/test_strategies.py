@@ -187,6 +187,18 @@ class TestMakeStrategy:
         with pytest.raises(ValueError, match="budget must be >= 1"):
             make_strategy("random", SPACE, seed=0, budget=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"seed": True, "budget": 5}, "seed must be an integer, got True"),
+            ({"seed": 0, "budget": 2.7}, "budget must be an integer, got 2.7"),
+        ],
+    )
+    def test_seed_and_budget_are_not_truncated(self, kwargs, match):
+        """A bool seed or a fractional budget is a caller bug, not 1 or 2."""
+        with pytest.raises(ValueError, match=match):
+            make_strategy("random", SPACE, **kwargs)
+
     def test_registry_names_all_construct(self):
         for name in STRATEGIES:
             s = make_strategy(name, SPACE, seed=0, budget=6)

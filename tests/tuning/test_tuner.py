@@ -201,3 +201,5 @@ class TestResultShape:
             Tuner(SPACE, [])
         with pytest.raises(ValueError, match="budget must be >= 1"):
             Tuner(SPACE, tiny_configs(), budget=0)
+        with pytest.raises(ValueError, match="budget must be an integer, got 2.7"):
+            Tuner(SPACE, tiny_configs(), budget=2.7)
