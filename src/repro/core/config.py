@@ -20,12 +20,23 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .convert import as_int, convert_named
+from .convert import NotA, as_bool, as_float, as_int, convert_named
 
 __all__ = ["PruningConfig", "ToggleMode", "ControllerConfig", "CONTROLLER_KINDS"]
 
 #: Registered controller kinds (the :mod:`repro.control` registry keys).
 CONTROLLER_KINDS = ("static", "schedule", "hysteresis", "target-success", "bandit")
+
+#: ControllerConfig's scalar rates and bounds (checked, kept as given).
+_CONTROLLER_NUMBERS = ("low", "high", "step", "beta_min", "beta_max", "target", "epsilon", "ucb_c")
+
+
+def _each(name: str, convert, what: str, values) -> list:
+    """``convert`` over every entry of the list field ``name``."""
+    try:
+        return [convert(v) for v in values]
+    except NotA as exc:
+        raise ValueError(f"{name} must be {what}, got {exc.value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -104,9 +115,13 @@ class ControllerConfig:
             raise ValueError(
                 f"unknown controller kind {self.kind!r}; choose from {CONTROLLER_KINDS}"
             )
+        for name in _CONTROLLER_NUMBERS:
+            convert_named(name, as_float, getattr(self, name))
+        convert_named("adapt_alpha", as_bool, self.adapt_alpha)
         for name in ("schedule", "alpha_schedule"):
             points = tuple(
-                (float(t), float(v)) for t, v in getattr(self, name)
+                (convert_named(name, as_float, t), convert_named(name, as_float, v))
+                for t, v in getattr(self, name)
             )
             if any(t < 0.0 for t, _ in points):
                 raise ValueError(f"{name} breakpoint times must be >= 0")
@@ -142,7 +157,7 @@ class ControllerConfig:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.ucb_c < 0.0:
             raise ValueError(f"ucb_c must be >= 0, got {self.ucb_c}")
-        betas = tuple(float(b) for b in self.betas)
+        betas = tuple(_each("betas", as_float, "numbers", self.betas))
         if self.kind == "bandit" and not betas:
             betas = (0.25, 0.5, 0.75, 0.95)  # canonical default arm grid
         if any(not 0.0 <= b <= 1.0 for b in betas):
@@ -150,33 +165,23 @@ class ControllerConfig:
         if list(betas) != sorted(set(betas)):
             raise ValueError(f"betas must be strictly ascending, got {betas}")
         object.__setattr__(self, "betas", betas)
-        alphas = []
-        for a in self.alphas:
-            if isinstance(a, float):
-                if not a.is_integer():
-                    raise ValueError(f"alphas must be integers, got {a!r}")
-                a = int(a)
+        alphas = _each("alphas", as_int, "integers", self.alphas)
+        for a in alphas:
             if a < 0:
                 raise ValueError(f"alphas must be >= 0, got {a}")
-            alphas.append(int(a))
         if alphas != sorted(set(alphas)):
             raise ValueError(f"alphas must be strictly ascending, got {tuple(alphas)}")
         object.__setattr__(self, "alphas", tuple(alphas))
-        bands = tuple(float(b) for b in self.miss_bands)
+        bands = tuple(_each("miss_bands", as_float, "numbers", self.miss_bands))
         if not bands or any(not 0.0 <= b <= 1.0 for b in bands):
             raise ValueError(f"miss_bands must be non-empty rates in [0, 1], got {bands}")
         if list(bands) != sorted(set(bands)):
             raise ValueError(f"miss_bands must be strictly ascending, got {bands}")
         object.__setattr__(self, "miss_bands", bands)
-        qbands = []
-        for q in self.queue_bands:
-            if isinstance(q, float):
-                if not q.is_integer():
-                    raise ValueError(f"queue_bands must be integers, got {q!r}")
-                q = int(q)
+        qbands = _each("queue_bands", as_int, "integers", self.queue_bands)
+        for q in qbands:
             if q < 0:
                 raise ValueError(f"queue_bands must be >= 0, got {q}")
-            qbands.append(int(q))
         if not qbands or qbands != sorted(set(qbands)):
             raise ValueError(
                 f"queue_bands must be non-empty and strictly ascending, got {tuple(qbands)}"
@@ -215,6 +220,11 @@ class PruningConfig:
     controller: ControllerConfig | None = None
 
     def __post_init__(self) -> None:
+        # Checked, not converted: an accepted value is kept as given, so
+        # trial keys stay what they were.
+        convert_named("pruning_threshold", as_float, self.pruning_threshold)
+        convert_named("dropping_toggle", as_int, self.dropping_toggle)
+        convert_named("fairness_factor", as_float, self.fairness_factor)
         if not 0.0 <= self.pruning_threshold <= 1.0:
             raise ValueError(
                 f"pruning_threshold must be in [0, 1], got {self.pruning_threshold}"

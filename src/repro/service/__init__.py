@@ -22,7 +22,7 @@ replayed through the service under virtual time produces
 ``tests/test_golden.py``.
 """
 
-from .clock import Clock, VirtualClock, WallClock
+from .clock import Clock, VirtualClock, WallClock, Wake
 from .service import IngressDecision, SchedulerService, run_until_quiescent
 from .snapshot import restore_service, snapshot_service
 from .timeline import AsyncTimeline
@@ -34,6 +34,7 @@ __all__ = [
     "SchedulerService",
     "VirtualClock",
     "WallClock",
+    "Wake",
     "restore_service",
     "snapshot_service",
     "run_until_quiescent",

@@ -10,10 +10,13 @@ The service maps on *service time* — the same axis the simulator calls
   (:meth:`~VirtualClock.advance_to`), which is what makes the whole
   service suite deterministic and free of real sleeps.
 
-The synchronization contract that keeps virtual time race-free:
-``wait_until`` re-checks its wake conditions *before* parking on any
-event, so a pulse or wake that lands between the caller's decision to
-wait and the actual ``await`` can never be missed.
+A park is one plain future, resolved by whichever comes first: the
+clock reaching the deadline, or :meth:`Wake.set`.  ``wait_until``
+checks both conditions and registers that future with the clock and
+with the :class:`Wake` synchronously, before its only ``await`` — so a
+wake or an advance that lands between the caller's decision to wait
+and the park can never be missed.  A timer resolves only at its own
+deadline: an advance short of it leaves the waiter parked.
 """
 
 from __future__ import annotations
@@ -22,7 +25,45 @@ import asyncio
 import time
 from typing import Protocol
 
-__all__ = ["Clock", "WallClock", "VirtualClock"]
+__all__ = ["Clock", "Wake", "WallClock", "VirtualClock"]
+
+
+def _resolve(fut: asyncio.Future) -> None:
+    if not fut.done():
+        fut.set_result(None)
+
+
+class Wake:
+    """A set/clear flag that resolves the one future parked on it.
+
+    ``set()`` raises the flag and resolves the parked future, if any;
+    ``clear()`` only lowers the flag.  Parking is :meth:`Clock.wait_until`'s
+    business: it hands the flag its future synchronously, so no task or
+    coroutine stands between a ``set()`` and the waiter it wakes.
+    """
+
+    __slots__ = ("_flag", "_waiter")
+
+    def __init__(self) -> None:
+        self._flag = False
+        self._waiter: asyncio.Future | None = None
+
+    def is_set(self) -> bool:
+        return self._flag
+
+    def set(self) -> None:
+        self._flag = True
+        waiter, self._waiter = self._waiter, None
+        if waiter is not None:
+            _resolve(waiter)
+
+    def clear(self) -> None:
+        self._flag = False
+
+    def _park(self, fut: asyncio.Future) -> None:
+        if self._waiter is not None and not self._waiter.done():
+            raise RuntimeError("a waiter is already parked on this Wake")
+        self._waiter = fut
 
 
 class Clock(Protocol):
@@ -36,22 +77,14 @@ class Clock(Protocol):
         """Re-anchor so ``now()`` resumes from ``t`` (snapshot restore)."""
         ...  # pragma: no cover - protocol
 
-    async def wait_until(self, deadline: float | None, wake: asyncio.Event) -> None:
+    async def wait_until(self, deadline: float | None, wake: Wake) -> None:
         """Sleep until service time reaches ``deadline`` or ``wake`` is set.
 
         ``deadline=None`` waits for ``wake`` alone.  Implementations must
-        check both conditions before parking (no missed-wakeup races).
+        check both conditions, then park on one future registered with
+        the timer and with ``wake`` before awaiting (no missed wakeups).
         """
         ...  # pragma: no cover - protocol
-
-
-async def _first_of(*futures: asyncio.Future) -> None:
-    """Await the first future to finish, then cancel and reap the rest."""
-    _, pending = await asyncio.wait(set(futures), return_when=asyncio.FIRST_COMPLETED)
-    for fut in pending:
-        fut.cancel()
-    if pending:
-        await asyncio.gather(*pending, return_exceptions=True)
 
 
 class WallClock:
@@ -77,45 +110,47 @@ class WallClock:
         self._base = float(t)
         self._origin = time.monotonic()
 
-    async def wait_until(self, deadline: float | None, wake: asyncio.Event) -> None:
+    async def wait_until(self, deadline: float | None, wake: Wake) -> None:
         if wake.is_set():
             return
+        loop = asyncio.get_running_loop()
+        fut = loop.create_future()
         if deadline is None:
-            await wake.wait()
+            wake._park(fut)
+            await fut
             return
         delay = (deadline - self.now()) / self.rate
         if delay <= 0:
             return
-        waiter = asyncio.ensure_future(wake.wait())
+        wake._park(fut)
+        handle = loop.call_later(delay, _resolve, fut)
         try:
-            await asyncio.wait_for(asyncio.shield(waiter), timeout=delay)
-        except asyncio.TimeoutError:
-            pass
+            await fut
         finally:
-            waiter.cancel()
-            await asyncio.gather(waiter, return_exceptions=True)
+            handle.cancel()
 
 
 class VirtualClock:
     """Explicitly advanced service time — the deterministic test clock.
 
     Tests (and :func:`~repro.service.service.run_until_quiescent`) move
-    time with :meth:`advance_to`/:meth:`advance`; every advance pulses
-    an internal event so any ``wait_until`` re-checks its deadline.
-    Nothing here ever touches the OS clock, so a suite built on this
-    clock contains zero real sleeps by construction.
+    time with :meth:`advance_to`/:meth:`advance`; each advance resolves
+    the timers whose deadline it reaches and leaves every other waiter
+    parked.  Nothing here ever touches the OS clock, so a suite built on
+    this clock contains zero real sleeps by construction.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._waiters: list[asyncio.Future] = []
+        #: ``(deadline, future)`` of every parked ``wait_until``.
+        self._timers: list[tuple[float, asyncio.Future]] = []
 
     def now(self) -> float:
         return self._now
 
     def resume_at(self, t: float) -> None:
         self._now = float(t)
-        self._pulse()
+        self._fire_due()
 
     # ------------------------------------------------------------------
     def advance_to(self, t: float) -> None:
@@ -123,35 +158,39 @@ class VirtualClock:
         if t < self._now:
             raise ValueError(f"cannot rewind virtual time: {t} < now={self._now}")
         self._now = float(t)
-        self._pulse()
+        self._fire_due()
 
     def advance(self, dt: float) -> None:
         if dt < 0:
             raise ValueError(f"negative advance: {dt}")
         self.advance_to(self._now + dt)
 
-    def _pulse(self) -> None:
-        # Resolve every waiter registered so far.  Registration happens
-        # synchronously inside ``wait_until`` (a plain Future appended
-        # before any await), so there is no window between a waiter's
-        # deadline re-check and its registration for a pulse to slip
-        # through — an Event's coroutine-based ``wait()`` would have one.
-        waiters, self._waiters = self._waiters, []
-        for fut in waiters:
-            if not fut.done():
-                fut.set_result(None)
+    def _fire_due(self) -> None:
+        if not self._timers:
+            return
+        now = self._now
+        pending = []
+        for timer in self._timers:
+            if timer[0] <= now:
+                _resolve(timer[1])
+            else:
+                pending.append(timer)
+        self._timers = pending
 
     # ------------------------------------------------------------------
-    async def wait_until(self, deadline: float | None, wake: asyncio.Event) -> None:
-        while True:
-            if wake.is_set():
-                return
-            if deadline is not None and self._now >= deadline:
-                return
-            tick = asyncio.get_running_loop().create_future()
-            self._waiters.append(tick)
-            try:
-                await _first_of(tick, asyncio.ensure_future(wake.wait()))
-            finally:
-                if tick in self._waiters:
-                    self._waiters.remove(tick)
+    async def wait_until(self, deadline: float | None, wake: Wake) -> None:
+        if wake.is_set() or (deadline is not None and self._now >= deadline):
+            return
+        fut = asyncio.get_running_loop().create_future()
+        wake._park(fut)
+        if deadline is None:
+            await fut
+            return
+        timer = (deadline, fut)
+        self._timers.append(timer)
+        try:
+            await fut
+        finally:
+            # Woken (or cancelled) before the deadline: drop the timer.
+            if timer in self._timers:
+                self._timers.remove(timer)

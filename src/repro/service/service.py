@@ -13,8 +13,10 @@ AsyncTimeline` and drives it from a single *pump* coroutine:
    gates replayed arrivals and churn requeues too) → allocator submit;
    each producer's future resolves with a structured
    :class:`IngressDecision`;
-4. when no progress is possible, publish *idle* and park on the clock
-   until the next pending event is due or a producer wakes the pump.
+4. when no progress is possible, publish *idle* and park on one future
+   that the clock resolves when the next pending event is due, or that
+   a producer resolves through :class:`~repro.service.clock.Wake`;
+   a clock advance short of that event leaves the pump parked.
 
 Backpressure is explicit: a full ingress queue sheds new offers
 immediately (HTTP 429 upstream), and an Eq.-2 rejection is a proactive
@@ -41,7 +43,7 @@ from collections.abc import Sequence
 from ..sim.task import Task
 from ..system.admission import AdmissionController
 from ..system.serverless import ServerlessSystem
-from .clock import VirtualClock
+from .clock import VirtualClock, Wake
 from .timeline import AsyncTimeline
 
 __all__ = [
@@ -151,7 +153,7 @@ class SchedulerService:
         self.ingress_capacity = int(ingress_capacity)
         self.stats = ServiceStats()
         self._ingress: deque[_IngressItem] = deque()
-        self._wake = asyncio.Event()
+        self._wake = Wake()
         self._idle = asyncio.Event()
         self._pump_task: asyncio.Task | None = None
         self._stopping = False
@@ -390,8 +392,9 @@ async def run_until_quiescent(
             return wakeups
         # Clear idle *before* advancing: the next wait_idle() then blocks
         # until the pump has fired this instant's events and re-parked.
-        # The pump cannot miss the advance — its wait_until re-checks the
-        # deadline before parking.
+        # The pump parked on one future with this very deadline, so the
+        # advance resolves it; an advance short of the deadline would
+        # leave it parked.
         service._idle.clear()
         clock.advance_to(max(nxt, clock.now()))
         wakeups += 1

@@ -350,6 +350,7 @@ def restore_service(service: SchedulerService, snap: dict) -> None:
     service.stats.rejected = stats["rejected"]
     service.stats.shed = stats["shed"]
     service.stats.malformed = stats["malformed"]
+    # A raised Wake: the restored pump's first park returns at once.
     service._wake.set()
 
 

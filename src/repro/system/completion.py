@@ -649,13 +649,15 @@ class CompletionEstimator:
                     total = float(kept.sum()) + pet.tail
                     if total > _PMF_EPS:
                         kind = "interior"
-                        pct = PMF(kept / total, src_offset + cut, pet.tail / total)
-                        # The constructor's leading trim (division by the
-                        # positive normalizer never maps mass to zero, so
-                        # the zero pattern of ``kept`` is the trim pattern).
-                        nz = np.flatnonzero(kept > 0.0)
-                        lo = int(nz[0]) if nz.size else 0
-                        self._cond_cache.put(ckey, (pct.probs, lo, pct.tail))
+                        # The PMF constructor's zero trim, done once: the
+                        # leading trim ``lo`` is what the hit path replays.
+                        probs = kept / total
+                        nz = np.flatnonzero(probs > 0.0)
+                        lo, hi = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+                        if lo != 0 or hi != probs.size:
+                            probs = probs[lo:hi]
+                        pct = PMF._from_parts(probs, (src_offset + cut) + lo, pet.tail / total)
+                        self._cond_cache.put(ckey, (probs, lo, pct.tail))
                     else:
                         kind = "tdep"
                         pct = pet.shift(started).condition_at_least(now)

@@ -103,6 +103,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="target"):
             ControllerConfig(kind="target-success", target=1.0)
 
+    def test_bool_dropping_toggle_rejected_by_name(self):
+        with pytest.raises(ValueError, match="dropping_toggle must be an integer"):
+            PruningConfig(dropping_toggle=True)
+
+    def test_bool_pruning_threshold_rejected_by_name(self):
+        with pytest.raises(ValueError, match="pruning_threshold must be a number"):
+            PruningConfig(pruning_threshold=True)
+
+    def test_bool_alpha_arm_rejected_by_name(self):
+        with pytest.raises(ValueError, match="alphas must be integers, got True"):
+            ControllerConfig(kind="bandit", alphas=(True,))
+
+    def test_string_beta_arm_rejected_by_name(self):
+        with pytest.raises(ValueError, match="betas must be numbers, got '0.5'"):
+            ControllerConfig(kind="bandit", betas=("0.5",))
+
+    def test_accepted_values_are_kept_as_given(self):
+        """The checks convert nothing they accept (trial keys hash the
+        config as given)."""
+        pruning = PruningConfig(pruning_threshold=1, dropping_toggle=2.0)
+        assert type(pruning.pruning_threshold) is int
+        assert type(pruning.dropping_toggle) is float
+        bandit = ControllerConfig(kind="bandit", betas=(0.5,), alphas=(2.0,))
+        assert bandit.betas == (0.5,) and bandit.alphas == (2,)
+
     def test_dict_round_trip_through_pruning_config(self):
         import dataclasses
 

@@ -2,10 +2,11 @@
 
 The pinned contracts:
 
-* :class:`VirtualClock` never touches the OS clock and cannot miss a
-  pulse — including the pathological interleaving where the pulse fires
-  synchronously right after a waiter's deadline check (the lost-wakeup
-  regression);
+* :class:`VirtualClock` never touches the OS clock and cannot miss an
+  advance or a :class:`Wake` — including the pathological interleaving
+  where the advance fires synchronously right after a waiter's deadline
+  check (the lost-wakeup regression) — and it resolves a timer only at
+  its own deadline;
 * :class:`AsyncTimeline` releases same-timestamp events in *exactly*
   the simulator's heap order, because it is a :class:`Simulator` and
   inherits its heap.
@@ -17,7 +18,7 @@ import asyncio
 
 import pytest
 
-from repro.service import AsyncTimeline, VirtualClock, WallClock
+from repro.service import AsyncTimeline, VirtualClock, WallClock, Wake
 from repro.sim.engine import Priority, Simulator
 
 
@@ -52,8 +53,8 @@ def test_virtual_clock_resume_at_rewinds_for_restore():
 def test_wait_until_returns_immediately_when_deadline_already_reached(run_async):
     async def scenario():
         clock = VirtualClock(start_time=8.0)
-        await clock.wait_until(8.0, asyncio.Event())
-        await clock.wait_until(3.0, asyncio.Event())
+        await clock.wait_until(8.0, Wake())
+        await clock.wait_until(3.0, Wake())
 
     run_async(scenario())
 
@@ -61,7 +62,7 @@ def test_wait_until_returns_immediately_when_deadline_already_reached(run_async)
 def test_wait_until_wakes_on_wake_event_without_deadline(run_async):
     async def scenario():
         clock = VirtualClock()
-        wake = asyncio.Event()
+        wake = Wake()
         waiter = asyncio.ensure_future(clock.wait_until(None, wake))
         for _ in range(3):
             await asyncio.sleep(0)
@@ -73,37 +74,39 @@ def test_wait_until_wakes_on_wake_event_without_deadline(run_async):
 
 
 def test_wait_until_cannot_miss_a_synchronous_pulse(run_async):
-    """The lost-wakeup regression: a pulse fired synchronously (no await
-    between the waiter's park and the advance) must still wake it.
+    """The lost-wakeup regression: an advance fired synchronously (no
+    await between the waiter's park and the advance) must still wake it.
 
     An ``asyncio.Event``-based tick loses this race — ``ensure_future``
     defers ``Event.wait()``'s first step, so a set-then-clear pulse can
-    land before the waiter registers.  The clock registers plain futures
-    synchronously inside ``wait_until``, which closes the window.
+    land before the waiter registers.  ``wait_until`` appends its future
+    to the timer list synchronously, which closes the window.
     """
 
     async def scenario():
         clock = VirtualClock()
-        wake = asyncio.Event()
+        wake = Wake()
         waiter = asyncio.ensure_future(clock.wait_until(9.0, wake))
         # One yield: the waiter checks its deadline and parks.
         await asyncio.sleep(0)
+        assert [deadline for deadline, _ in clock._timers] == [9.0]
         # Synchronous advance — no further awaits before the assert loop.
         clock.advance_to(9.0)
         for _ in range(5):
             await asyncio.sleep(0)
         assert waiter.done()
+        assert clock._timers == []
         await waiter
 
     run_async(scenario())
 
 
 def test_wait_until_repulses_until_deadline_reached(run_async):
-    """Partial advances re-check and re-park; the deadline advance wakes."""
+    """Partial advances leave the timer parked; the deadline advance wakes."""
 
     async def scenario():
         clock = VirtualClock()
-        wake = asyncio.Event()
+        wake = Wake()
         waiter = asyncio.ensure_future(clock.wait_until(10.0, wake))
         for t in (2.0, 5.0, 9.9):
             await asyncio.sleep(0)
@@ -123,10 +126,59 @@ def test_wait_until_repulses_until_deadline_reached(run_async):
 def test_virtual_clock_leaves_no_waiters_behind(run_async):
     async def scenario():
         clock = VirtualClock()
-        wake = asyncio.Event()
+        wake = Wake()
         wake.set()
         await clock.wait_until(100.0, wake)  # returns via wake, not pulse
-        assert clock._waiters == []
+        assert clock._timers == []
+        # A park woken by set() before its deadline drops its timer too.
+        wake.clear()
+        waiter = asyncio.ensure_future(clock.wait_until(100.0, wake))
+        await asyncio.sleep(0)
+        assert len(clock._timers) == 1
+        wake.set()
+        await waiter
+        assert clock._timers == []
+
+    run_async(scenario())
+
+
+def test_wake_is_a_flag_whose_set_resolves_the_parked_future(run_async):
+    async def scenario():
+        wake = Wake()
+        assert not wake.is_set()
+        wake.set()
+        assert wake.is_set()
+        wake.clear()
+        assert not wake.is_set()
+        fut = asyncio.get_running_loop().create_future()
+        wake._park(fut)
+        with pytest.raises(RuntimeError, match="already parked"):
+            wake._park(asyncio.get_running_loop().create_future())
+        wake.set()
+        assert fut.done()
+        # The parked future was handed off: a later set() resolves nothing.
+        wake._park(asyncio.get_running_loop().create_future())
+
+    run_async(scenario())
+
+
+def test_virtual_clock_resolves_only_the_timers_it_reaches(run_async):
+    """Each advance resolves the timers due by then and no other."""
+
+    async def scenario():
+        clock = VirtualClock()
+        early, late = Wake(), Wake()
+        first = asyncio.ensure_future(clock.wait_until(3.0, early))
+        second = asyncio.ensure_future(clock.wait_until(6.0, late))
+        await asyncio.sleep(0)
+        clock.advance_to(4.0)
+        await asyncio.sleep(0)
+        assert first.done() and not second.done()
+        assert [deadline for deadline, _ in clock._timers] == [6.0]
+        clock.resume_at(6.0)
+        await asyncio.sleep(0)
+        assert second.done()
+        assert clock._timers == []
 
     run_async(scenario())
 
@@ -152,10 +204,10 @@ def test_wall_clock_resume_at_reanchors():
 def test_wall_clock_wait_until_no_wait_paths(run_async):
     async def scenario():
         clock = WallClock(rate=1.0, start_time=10.0)
-        wake = asyncio.Event()
+        wake = Wake()
         wake.set()
         await clock.wait_until(10_000.0, wake)  # wake already set
-        await clock.wait_until(5.0, asyncio.Event())  # deadline passed
+        await clock.wait_until(5.0, Wake())  # deadline passed
 
     run_async(scenario())
 
@@ -163,11 +215,33 @@ def test_wall_clock_wait_until_no_wait_paths(run_async):
 def test_wall_clock_wait_until_wakes_on_event_before_deadline(run_async):
     async def scenario():
         clock = WallClock(rate=1.0)
-        wake = asyncio.Event()
+        wake = Wake()
         waiter = asyncio.ensure_future(clock.wait_until(10_000.0, wake))
         await asyncio.sleep(0)
         wake.set()
-        await waiter  # resolves via the event, millennia before timeout
+        await waiter  # resolves via the wake, millennia before timeout
+
+    run_async(scenario())
+
+
+def test_wall_clock_wait_woken_early_leaves_no_pending_timer(run_async):
+    """A wait woken before its deadline cancels its timer handle and
+    leaves no task behind: the park is one future, not a task pair."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        clock = WallClock(rate=1.0)
+        wake = Wake()
+        before = asyncio.all_tasks()
+        waiter = asyncio.ensure_future(clock.wait_until(10_000.0, wake))
+        await asyncio.sleep(0)
+        assert asyncio.all_tasks() == before | {waiter}
+        pending = [h for h in loop._scheduled if not h.cancelled()]
+        assert len(pending) == 1  # the deadline timer
+        wake.set()
+        await waiter
+        assert [h for h in loop._scheduled if not h.cancelled()] == []
+        assert asyncio.all_tasks() == before
 
     run_async(scenario())
 

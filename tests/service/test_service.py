@@ -7,6 +7,8 @@ Everything runs under a :class:`VirtualClock` driven by
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -397,5 +399,77 @@ def test_run_until_quiescent_max_wakeups_bounds_progress(make_service, run_async
         assert total >= 1
         await service.stop()
         assert service.finalize().total == 3
+
+    run_async(scenario())
+
+
+# ----------------------------------------------------------------------
+# The park: one future, resolved by a due deadline or an offer.
+# ----------------------------------------------------------------------
+async def _yield(n: int = 5) -> None:
+    for _ in range(n):
+        await asyncio.sleep(0)
+
+
+def test_advance_short_of_next_event_runs_no_pump_step(make_service, run_async):
+    """An advance before the pump's next event time leaves its park
+    untouched — no ``_step``, the same parked future, no task created or
+    reaped; the advance to that time wakes it and fires the event."""
+
+    async def scenario():
+        service, clock = make_service()
+        await service.start()
+        await service.offer({"task_type": 0, "deadline_slack": 50.0})
+        await service.wait_idle()
+        nxt = service.next_wakeup()
+        assert nxt is not None and nxt > clock.now()
+        steps = []
+        step = service._step
+        service._step = lambda: steps.append(clock.now()) or step()
+        tasks = asyncio.all_tasks()
+        timers = list(clock._timers)
+        assert [deadline for deadline, _ in timers] == [nxt]
+        clock.advance_to((clock.now() + nxt) / 2)
+        await _yield()
+        assert steps == []
+        assert asyncio.all_tasks() == tasks
+        assert len(clock._timers) == 1 and clock._timers[0] is timers[0]
+        fired = service.timeline.events_fired
+        clock.advance_to(nxt)
+        await _yield()
+        assert steps and steps[0] == nxt
+        assert service.timeline.events_fired > fired
+        await run_until_quiescent(service)
+        await service.stop()
+
+    run_async(scenario())
+
+
+def test_offers_leave_the_task_count_unchanged(make_service, run_async):
+    """Parking and waking the pump creates no tasks: across 100 offers,
+    interleaved with due events, the loop's task count stays put."""
+
+    async def scenario():
+        service, clock = make_service()
+        await service.start()
+        await service.wait_idle()
+        baseline = len(asyncio.all_tasks())
+        counts = []
+        for k in range(100):
+            when = 0.5 * k
+            while (nxt := service.next_wakeup()) is not None and nxt <= when:
+                service._idle.clear()
+                clock.advance_to(max(nxt, clock.now()))
+                await service.wait_idle()
+                counts.append(len(asyncio.all_tasks()))
+            clock.advance_to(max(when, clock.now()))
+            decision = await service.offer({"task_type": k % 3, "deadline_slack": 40.0})
+            assert decision.status == "admitted"
+            counts.append(len(asyncio.all_tasks()))
+        await run_until_quiescent(service)
+        counts.append(len(asyncio.all_tasks()))
+        assert set(counts) == {baseline}
+        await service.stop()
+        assert service.finalize().total == 100
 
     run_async(scenario())
