@@ -1,19 +1,20 @@
 """Shared benchmark configuration.
 
-Each benchmark regenerates one table/figure of the paper (printing the
-same rows/series the paper reports) and measures how long the regeneration
-takes.  Scale/trial defaults keep the full suite in the minutes range;
-crank ``BENCH_SCALE``/``BENCH_TRIALS`` env vars up for paper-size runs.
+Figure benches regenerate the paper's figures at bench scale; the
+defaults keep the suite in the minutes range.  Crank the
+``BENCH_SCALE``/``BENCH_TRIALS`` env vars up for paper-size runs.
 """
 
+import functools
 import os
 
 import pytest
 
 from repro.experiments import scenarios
+from repro.experiments.report import FigureResult
 
 #: Workload scale for figure benches (1.0 = the library's default scale,
-#: ~1/16.7 of the paper's trace length; see DESIGN.md).
+#: ~1/16.7 of the paper's trace length; see docs/experiments.md).
 BENCH_SCALE = float(os.environ.get("BENCH_SCALE", "0.4"))
 
 #: Workload trials per experimental cell.
@@ -23,14 +24,11 @@ BENCH_TRIALS = int(os.environ.get("BENCH_TRIALS", "2"))
 BENCH_SEED = int(os.environ.get("BENCH_SEED", "7"))
 
 
-def run_figure(benchmark, name, **kwargs):
-    """Benchmark regenerating one registry figure (single round — these
-    are end-to-end simulation campaigns, not microbenchmarks)."""
-    kwargs.setdefault("trials", BENCH_TRIALS)
-    kwargs.setdefault("base_seed", BENCH_SEED)
-    kwargs.setdefault("scale", BENCH_SCALE)
-    return benchmark.pedantic(
-        lambda: scenarios.run_figure(name, **kwargs), rounds=1, iterations=1
+@functools.cache
+def run_figure(name: str) -> FigureResult:
+    """Registry figure ``name`` at bench scale, run once per session."""
+    return scenarios.run_figure(
+        name, trials=BENCH_TRIALS, base_seed=BENCH_SEED, scale=BENCH_SCALE
     )
 
 

@@ -66,9 +66,6 @@ class TimelineRecorder:
     def __len__(self) -> int:
         return len(self.events)
 
-    def of_kind(self, kind: str) -> list[TimelineEvent]:
-        return [e for e in self.events if e.kind == kind]
-
     def counts(self) -> Counter:
         return Counter(e.kind for e in self.events)
 

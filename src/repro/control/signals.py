@@ -94,18 +94,6 @@ class ControlSignals:
         return self.misses / self.outcomes if self.outcomes else 0.0
 
     @property
-    def drop_rate(self) -> float:
-        """Fraction of outcomes that were dropped (either kind)."""
-        if not self.outcomes:
-            return 0.0
-        return (self.dropped_missed + self.dropped_proactive) / self.outcomes
-
-    @property
-    def on_time_rate(self) -> float:
-        """Fraction of outcomes that completed on time (0 when none)."""
-        return self.on_time / self.outcomes if self.outcomes else 0.0
-
-    @property
     def backlog(self) -> int:
         """Everything admitted but not yet running or finished."""
         return self.queued + self.batch_queued

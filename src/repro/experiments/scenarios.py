@@ -20,11 +20,15 @@ overrides are a grid rewrite (:meth:`SweepGrid.with_pruning
 expansion.  The oversubscription levels and their scale calibration
 live in :mod:`~repro.experiments.campaign` (:data:`LEVELS`,
 :func:`level_spec`).
+
+The paper's statements about a figure's shape (§V) are the figure's
+:attr:`Figure.claims`: declarative :class:`Claim` rows read off its
+table, which :func:`failed_claims` checks as one evaluator.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +43,12 @@ from .runner import pet_matrix
 
 __all__ = [
     "level_spec",  # re-exported: lives in campaign next to the level resolver
+    "Term",
+    "cell",
+    "gain",
+    "spread",
+    "Claim",
+    "failed_claims",
     "Figure",
     "FIGURES",
     "ALL_FIGURES",
@@ -95,6 +105,69 @@ def fig6_text(**kwargs) -> str:
 
 
 # ----------------------------------------------------------------------
+# Claims: the paper's statements about a figure's shape, as rows.
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Term:
+    """One side of a claim: a robustness value (pp) read off a figure."""
+
+    #: ``"cell"`` (the row's mean), ``"gain"`` (``row-P`` minus ``row``)
+    #: or ``"spread"`` (max minus min over the rows).
+    kind: str
+    rows: tuple[str, ...]
+    col: str
+
+    def value(self, result: FigureResult) -> float:
+        means = [result.get(row, self.col).mean_pct for row in self.rows]
+        if self.kind == "cell":
+            return means[0]
+        if self.kind == "gain":
+            return result.improvement(self.rows[0], f"{self.rows[0]}-P", self.col)
+        return max(means) - min(means)
+
+    def __str__(self) -> str:
+        return f"{self.kind}({', '.join(self.rows)} @ {self.col})"
+
+
+def cell(row: str, col: str) -> Term:
+    """The mean robustness of one cell."""
+    return Term("cell", (row,), col)
+
+
+def gain(row: str, col: str) -> Term:
+    """The pruning gain of ``row`` in one column: ``row-P`` minus ``row``."""
+    return Term("gain", (row,), col)
+
+
+def spread(rows: Sequence[str], col: str) -> Term:
+    """Max minus min robustness over ``rows`` in one column."""
+    return Term("spread", tuple(rows), col)
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A shape claim that holds when ``lhs > rhs - tolerance`` (pp)."""
+
+    name: str
+    lhs: Term
+    rhs: Term
+    tolerance: float = 0.0
+
+
+def failed_claims(result: FigureResult) -> dict[str, str]:
+    """The claims of ``result``'s figure that its table breaks, by name,
+    each with the values it read."""
+    failed: dict[str, str] = {}
+    for claim in FIGURES[result.figure_id].claims:
+        lhs, rhs = claim.lhs.value(result), claim.rhs.value(result)
+        if not lhs > rhs - claim.tolerance:
+            failed[claim.name] = (
+                f"{claim.lhs} = {lhs:.2f} <= {claim.rhs} = {rhs:.2f} - {claim.tolerance:g}"
+            )
+    return failed
+
+
+# ----------------------------------------------------------------------
 # Figs. 7–10 (and churn): one declaration each.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -115,6 +188,9 @@ class Figure:
     #: the baseline) rather than the heuristic alone.
     pruned_rows: bool = False
     notes: str = ""
+    #: The paper's claims about the table's shape (``churn``, not a
+    #: paper figure, makes none).
+    claims: tuple[Claim, ...] = ()
 
 
 def _preset(name: str, **changes: object) -> Callable[[float], Mapping]:
@@ -145,18 +221,32 @@ def _churn_grid(scale: float) -> Mapping:
     }
 
 
-def _toggle(title: str, grid: Callable[[float], Mapping]) -> Figure:
+NO_DROP, ALWAYS, REACTIVE = (
+    "no Toggle, no dropping",
+    "no Toggle, always dropping",
+    "reactive Toggle",
+)
+_BATCH = ("MM", "MSD", "MMU")
+_HOMOGENEOUS_ROWS = ("FCFS-RR", "SJF", "EDF")
+
+
+def _toggle(
+    title: str, grid: Callable[[float], Mapping], claims: tuple[Claim, ...]
+) -> Figure:
     """A Fig. 7 panel: one column per dropping policy."""
     return Figure(
         title,
         grid,
         col_axis="pruning",
-        cols=("no Toggle, no dropping", "no Toggle, always dropping", "reactive Toggle"),
+        cols=(NO_DROP, ALWAYS, REACTIVE),
         col_name="dropping policy",
+        claims=claims,
     )
 
 
-def _oversub(title: str, grid: Callable[[float], Mapping]) -> Figure:
+def _oversub(
+    title: str, grid: Callable[[float], Mapping], claims: tuple[Claim, ...]
+) -> Figure:
     """A Fig. 9/10 panel: baseline and pruned rows, one column per level."""
     return Figure(
         title,
@@ -165,18 +255,55 @@ def _oversub(title: str, grid: Callable[[float], Mapping]) -> Figure:
         cols=tuple(LEVELS),
         col_name="oversubscription level",
         pruned_rows=True,
+        claims=claims,
     )
 
 
-_HOMOGENEOUS = dict(heuristics=["FCFS-RR", "SJF", "EDF"], heterogeneity=["homogeneous"])
+def _dropping_lifts(heuristics: Sequence[str], tolerance: float = 0.0) -> tuple[Claim, ...]:
+    """Fig. 7 (§V-C): the reactive Toggle beats never dropping."""
+    return tuple(
+        Claim(f"dropping-lifts-{h}", cell(h, REACTIVE), cell(h, NO_DROP), tolerance)
+        for h in heuristics
+    )
+
+
+def _pruning_lifts(
+    heuristics: Sequence[str], col: str = "25k", tolerance: float = 0.0
+) -> tuple[Claim, ...]:
+    """Figs. 9/10 (§V-E/F): the pruned row beats its baseline."""
+    return tuple(
+        Claim(f"pruning-lifts-{h}-at-{col}", cell(f"{h}-P", col), cell(h, col), tolerance)
+        for h in heuristics
+    )
+
+
+_HOMOGENEOUS = dict(heuristics=list(_HOMOGENEOUS_ROWS), heterogeneity=["homogeneous"])
+#: §V-F: pruning lifts every homogeneous heuristic at the heaviest
+#: level, and EDF (the heuristic the paper highlights) at every level.
+_HOMOGENEOUS_CLAIMS = (
+    _pruning_lifts(_HOMOGENEOUS_ROWS)
+    + _pruning_lifts(["EDF"], "15k")
+    + _pruning_lifts(["EDF"], "20k")
+)
 
 #: The figures run by ``python -m repro.experiments <name>``, by name.
 FIGURES: dict[str, Figure] = {
     "fig7a": _toggle(
         "Impact of Toggle on immediate-mode mapping heuristics",
         _preset("fig7b", heuristics=["RR", "MCT", "MET", "KPB"]),
+        # Dropping helps the heuristics that use completion-time
+        # information, and KPB is the strongest immediate heuristic.
+        _dropping_lifts(["MCT", "KPB"])
+        + (
+            Claim("KPB-beats-RR", cell("KPB", REACTIVE), cell("RR", REACTIVE)),
+            Claim("KPB-near-MET", cell("KPB", REACTIVE), cell("MET", REACTIVE), 1.0),
+        ),
     ),
-    "fig7b": _toggle("Impact of Toggle on batch-mode mapping heuristics", _preset("fig7b")),
+    "fig7b": _toggle(
+        "Impact of Toggle on batch-mode mapping heuristics",
+        _preset("fig7b"),
+        _dropping_lifts(_BATCH, tolerance=2.0),
+    ),
     "fig8": Figure(
         "Impact of task deferring on batch-mode heuristics (25k-equivalent)",
         _preset("thresholds"),
@@ -184,21 +311,46 @@ FIGURES: dict[str, Figure] = {
         cols=("0%", "25%", "50%", "75%"),
         col_name="pruning threshold",
         notes="0% threshold = no pruning (the paper's baseline bar).",
+        # §V-D: deferring at 50 % lifts the deadline-chasing heuristics,
+        # and the three converge once deferring is active.
+        claims=(
+            Claim("deferring-lifts-MSD", cell("MSD", "50%"), cell("MSD", "0%")),
+            Claim("deferring-lifts-MMU", cell("MMU", "50%"), cell("MMU", "0%")),
+            Claim("deferring-equalizes", spread(_BATCH, "0%"), spread(_BATCH, "50%")),
+        ),
     ),
     "fig9a": _oversub(
         "Pruning mechanism on batch-mode heuristics (constant arrivals)",
         _preset("oversub", patterns=["constant"]),
+        # MM's constant-arrival baseline is already strong: pruning must
+        # not hurt it by more than noise.
+        _pruning_lifts(["MSD", "MMU"]) + _pruning_lifts(["MM"], tolerance=3.0),
     ),
     "fig9b": _oversub(
-        "Pruning mechanism on batch-mode heuristics (spiky arrivals)", _preset("oversub")
+        "Pruning mechanism on batch-mode heuristics (spiky arrivals)",
+        _preset("oversub"),
+        # §V-E: pruning lifts every batch heuristic, the deadline chasers
+        # most; it narrows their spread, and its gain grows with load.
+        _pruning_lifts(_BATCH)
+        + (
+            Claim("MSD-gains-more-than-MM", gain("MSD", "25k"), gain("MM", "25k")),
+            Claim(
+                "pruning-equalizes",
+                spread(_BATCH, "25k"),
+                spread([f"{h}-P" for h in _BATCH], "25k"),
+            ),
+            Claim("gain-grows-with-load", gain("MSD", "25k"), gain("MSD", "15k")),
+        ),
     ),
     "fig10a": _oversub(
         "Pruning mechanism on homogeneous systems (constant arrivals)",
         _preset("oversub", patterns=["constant"], **_HOMOGENEOUS),
+        _HOMOGENEOUS_CLAIMS,
     ),
     "fig10b": _oversub(
         "Pruning mechanism on homogeneous systems (spiky arrivals)",
         _preset("oversub", **_HOMOGENEOUS),
+        _HOMOGENEOUS_CLAIMS,
     ),
     "churn": Figure(
         "Pruning mechanism under machine churn (spiky, 20k-equivalent)",

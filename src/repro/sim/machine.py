@@ -83,10 +83,6 @@ class Machine:
 
     # ------------------------------------------------------------------
     @property
-    def is_idle(self) -> bool:
-        return self.running is None
-
-    @property
     def queue_length(self) -> int:
         return len(self.queue)
 

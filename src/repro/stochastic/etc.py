@@ -2,11 +2,11 @@
 
 Khemka et al. (cited as [12] in the paper's related work) track execution
 times with a *deterministic scalar* ETC matrix, in contrast to the paper's
-probabilistic PET matrix.  We implement the ETC view as a baseline so the
-ablation benchmarks can quantify what the probabilistic model buys: an
-ETC-driven pruner estimates chance of success as a step function (1 when
-the expected completion time meets the deadline, else 0), which cannot
-distinguish a 51 % from a 99 % chance.
+probabilistic PET matrix.  We implement the ETC view as a baseline that
+shows what the probabilistic model buys: an ETC-driven pruner estimates
+chance of success as a step function (1 when the expected completion
+time meets the deadline, else 0), which cannot distinguish a 51 % from
+a 99 % chance.
 """
 
 from __future__ import annotations

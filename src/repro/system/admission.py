@@ -7,11 +7,10 @@ best machine is below a threshold.  Rejection is irrevocable — unlike a
 deferred task, a rejected task cannot be revisited when a better machine
 frees up.
 
-The ablation this enables (``benchmarks/bench_admission.py``) shows why
-the paper prefers deferring: admission control with the same 50 %
-threshold throws away tasks that deferment would have saved, especially
-in inconsistently heterogeneous clusters where the right machine becomes
-available a few events later.
+Compared at the same 50 % threshold, it shows why the paper prefers
+deferring: admission control throws away tasks that deferment would
+have saved, especially in inconsistently heterogeneous clusters where
+the right machine becomes available a few events later.
 
 :class:`AdmissionController` wraps any :class:`~repro.system.allocator.
 ResourceAllocator`-driving system by intercepting ``submit`` and

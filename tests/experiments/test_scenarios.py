@@ -1,8 +1,9 @@
 """Tests for the figure registry at tiny scale.
 
-Full-scale shape assertions live in tests/test_integration.py; here each
-figure runs at scale 0.15 with one trial to verify wiring, labels, grid
-structure, and byte identity with the recorded per-figure grids.
+Each figure runs once at scale 0.15 with one trial; the tests check its
+wiring, labels, grid structure, byte identity with the recorded
+per-figure grids, and every row of its claims registry.  The same rows
+run at bench scale in ``benchmarks/bench_figures.py``.
 """
 
 import dataclasses
@@ -11,11 +12,13 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.experiments import scenarios
 from repro.experiments.campaign import _config_payload, _provenance
 from repro.experiments.report import FigureResult
+from repro.metrics.robustness import AggregateStats
 from repro.sim.rng import fingerprint
 
 TINY = dict(trials=1, base_seed=1, scale=0.15)
@@ -45,6 +48,15 @@ class TestLevelSpec:
 
 
 class TestFig6:
+    def test_spikes_stand_out(self):
+        """The spiky pattern's peak window is well above its lull."""
+        series = scenarios.fig6(base_seed=7, scale=0.4)
+        assert len(series) == 4
+        for ttype, (_centers, rates) in series.items():
+            median = float(np.median(rates))
+            assert median > 0, ttype
+            assert rates.max() > 1.5 * median, ttype
+
     def test_series_shape(self):
         series = scenarios.fig6(base_seed=1, scale=0.25, num_types_shown=2)
         assert set(series) == {0, 1}
@@ -104,6 +116,79 @@ class TestGrids:
             "fig10b",
             "churn",
         }
+
+
+CLAIM_ROWS = [
+    (name, claim) for name, figure in scenarios.FIGURES.items() for claim in figure.claims
+]
+
+
+class TestClaims:
+    def test_every_paper_figure_makes_a_claim(self):
+        assert {name for name, figure in scenarios.FIGURES.items() if not figure.claims} == {
+            "churn"
+        }
+
+    def test_claim_names_are_unique_per_figure(self):
+        for figure in scenarios.FIGURES.values():
+            names = [claim.name for claim in figure.claims]
+            assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize(
+        ("name", "claim"), CLAIM_ROWS, ids=[f"{name}:{claim.name}" for name, claim in CLAIM_ROWS]
+    )
+    def test_claim_holds(self, name, claim):
+        failed = scenarios.failed_claims(_tiny(name))
+        assert claim.name not in failed, failed[claim.name]
+
+
+def _table(figure_id, means, cols=("15k", "25k")):
+    """A FigureResult whose every column holds ``means[row]``."""
+    return FigureResult(
+        figure_id=figure_id,
+        title="",
+        row_axis="",
+        col_axis="",
+        rows=list(means),
+        cols=list(cols),
+        cells={
+            r: {c: AggregateStats(m, 0.0, 1, (m,)) for c in cols} for r, m in means.items()
+        },
+    )
+
+
+class TestClaimEvaluator:
+    """The evaluator's arithmetic on hand-made tables."""
+
+    def test_terms(self):
+        result = _table("fig9b", {"MM": 40.0, "MSD": 10.0, "MM-P": 55.0, "MSD-P": 50.0})
+        assert scenarios.cell("MSD", "25k").value(result) == 10.0
+        assert scenarios.gain("MM", "25k").value(result) == 15.0
+        assert scenarios.gain("MSD", "25k").value(result) == 40.0
+        assert scenarios.spread(["MM", "MSD"], "25k").value(result) == 30.0
+        assert str(scenarios.spread(["MM", "MSD"], "25k")) == "spread(MM, MSD @ 25k)"
+
+    def test_failed_rows_are_named_with_their_values(self):
+        # MMU loses 2 pp to pruning, and the gain is the same at every
+        # level: only those two rows fail.
+        result = _table(
+            "fig9b",
+            {"MM": 40.0, "MSD": 10.0, "MMU": 60.0, "MM-P": 55.0, "MSD-P": 50.0, "MMU-P": 58.0},
+        )
+        failed = scenarios.failed_claims(result)
+        assert set(failed) == {"pruning-lifts-MMU-at-25k", "gain-grows-with-load"}
+        assert failed["pruning-lifts-MMU-at-25k"] == (
+            "cell(MMU-P @ 25k) = 58.00 <= cell(MMU @ 25k) = 60.00 - 0"
+        )
+
+    @pytest.mark.parametrize(("mm_pruned", "fails"), [(47.0, True), (47.5, False)])
+    def test_tolerance_bound_is_exclusive(self, mm_pruned, fails):
+        """fig9a's MM row allows 3 pp: landing exactly on it fails."""
+        result = _table(
+            "fig9a",
+            {"MM": 50.0, "MSD": 10.0, "MMU": 10.0, "MM-P": mm_pruned, "MSD-P": 50.0, "MMU-P": 50.0},
+        )
+        assert ("pruning-lifts-MM-at-25k" in scenarios.failed_claims(result)) is fails
 
 
 class TestHeadline:

@@ -8,7 +8,11 @@ import pytest
 from repro import generate_workload
 from repro.core.config import PruningConfig
 from repro.experiments.campaign import level_spec
+from repro.experiments.runner import pet_matrix
+from repro.metrics import compare_paired
 from repro.sim.task import Task, TaskStatus
+from repro.workload import WorkloadSpec
+from repro.workload.generator import trimmed_slice
 from repro.workload.spec import ArrivalPattern
 from repro.system.admission import AdmissionController
 from repro.system.serverless import ServerlessSystem
@@ -139,3 +143,25 @@ class TestVersusDeferring:
         assert res.total == len(oversub_workload)
         assert gated.accounting.total_arrived == len(oversub_workload)
         assert res.dropped_proactive >= ac.stats.rejected
+
+    def test_pruning_beats_admission_over_paired_trials(self):
+        """§IV-B's argument for deferment on the paper's PET: over four
+        paired 450-task trials at the same 50 % threshold, prune-at-mapping
+        keeps at least as many tasks on time as prune-at-arrival."""
+        spec = WorkloadSpec(num_tasks=450, time_span=250.0)
+
+        def tasks(trial):
+            return generate_workload(spec, pet_matrix(), np.random.default_rng(300 + trial))
+
+        gated, pruned = [], []
+        for trial in range(4):
+            sys_a = ServerlessSystem(pet_matrix(), "MM", seed=trial)
+            AdmissionController(sys_a, threshold=0.5).run(tasks(trial))
+            gated.append(sys_a.result(trimmed_slice(sys_a.tasks, spec.trim_count)))
+
+            sys_b = ServerlessSystem(
+                pet_matrix(), "MM", pruning=PruningConfig.paper_default(), seed=trial
+            )
+            sys_b.run(tasks(trial))
+            pruned.append(sys_b.result(trimmed_slice(sys_b.tasks, spec.trim_count)))
+        assert compare_paired(gated, pruned).mean_delta_pp >= 0

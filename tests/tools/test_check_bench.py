@@ -72,6 +72,18 @@ class TestCommittedArtifacts:
         )
 
 
+def test_every_bench_module_runs_in_ci():
+    """A ``benchmarks/bench_*.py`` that no CI step names is never run:
+    each must appear on a non-comment line of the workflow."""
+    workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    steps = "\n".join(
+        line for line in workflow.splitlines() if not line.lstrip().startswith("#")
+    )
+    benches = sorted(p.name for p in BENCH_DIR.glob("bench_*.py"))
+    assert benches
+    assert [name for name in benches if f"benchmarks/{name}" not in steps] == []
+
+
 class TestNamedFailures:
     def test_missing_nested_key_is_named(self, check_bench, tmp_path):
         payload = _committed("BENCH_tuning.json")
