@@ -47,23 +47,41 @@ class TypeCounters:
         return self.completed_on_time + self.completed_late + self.dropped
 
 
+def _total(counter: str) -> property:
+    """A run-wide total: the sum of one :class:`TypeCounters` field over
+    every task type."""
+    return property(
+        lambda self: sum(getattr(c, counter) for c in self.per_type.values()),
+        doc=f"Run-wide ``{counter}`` count, summed over the task types.",
+    )
+
+
+#: The run-wide totals :meth:`Accounting.totals` reports, in payload
+#: order; each is the ``total_<name>`` property.
+_TOTALS = ("arrived", "on_time", "late", "dropped_missed", "dropped_proactive", "defers")
+
+
 class Accounting:
-    """Event-horizon and cumulative task statistics."""
+    """Event-horizon and cumulative task statistics.
+
+    ``per_type`` is the only cumulative tally; every ``total_*`` is
+    derived from it.
+    """
+
+    total_arrived = _total("arrived")
+    total_on_time = _total("completed_on_time")
+    total_late = _total("completed_late")
+    total_dropped_missed = _total("dropped_missed")
+    total_dropped_proactive = _total("dropped_proactive")
+    total_defers = _total("deferred")
+    total_requeues = _total("requeued")
+    total_dropped_cascade = _total("dropped_cascade")
 
     def __init__(self) -> None:
         self.per_type: dict[int, TypeCounters] = {}
         # Since-last-mapping-event buffers (flushed by the pruner).
         self._event_on_time: list[Task] = []
         self._event_misses: int = 0
-        # Cumulative totals.
-        self.total_arrived = 0
-        self.total_on_time = 0
-        self.total_late = 0
-        self.total_dropped_missed = 0
-        self.total_dropped_proactive = 0
-        self.total_defers = 0
-        self.total_requeues = 0
-        self.total_dropped_cascade = 0
 
     def _type(self, task: Task) -> TypeCounters:
         c = self.per_type.get(task.task_type)
@@ -76,16 +94,13 @@ class Accounting:
     # ------------------------------------------------------------------
     def record_arrival(self, task: Task) -> None:
         self._type(task).arrived += 1
-        self.total_arrived += 1
 
     def record_completion(self, task: Task) -> None:
         if task.status is TaskStatus.COMPLETED_ON_TIME:
             self._type(task).completed_on_time += 1
-            self.total_on_time += 1
             self._event_on_time.append(task)
         elif task.status is TaskStatus.COMPLETED_LATE:
             self._type(task).completed_late += 1
-            self.total_late += 1
             self._event_misses += 1
         else:
             raise ValueError(f"record_completion on status {task.status}")
@@ -93,11 +108,9 @@ class Accounting:
     def record_drop(self, task: Task) -> None:
         if task.status is TaskStatus.DROPPED_MISSED:
             self._type(task).dropped_missed += 1
-            self.total_dropped_missed += 1
             self._event_misses += 1
         elif task.status is TaskStatus.DROPPED_PROACTIVE:
             self._type(task).dropped_proactive += 1
-            self.total_dropped_proactive += 1
         else:
             raise ValueError(f"record_drop on status {task.status}")
 
@@ -109,17 +122,14 @@ class Accounting:
         if task.status is not TaskStatus.DROPPED_PROACTIVE:
             raise ValueError(f"record_cascade on status {task.status}")
         self._type(task).dropped_cascade += 1
-        self.total_dropped_cascade += 1
 
     def record_defer(self, task: Task) -> None:
         self._type(task).deferred += 1
-        self.total_defers += 1
 
     def record_requeue(self, task: Task) -> None:
         """A machine failure/drain evicted the task and it re-entered
         admission (not a miss: the task is still live)."""
         self._type(task).requeued += 1
-        self.total_requeues += 1
 
     # ------------------------------------------------------------------
     # Mapping-event horizon (consumed by Toggle and Fairness).
@@ -141,6 +151,11 @@ class Accounting:
         self._event_misses = 0
 
     # ------------------------------------------------------------------
+    def totals(self) -> dict[str, int]:
+        """Run-wide outcome totals by name: the ``/v1/stats`` accounting
+        block and the control plane's cumulative signals."""
+        return {name: getattr(self, f"total_{name}") for name in _TOTALS}
+
     def type_histogram(self) -> Counter:
         """On-time completions per task type (fairness analysis)."""
         return Counter({k: v.completed_on_time for k, v in self.per_type.items()})

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from ..metrics.collector import tally_outcomes
 from ..sim.task import Task
 from ..workload.dag import count_edges, task_depths, validate_deps
 
@@ -167,44 +168,15 @@ class DependencyTracker:
         return min(prop(p) for p in task.deps)
 
     # -- reporting -----------------------------------------------------
-    def depth_outcomes(self, tasks: Iterable[Task]) -> dict[str, dict]:
-        """Per-depth outcome counts over an evaluation universe."""
-        from ..sim.task import TaskStatus
-
-        buckets: dict[int, dict[str, int]] = {}
-        for task in tasks:
-            d = self.depth.get(task.task_id, 0)
-            b = buckets.setdefault(
-                d,
-                {
-                    "total": 0,
-                    "on_time": 0,
-                    "late": 0,
-                    "dropped_missed": 0,
-                    "dropped_proactive": 0,
-                    "unfinished": 0,
-                },
-            )
-            b["total"] += 1
-            if task.status is TaskStatus.COMPLETED_ON_TIME:
-                b["on_time"] += 1
-            elif task.status is TaskStatus.COMPLETED_LATE:
-                b["late"] += 1
-            elif task.status is TaskStatus.DROPPED_MISSED:
-                b["dropped_missed"] += 1
-            elif task.status is TaskStatus.DROPPED_PROACTIVE:
-                b["dropped_proactive"] += 1
-            else:
-                b["unfinished"] += 1
-        return {str(d): buckets[d] for d in sorted(buckets)}
-
     def stats(self, tasks: Iterable[Task], cascade_drops: int) -> dict:
-        """Telemetry payload for ``SimulationResult.dag_stats``."""
+        """Telemetry payload for ``SimulationResult.dag_stats``, with the
+        per-depth outcome counts over the evaluation universe ``tasks``."""
+        depths = tally_outcomes(tasks, lambda t: self.depth.get(t.task_id, 0))
         return {
             "edges": self.num_edges,
             "max_depth": self.max_depth,
             "released": self.released_count,
             "held_peak": self.held_peak,
             "cascade_drops": cascade_drops,
-            "depths": self.depth_outcomes(tasks),
+            "depths": {str(d): outcome.to_dict() for d, outcome in depths.items()},
         }

@@ -61,6 +61,14 @@ class FairnessTracker:
     def scores(self) -> dict[int, float]:
         return dict(self._scores)
 
+    def stats(self) -> dict:
+        """Telemetry payload for ``SimulationResult.fairness_stats``: the
+        factor and the final scores, string-keyed in type order."""
+        return {
+            "factor": self.c,
+            "scores": {str(k): float(v) for k, v in sorted(self._scores.items())},
+        }
+
     def effective_threshold(self, base_threshold: float, task_type: int) -> float:
         """``β - γ_k`` clamped to [0, 1] (Fig. 5 steps 6/10)."""
         eff = base_threshold - self.score(task_type)

@@ -75,9 +75,6 @@ class Pruner:
 
         #: The control plane (``None`` unless ``config.controller`` is set).
         self.driver = make_driver(config.controller, config, self.setpoints)
-        # Decision tallies (for ablation/analysis).
-        self.drop_decisions = 0
-        self.defer_decisions = 0
         #: machine_id -> (chances array, fairness epoch, β) of the last
         #: *no-drop* scan of that machine.  When the estimator hands back
         #: the *same array object* (its proof that neither the queue nor
@@ -120,12 +117,7 @@ class Pruner:
                 now=now,
                 mapping_events=mapping_events,
                 misses_since_last_event=acc.misses_since_last_event,
-                arrived=acc.total_arrived,
-                on_time=acc.total_on_time,
-                late=acc.total_late,
-                dropped_missed=acc.total_dropped_missed,
-                dropped_proactive=acc.total_dropped_proactive,
-                defers=acc.total_defers,
+                **acc.totals(),
                 queued=queued,
                 batch_queued=batch_queued,
                 running=running,
@@ -258,7 +250,6 @@ class Pruner:
                     decisions.append(DropDecision(task, machine, chance, eff))
                     self.fairness.note_drop(task.task_type)
                     thresholds.pop(task.task_type, None)
-                    self.drop_decisions += 1
                     dropped = True
                     machine.remove(task)  # invalidates only the chain suffix
                     del tasks[idx]
@@ -321,7 +312,6 @@ class Pruner:
                     DropDecision(task, machines[best], chance, eff)
                 )
                 self.fairness.note_drop(task.task_type)
-                self.drop_decisions += 1
         return decisions
 
     # ------------------------------------------------------------------
@@ -343,10 +333,7 @@ class Pruner:
         eff = self._scan_threshold(task)
         if estimator is not None and near_tie(chance, eff):
             chance = estimator.chain_chance(task, machine, now)
-        if chance <= eff:
-            self.defer_decisions += 1
-            return True
-        return False
+        return chance <= eff
 
     # ------------------------------------------------------------------
     def end_mapping_event(self) -> None:

@@ -5,8 +5,10 @@ instance attribute those classes establish (``self.x = ...`` in
 ``__init__``, or a dataclass field) must either appear in the
 snapshot/restore source — as an attribute access or a string key — or
 carry an entry in the :data:`EXCLUSIONS` table below with a one-line
-reason.  A PR that adds a field and forgets the snapshot turns from a
-Hypothesis-lottery bug into a lint failure at review time.
+reason.  A change that adds a field and forgets the snapshot turns from
+a Hypothesis-lottery bug into a lint failure at review time.  An
+exclusion whose class is not listed, or whose attribute the class no
+longer sets, is a violation too, so the table cannot go stale.
 
 The "appears in snapshot.py" test is deliberately name-based (any
 attribute access or string constant in the module counts): it is cheap,
@@ -38,16 +40,16 @@ class SnapshotClassSpec:
 
 
 #: The classes ``snapshot_service``/``restore_service`` serialize.
-#: (``TypeCounters`` is dumped wholesale via ``vars()`` and rebuilt via
-#: ``TypeCounters(**counters)`` — field-name coverage is structural, so
-#: it is not listed here.)
+#: (``TypeCounters`` and ``ServiceStats`` are dumped wholesale and
+#: rebuilt by passing the dump to the dataclass constructor, which
+#: rejects a missing or unknown field: their coverage is structural, so
+#: they are not listed here.)
 SNAPSHOT_CLASSES: tuple[SnapshotClassSpec, ...] = (
     SnapshotClassSpec("Task", "src/repro/sim/task.py"),
     SnapshotClassSpec("Machine", "src/repro/sim/machine.py"),
     SnapshotClassSpec("Accounting", "src/repro/core/accounting.py"),
     SnapshotClassSpec("Pruner", "src/repro/core/pruner.py"),
     SnapshotClassSpec("ControllerDriver", "src/repro/control/driver.py"),
-    SnapshotClassSpec("ServiceStats", "src/repro/service/service.py"),
     SnapshotClassSpec("SchedulerService", "src/repro/service/service.py"),
 )
 
@@ -67,8 +69,8 @@ EXCLUSIONS: dict[str, str] = {
     "SchedulerService.timeline": "alias of system.sim on the restore target",
     "SchedulerService.clock": "alias of timeline.clock; resumed via clock.resume_at(time)",
     "SchedulerService.gate": (
-        "rebuilt from admission_threshold by the restore target's constructor; "
-        "ServiceStats carries the ingress tallies"
+        "stateless Eq.-2 gate, rebuilt from admission_threshold by the restore "
+        "target's constructor; its rejections are accounted proactive drops"
     ),
     "SchedulerService._idle": "transient pump handshake; snapshot requires a quiescent pump",
     "SchedulerService._pump_task": "transient pump handle; the restore target is not started",
@@ -135,7 +137,8 @@ def check_snapshot_coverage(
     classes: tuple[SnapshotClassSpec, ...] = SNAPSHOT_CLASSES,
     exclusions: dict[str, str] | None = None,
 ) -> Iterator[Violation]:
-    """Yield a D005 violation per uncovered, unexcluded attribute."""
+    """Yield a D005 violation per uncovered, unexcluded attribute, and
+    per exclusion that is reason-less or stale."""
     excl = EXCLUSIONS if exclusions is None else exclusions
     snap_file = root / snapshot_path
     try:
@@ -151,6 +154,8 @@ def check_snapshot_coverage(
         )
         return
     covered = covered_names(snap_tree)
+    # class name -> the attributes it sets (classes that parsed).
+    established: dict[str, set[str]] = {}
 
     for key, reason in sorted(excl.items()):
         if not str(reason).strip():
@@ -195,7 +200,9 @@ def check_snapshot_coverage(
                 hint=D005_HINT,
             )
             continue
-        for attr, line in class_attributes(cls):
+        attrs = class_attributes(cls)
+        established[spec.class_name] = {attr for attr, _ in attrs}
+        for attr, line in attrs:
             if attr in covered:
                 continue
             if f"{spec.class_name}.{attr}" in excl:
@@ -212,3 +219,21 @@ def check_snapshot_coverage(
                 ),
                 hint=D005_HINT,
             )
+
+    known = {spec.class_name for spec in classes}
+    for key in sorted(excl):
+        class_name, _, attr = key.partition(".")
+        if class_name not in known:
+            stale = f"{class_name} is not a snapshot class"
+        elif class_name in established and attr not in established[class_name]:
+            stale = f"{class_name} no longer sets {attr!r}"
+        else:
+            continue
+        yield Violation(
+            code="D005",
+            path=snapshot_path,
+            line=1,
+            col=0,
+            message=f"stale exclusion table entry {key!r}: {stale}",
+            hint="delete the entry, or fix its class or attribute name",
+        )

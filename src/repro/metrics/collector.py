@@ -8,13 +8,36 @@ utilizations support the energy/cost extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from operator import attrgetter
 
 from ..sim.cluster import Cluster
 from ..sim.task import Task, TaskStatus
 
-__all__ = ["SimulationResult", "TypeOutcome"]
+__all__ = ["SimulationResult", "TypeOutcome", "tally_outcomes"]
+
+#: The :class:`TypeOutcome` field each terminal status counts under;
+#: every other status counts as ``unfinished``.
+_OUTCOME_FIELD = {
+    TaskStatus.COMPLETED_ON_TIME: "on_time",
+    TaskStatus.COMPLETED_LATE: "late",
+    TaskStatus.DROPPED_MISSED: "dropped_missed",
+    TaskStatus.DROPPED_PROACTIVE: "dropped_proactive",
+}
+
+#: ``SimulationResult``'s telemetry sections in payload order, each with
+#: whether :meth:`SimulationResult.to_dict` emits it when empty (the
+#: sparse ones keep results without that subsystem byte-identical to
+#: payloads from before it existed).
+_TELEMETRY = (
+    ("estimator_stats", True),
+    ("dynamics_stats", True),
+    ("controller_stats", False),
+    ("fairness_stats", False),
+    ("dag_stats", False),
+)
 
 
 @dataclass(frozen=True)
@@ -34,18 +57,25 @@ class TypeOutcome:
         return self.on_time / self.total if self.total else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "on_time": self.on_time,
-            "late": self.late,
-            "dropped_missed": self.dropped_missed,
-            "dropped_proactive": self.dropped_proactive,
-            "unfinished": self.unfinished,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> TypeOutcome:
         return cls(**{k: int(v) for k, v in payload.items()})
+
+
+def tally_outcomes(
+    tasks: Iterable[Task], group: Callable[[Task], int]
+) -> dict[int, TypeOutcome]:
+    """Outcome counts of ``tasks`` per ``group(task)``, in group order."""
+    counts = Counter((group(t), _OUTCOME_FIELD.get(t.status, "unfinished")) for t in tasks)
+    rows: dict[int, dict[str, int]] = {}
+    for (key, outcome), n in counts.items():
+        rows.setdefault(key, {})[outcome] = n
+    return {
+        key: TypeOutcome(total=sum(row.values()), **row)
+        for key, row in sorted(rows.items())
+    }
 
 
 @dataclass(frozen=True)
@@ -148,54 +178,22 @@ class SimulationResult:
         makespan: float = 0.0,
         defer_decisions: int = 0,
         mapping_events: int = 0,
-        estimator_stats: Mapping[str, int] | None = None,
-        dynamics_stats: Mapping[str, int] | None = None,
-        controller_stats: Mapping | None = None,
-        fairness_stats: Mapping | None = None,
-        dag_stats: Mapping | None = None,
+        **telemetry: Mapping | None,
     ) -> SimulationResult:
-        """Roll task terminal states up into one result record."""
-        counts = {
-            TaskStatus.COMPLETED_ON_TIME: 0,
-            TaskStatus.COMPLETED_LATE: 0,
-            TaskStatus.DROPPED_MISSED: 0,
-            TaskStatus.DROPPED_PROACTIVE: 0,
-        }
-        unfinished = 0
-        per_type_raw: dict[int, dict[str, int]] = {}
-        for task in tasks:
-            bucket = per_type_raw.setdefault(
-                task.task_type,
-                {
-                    "total": 0,
-                    "on_time": 0,
-                    "late": 0,
-                    "dropped_missed": 0,
-                    "dropped_proactive": 0,
-                    "unfinished": 0,
-                },
-            )
-            bucket["total"] += 1
-            if task.status in counts:
-                counts[task.status] += 1
-                key = {
-                    TaskStatus.COMPLETED_ON_TIME: "on_time",
-                    TaskStatus.COMPLETED_LATE: "late",
-                    TaskStatus.DROPPED_MISSED: "dropped_missed",
-                    TaskStatus.DROPPED_PROACTIVE: "dropped_proactive",
-                }[task.status]
-                bucket[key] += 1
-            else:
-                unfinished += 1
-                bucket["unfinished"] += 1
-        per_type = {k: TypeOutcome(**v) for k, v in sorted(per_type_raw.items())}
+        """Roll task terminal states up into one result record.
+
+        ``telemetry`` takes the telemetry sections by field name
+        (``estimator_stats=…``); ``None`` or an omitted one is empty.
+        """
+        unknown = telemetry.keys() - {name for name, _ in _TELEMETRY}
+        if unknown:
+            raise TypeError(f"unknown telemetry sections: {sorted(unknown)}")
+        per_type = tally_outcomes(tasks, attrgetter("task_type"))
         return cls(
-            total=len(tasks),
-            on_time=counts[TaskStatus.COMPLETED_ON_TIME],
-            late=counts[TaskStatus.COMPLETED_LATE],
-            dropped_missed=counts[TaskStatus.DROPPED_MISSED],
-            dropped_proactive=counts[TaskStatus.DROPPED_PROACTIVE],
-            unfinished=unfinished,
+            **{
+                f.name: sum(getattr(o, f.name) for o in per_type.values())
+                for f in fields(TypeOutcome)
+            },
             defer_decisions=defer_decisions,
             mapping_events=mapping_events,
             makespan=makespan,
@@ -203,11 +201,7 @@ class SimulationResult:
             machine_busy_time=(
                 tuple(m.busy_time for m in cluster.machines) if cluster else ()
             ),
-            estimator_stats=dict(estimator_stats) if estimator_stats else {},
-            dynamics_stats=dict(dynamics_stats) if dynamics_stats else {},
-            controller_stats=dict(controller_stats) if controller_stats else {},
-            fairness_stats=dict(fairness_stats) if fairness_stats else {},
-            dag_stats=dict(dag_stats) if dag_stats else {},
+            **{name: dict(telemetry.get(name) or {}) for name, _ in _TELEMETRY},
         )
 
     # ------------------------------------------------------------------
@@ -216,10 +210,11 @@ class SimulationResult:
         format).  ``from_dict(to_dict())`` reproduces the result exactly:
         counters are ints, times are floats, and key order is stable.
 
-        ``controller_stats``/``fairness_stats`` are emitted *only when
-        non-empty*: results of configurations without a control plane
-        keep the exact pre-control-plane payload, so historical golden
-        fixtures and cached campaign trials stay byte-identical.
+        ``estimator_stats``/``dynamics_stats`` are always emitted; the
+        controller, fairness and DAG sections *only when non-empty*, so
+        results of configurations without those subsystems keep the exact
+        payload from before them, and historical golden fixtures and
+        cached campaign trials stay byte-identical.
         """
         payload = {
             "total": self.total,
@@ -233,15 +228,11 @@ class SimulationResult:
             "makespan": self.makespan,
             "per_type": {str(k): v.to_dict() for k, v in self.per_type.items()},
             "machine_busy_time": list(self.machine_busy_time),
-            "estimator_stats": dict(self.estimator_stats),
-            "dynamics_stats": dict(self.dynamics_stats),
         }
-        if self.controller_stats:
-            payload["controller_stats"] = dict(self.controller_stats)
-        if self.fairness_stats:
-            payload["fairness_stats"] = dict(self.fairness_stats)
-        if self.dag_stats:
-            payload["dag_stats"] = dict(self.dag_stats)
+        for name, always in _TELEMETRY:
+            section = getattr(self, name)
+            if always or section:
+                payload[name] = dict(section)
         return payload
 
     @classmethod
@@ -262,18 +253,10 @@ class SimulationResult:
                 for k, v in payload.get("per_type", {}).items()
             },
             machine_busy_time=tuple(float(b) for b in payload.get("machine_busy_time", ())),
-            estimator_stats={
-                k: int(v) for k, v in payload.get("estimator_stats", {}).items()
-            },
-            dynamics_stats={
-                k: int(v) for k, v in payload.get("dynamics_stats", {}).items()
-            },
-            # JSON-native payloads (no coercion): the driver builds them
-            # from plain lists/floats, so a load → dump round-trip is
-            # already exact.
-            controller_stats=dict(payload.get("controller_stats", {})),
-            fairness_stats=dict(payload.get("fairness_stats", {})),
-            dag_stats=dict(payload.get("dag_stats", {})),
+            # JSON-native sections (no coercion): their producers build
+            # them from plain ints, floats and lists, so a load → dump
+            # round-trip is already exact.
+            **{name: dict(payload.get(name, {})) for name, _ in _TELEMETRY},
         )
 
     def summary(self) -> str:

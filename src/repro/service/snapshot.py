@@ -8,13 +8,14 @@ ingress), everything the mapping core needs to resume *byte-identically*:
   (recorded as ``(time, order)`` — the relative heap rank, not the raw
   sequence number, so a restored timeline reproduces the original
   same-instant ordering with fresh sequence numbers);
-* accounting totals, per-type counters and the mapping-event horizon
-  buffers the Toggle/Fairness modules consume;
-* the pruner's decision tallies, fairness sufferage table, live β/α
-  setpoints, controller mutable state and driver telemetry;
-* the estimator's counters and the execution-RNG bit-generator state —
-  so the continuation samples the same execution times the uninterrupted
-  run would have.
+* the accounting's per-type counters (its run-wide totals are their
+  sums) and the mapping-event horizon buffers the Toggle/Fairness
+  modules consume;
+* the pruner's fairness sufferage table, live β/α setpoints, controller
+  mutable state and driver telemetry;
+* the estimator's ``cache_stats()`` counters and the execution-RNG
+  bit-generator state — so the continuation samples the same execution
+  times the uninterrupted run would have.
 
 Pending events are *reconstructed semantically* on restore rather than
 pickled: arrivals from task arrival times (in submission order), control
@@ -39,13 +40,12 @@ from ..core.accounting import Accounting, TypeCounters
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only imports
     from ..core.pruner import Pruner
-    from ..system.completion import CompletionEstimator
 from ..heuristics.base import BatchHeuristic, ImmediateHeuristic
-from .service import SchedulerService
+from .service import SchedulerService, ServiceStats
 
 __all__ = ["snapshot_service", "restore_service", "SNAPSHOT_VERSION"]
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _TASK_FIELDS = (
     "task_id",
@@ -62,15 +62,6 @@ _TASK_FIELDS = (
     "exec_time",
     "value",
     "priority",
-)
-
-_ESTIMATOR_COUNTERS = (
-    "cache_hits",
-    "cache_misses",
-    "invalidations",
-    "convolutions",
-    "convolutions_avoided",
-    "chance_evaluations",
 )
 
 
@@ -113,23 +104,13 @@ def snapshot_service(service: SchedulerService) -> dict:
         "exec_rng": system._exec_rng.bit_generator.state,
         "tasks": [_dump_task(t) for t in system._submitted],
         "accounting": {
-            "totals": {
-                "arrived": acc.total_arrived,
-                "on_time": acc.total_on_time,
-                "late": acc.total_late,
-                "dropped_missed": acc.total_dropped_missed,
-                "dropped_proactive": acc.total_dropped_proactive,
-                "defers": acc.total_defers,
-                "requeues": acc.total_requeues,
-                "dropped_cascade": acc.total_dropped_cascade,
-            },
             "per_type": {
                 str(k): vars(v).copy() for k, v in sorted(acc.per_type.items())
             },
             "event_misses": acc._event_misses,
             "event_on_time": [t.task_id for t in acc._event_on_time],
         },
-        "estimator": _dump_estimator(system.estimator),
+        "estimator": system.estimator.cache_stats(),
         "machines": [_dump_machine(m, service) for m in system.cluster.machines],
         "batch_queue": [t.task_id for t in system.allocator.pending_tasks()],
         "pruner": _dump_pruner(system.pruner),
@@ -153,12 +134,6 @@ def _dump_task(task: Task) -> dict:
     payload["status"] = task.status.value
     if task.metadata:
         payload["metadata"] = dict(task.metadata)
-    return payload
-
-
-def _dump_estimator(est: CompletionEstimator) -> dict:
-    payload = {f: getattr(est, f) for f in _ESTIMATOR_COUNTERS}
-    payload["evictions"] = est.cache_stats()["evictions"]
     return payload
 
 
@@ -191,8 +166,6 @@ def _dump_pruner(pruner: Pruner | None) -> dict | None:
     if pruner is None:
         return None
     payload: dict = {
-        "drop_decisions": pruner.drop_decisions,
-        "defer_decisions": pruner.defer_decisions,
         "setpoints": {
             "beta": pruner.setpoints.beta,
             "alpha": pruner.setpoints.alpha,
@@ -265,7 +238,7 @@ def restore_service(service: SchedulerService, snap: dict) -> None:
         system._submitted.append(task)
 
     _load_accounting(system.accounting, snap["accounting"], by_id)
-    _load_estimator(system.estimator, snap["estimator"])
+    system.estimator.load_cache_stats(snap["estimator"])
     system._exec_rng.bit_generator.state = snap["exec_rng"]
     allocator.mapping_events = int(snap["mapping_events"])
     system._last_outcome_at = snap["last_outcome_at"]
@@ -344,12 +317,7 @@ def restore_service(service: SchedulerService, snap: dict) -> None:
 
     # Service-edge state.
     service._next_task_id = int(snap["next_task_id"])
-    stats = snap["service_stats"]
-    service.stats.received = stats["received"]
-    service.stats.admitted = stats["admitted"]
-    service.stats.rejected = stats["rejected"]
-    service.stats.shed = stats["shed"]
-    service.stats.malformed = stats["malformed"]
+    service.stats = ServiceStats(**snap["service_stats"])
     # A raised Wake: the restored pump's first park returns at once.
     service._wake.set()
 
@@ -371,31 +339,13 @@ def _load_task(payload: dict) -> Task:
 
 
 def _load_accounting(acc: Accounting, payload: dict, by_id: dict[int, Task]) -> None:
-    totals = payload["totals"]
-    acc.total_arrived = totals["arrived"]
-    acc.total_on_time = totals["on_time"]
-    acc.total_late = totals["late"]
-    acc.total_dropped_missed = totals["dropped_missed"]
-    acc.total_dropped_proactive = totals["dropped_proactive"]
-    acc.total_defers = totals["defers"]
-    acc.total_requeues = totals["requeues"]
-    acc.total_dropped_cascade = totals["dropped_cascade"]
     for key, counters in payload["per_type"].items():
         acc.per_type[int(key)] = TypeCounters(**counters)
     acc._event_misses = payload["event_misses"]
     acc._event_on_time = [by_id[tid] for tid in payload["event_on_time"]]
 
 
-def _load_estimator(est: CompletionEstimator, payload: dict) -> None:
-    for field in _ESTIMATOR_COUNTERS:
-        setattr(est, field, payload[field])
-    # The combined eviction count lands on one cache; cache_stats() sums.
-    est._product_cache.evictions = payload["evictions"]
-
-
 def _load_pruner(pruner: Pruner, payload: dict) -> None:
-    pruner.drop_decisions = payload["drop_decisions"]
-    pruner.defer_decisions = payload["defer_decisions"]
     pruner.setpoints.beta = payload["setpoints"]["beta"]
     pruner.setpoints.alpha = payload["setpoints"]["alpha"]
     for key, score in payload["fairness"]["scores"].items():

@@ -1,6 +1,6 @@
 """Resource allocation and the serverless system facade (Fig. 1)."""
 
-from .admission import AdmissionController, AdmissionStats
+from .admission import AdmissionController
 from .allocator import BatchAllocator, ImmediateAllocator, ResourceAllocator
 from .completion import CompletionEstimator, ExecutionModel
 from .serverless import DEFAULT_BATCH_QUEUE_SLOTS, ServerlessSystem
@@ -14,5 +14,4 @@ __all__ = [
     "ServerlessSystem",
     "DEFAULT_BATCH_QUEUE_SLOTS",
     "AdmissionController",
-    "AdmissionStats",
 ]

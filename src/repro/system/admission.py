@@ -21,30 +21,12 @@ arrivals and churn requeues face one and the same test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..sim.machine import Machine
 from ..sim.task import Task
 from .completion import near_tie
 from .serverless import ServerlessSystem
 
-__all__ = ["AdmissionController", "AdmissionStats"]
-
-
-@dataclass
-class AdmissionStats:
-    """Counts of the admission decision outcomes."""
-
-    admitted: int = 0
-    rejected: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.admitted + self.rejected
-
-    @property
-    def rejection_rate(self) -> float:
-        return self.rejected / self.total if self.total else 0.0
+__all__ = ["AdmissionController"]
 
 
 class AdmissionController:
@@ -66,8 +48,6 @@ class AdmissionController:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
         self.system = system
         self.threshold = threshold
-        self.stats = AdmissionStats()
-        self.rejected_tasks: list[Task] = []
         # Intercept the allocator's admission paths: arrivals (submit)
         # and churn-victim readmissions (requeue) face the same gate —
         # otherwise a cluster failure would smuggle low-chance tasks past
@@ -104,8 +84,6 @@ class AdmissionController:
         return best
 
     def _reject(self, task: Task) -> None:
-        self.stats.rejected += 1
-        self.rejected_tasks.append(task)
         # Gate drops are task outcomes like any other: the allocator's
         # drop path keeps timelines, the dynamics makespan tracker and
         # the DAG tracker (dependents are doomed) complete.
@@ -119,7 +97,6 @@ class AdmissionController:
             self.system.accounting.record_arrival(task)
             self._reject(task)
         else:
-            self.stats.admitted += 1
             self._inner_submit(task)
         return chance
 
@@ -148,7 +125,6 @@ class AdmissionController:
             if best.get(id(task), 0.0) < self.threshold:
                 self._reject(task)
                 continue
-            self.stats.admitted += 1
             passed.append(task)
         return self._inner_requeue(passed)
 

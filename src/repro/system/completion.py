@@ -107,6 +107,19 @@ def near_tie(chance: float, threshold: float) -> bool:
     return abs(chance - threshold) < TIE_MARGIN * threshold
 
 
+#: :meth:`CompletionEstimator.cache_stats` key → the counter attribute
+#: behind it, in payload order.
+_STATS = (
+    ("hits", "cache_hits"),
+    ("misses", "cache_misses"),
+    ("invalidations", "invalidations"),
+    ("evictions", "evictions"),
+    ("convolutions", "convolutions"),
+    ("convolutions_avoided", "convolutions_avoided"),
+    ("chance_evaluations", "chance_evaluations"),
+)
+
+
 class ExecutionModel(Protocol):
     """What the estimator needs from a PET (or ETC) matrix."""
 
@@ -123,13 +136,12 @@ class LRUCache:
     ``None`` is the miss value of :meth:`get`, so it is never stored.
     """
 
-    __slots__ = ("capacity", "evictions", "_data")
+    __slots__ = ("capacity", "_data")
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        self.evictions = 0
         self._data: dict = {}
 
     def get(self, key):
@@ -141,14 +153,17 @@ class LRUCache:
             data[key] = value
         return value
 
-    def put(self, key, value) -> None:
+    def put(self, key, value) -> bool:
+        """Store ``value``; whether that evicted the coldest entry."""
         data = self._data
+        evicted = False
         if key in data:
             del data[key]
         elif len(data) >= self.capacity:
             del data[next(iter(data))]
-            self.evictions += 1
+            evicted = True
         data[key] = value
+        return evicted
 
     def clear(self) -> None:
         self._data.clear()
@@ -315,9 +330,6 @@ class CompletionEstimator:
         beyond-horizon mass is folded into the PMF tail, i.e. treated as
         "certainly late".  Must exceed the largest deadline slack in the
         workload for chance values to be exact.
-    condition_running:
-        When True (default) the running task's PCT is conditioned on the
-        task still being unfinished at ``now``.
     memoize:
         ``True`` — delta-invalidated product caches; ``False`` — the
         from-scratch oracle, no caching.  Anything else is rejected.
@@ -331,7 +343,6 @@ class CompletionEstimator:
         model: ExecutionModel,
         *,
         horizon: float = 512.0,
-        condition_running: bool = True,
         memoize: bool = True,
         max_support: int = DEFAULT_MAX_SUPPORT,
     ) -> None:
@@ -339,15 +350,10 @@ class CompletionEstimator:
             raise ValueError(f"horizon must be positive, got {horizon!r}")
         if not isinstance(max_support, int) or max_support <= 0:
             raise ValueError(f"max_support must be a positive integer, got {max_support!r}")
-        if not isinstance(condition_running, bool):
-            raise ValueError(
-                f"condition_running must be True or False, got {condition_running!r}"
-            )
         if not isinstance(memoize, bool):
             raise ValueError(f"memoize must be True or False, got {memoize!r}")
         self.model = model
         self.horizon = float(horizon)
-        self.condition_running = condition_running
         self.memoize = memoize
         self.max_support = max_support
         #: §V-A "task grouping and memorization of partial results": pure
@@ -377,6 +383,7 @@ class CompletionEstimator:
         self.cache_hits = 0
         self.cache_misses = 0
         self.invalidations = 0
+        self.evictions = 0  #: entries either cache evicted
         self.convolutions = 0
         self.convolutions_avoided = 0
         self.chance_evaluations = 0
@@ -442,15 +449,10 @@ class CompletionEstimator:
         """
         if machine.running is None:
             t = now
-        elif self.condition_running:
+        else:
             t = self._release_mean(machine, now)
             if math.isnan(t):
                 t = now
-        else:
-            run_mean = self.model.mean(machine.running.task_type, machine.machine_type)
-            started = machine.running_started_at
-            assert started is not None
-            t = max(now, started + run_mean)
 
         state: _MachineState | None = None
         if self.memoize:
@@ -543,9 +545,7 @@ class CompletionEstimator:
         started = machine.running_started_at
         assert started is not None
         pct = self.model.pmf(running.task_type, machine.machine_type).shift(started)
-        if self.condition_running:
-            pct = pct.condition_at_least(now)
-        return pct.truncate(now + self.horizon)
+        return pct.condition_at_least(now).truncate(now + self.horizon)
 
     def availability_pct(self, machine: Machine, now: float) -> PMF:
         """PCT of the *last* task currently on the machine (Eq. 1's
@@ -621,9 +621,7 @@ class CompletionEstimator:
         pet = self.model.pmf(running.task_type, machine.machine_type)
         src_offset = pet.offset + started
         kind, cut = "uncut", 0
-        if not self.condition_running:
-            pct = pet.shift(started)
-        elif pet.probs.size == 0:
+        if pet.probs.size == 0:
             kind = "tdep"
             pct = pet.shift(started).condition_at_least(now)
         else:
@@ -657,7 +655,7 @@ class CompletionEstimator:
                         if lo != 0 or hi != probs.size:
                             probs = probs[lo:hi]
                         pct = PMF._from_parts(probs, (src_offset + cut) + lo, pet.tail / total)
-                        self._cond_cache.put(ckey, (probs, lo, pct.tail))
+                        self.evictions += self._cond_cache.put(ckey, (probs, lo, pct.tail))
                     else:
                         kind = "tdep"
                         pct = pet.shift(started).condition_at_least(now)
@@ -680,8 +678,6 @@ class CompletionEstimator:
         kind = state.base_kind
         if kind == "tdep":
             return False
-        if not self.condition_running:
-            return True  # unclipped, unconditioned: time-independent
         cut = int(math.ceil(now - state.base_src_offset))
         if kind == "uncut":
             return cut <= 0
@@ -971,7 +967,7 @@ class CompletionEstimator:
         if q.tail != 0.0 or q.probs.size != probs.size + pet.probs.size - 1:
             return pet.offset, None, None
         if key is not None:
-            self._product_cache.put(key, (q.probs, q.cumulative()))
+            self.evictions += self._product_cache.put(key, (q.probs, q.cumulative()))
         return pet.offset, q.probs, q.cumulative()
 
     def _availability(self, machine: Machine, now: float) -> _Availability:
@@ -1123,12 +1119,10 @@ class CompletionEstimator:
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict[str, int]:
         """Hit/miss/invalidation/convolution counters for this estimator."""
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "invalidations": self.invalidations,
-            "evictions": self._product_cache.evictions + self._cond_cache.evictions,
-            "convolutions": self.convolutions,
-            "convolutions_avoided": self.convolutions_avoided,
-            "chance_evaluations": self.chance_evaluations,
-        }
+        return {key: getattr(self, attr) for key, attr in _STATS}
+
+    def load_cache_stats(self, stats: dict[str, int]) -> None:
+        """Resume the counters of a :meth:`cache_stats` payload (snapshot
+        restore)."""
+        for key, attr in _STATS:
+            setattr(self, attr, stats[key])

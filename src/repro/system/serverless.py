@@ -99,7 +99,6 @@ class ServerlessSystem:
         queue_limit: int | None | str = "auto",
         seed: int = 0,
         horizon: float = 512.0,
-        condition_running: bool = True,
         memoize: bool = True,
         dynamics: DynamicsSpec | None = None,
         observer=None,
@@ -139,7 +138,6 @@ class ServerlessSystem:
         self.estimator = CompletionEstimator(
             model,
             horizon=horizon,
-            condition_running=condition_running,
             memoize=memoize,
         )
         self.accounting = Accounting()
@@ -333,15 +331,6 @@ class ServerlessSystem:
         """
         universe = self._submitted if tasks is None else list(tasks)
         driver = self.pruner.driver if self.pruner is not None else None
-        fairness_stats = None
-        if driver is not None:
-            tracker = self.pruner.fairness
-            fairness_stats = {
-                "factor": float(tracker.c),
-                "scores": {
-                    str(k): float(v) for k, v in sorted(tracker.scores().items())
-                },
-            }
         return SimulationResult.from_tasks(
             universe,
             cluster=self.cluster,
@@ -351,7 +340,7 @@ class ServerlessSystem:
             estimator_stats=self.estimator.cache_stats(),
             dynamics_stats=self.dynamics.stats() if self.dynamics else None,
             controller_stats=driver.stats() if driver is not None else None,
-            fairness_stats=fairness_stats,
+            fairness_stats=self.pruner.fairness.stats() if driver is not None else None,
             dag_stats=(
                 self.dag.stats(universe, self.accounting.total_dropped_cascade)
                 if self.dag is not None

@@ -86,6 +86,18 @@ def fresh_tasks(tasks: list[Task]) -> list[Task]:
     ]
 
 
+def rejected_at_arrival(recorder) -> set[int]:
+    """Ids of the arrivals an admission gate rejected, read from a
+    :class:`~repro.analysis.timeline.TimelineRecorder`: proactive drops
+    of tasks that never reached the allocator (no ``arrived`` event)."""
+    arrived = {e.task_id for e in recorder.events if e.kind == "arrived"}
+    return {
+        e.task_id
+        for e in recorder.events
+        if e.kind == "dropped_proactive" and e.task_id not in arrived
+    }
+
+
 @pytest.fixture
 def make_system(pet_small):
     """Factory for small serverless systems over the session PET."""

@@ -88,9 +88,8 @@ class TestDropScan:
         queue_task(cluster, sim, 0, deadline=100.0)
         queue_task(cluster, sim, 1, deadline=15.0)
         pruner = Pruner(PruningConfig.paper_default())
-        pruner.drop_scan(cluster, est, now=0.0)
+        assert len(pruner.drop_scan(cluster, est, now=0.0)) == 1
         assert pruner.fairness.score(0) == pytest.approx(0.05)
-        assert pruner.drop_decisions == 1
 
     def test_fairness_offset_can_save_a_task(self, env):
         """A heavily suffered type gets effective threshold 0 and borderline
@@ -344,7 +343,6 @@ class TestDeferDecision:
         pruner = Pruner(PruningConfig.paper_default())
         t = Task(task_id=0, task_type=0, arrival=0.0, deadline=10.0)
         assert pruner.should_defer(t, chance=0.3) is True
-        assert pruner.defer_decisions == 1
 
     def test_keeps_above_threshold(self):
         pruner = Pruner(PruningConfig.paper_default())

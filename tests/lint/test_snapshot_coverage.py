@@ -97,6 +97,21 @@ class TestSyntheticSpecs:
         assert [v.code for v in found] == ["D005"]
         assert "no reason" in found[0].message
 
+    @pytest.mark.parametrize(
+        "key, why",
+        [("Thing.gone", "no longer sets 'gone'"), ("Other.a", "not a snapshot class")],
+    )
+    def test_stale_exclusion_is_violation(self, tmp_path, key, why):
+        found = self.run(
+            tmp_path,
+            "class Thing:\n    def __init__(self):\n        self.a = 1\n",
+            "def dump(t):\n    return {'a': t.a}\n",
+            exclusions={key: "was needed once"},
+        )
+        assert [v.code for v in found] == ["D005"]
+        assert f"stale exclusion table entry {key!r}" in found[0].message
+        assert why in found[0].message
+
     def test_dataclass_fields_are_collected(self, tmp_path):
         found = self.run(
             tmp_path,

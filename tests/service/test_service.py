@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import PruningConfig, ServerlessSystem, WorkloadSpec, generate_workload
+from repro.analysis.timeline import TimelineRecorder
 from repro.experiments.campaign import level_spec
 from repro.service import AsyncTimeline, SchedulerService, VirtualClock, WallClock
 from repro.service.service import run_until_quiescent
@@ -20,7 +21,7 @@ from repro.sim.dynamics import DynamicsSpec
 from repro.system.admission import AdmissionController
 from repro.workload.spec import ArrivalPattern
 
-from tests.conftest import fresh_tasks
+from tests.conftest import fresh_tasks, rejected_at_arrival
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +324,8 @@ def test_gated_replay_matches_gated_simulator(pet_paper, run_async, dynamics):
             **kwargs,
         )
 
-    gate = AdmissionController(build(), theta)
+    recorder = TimelineRecorder()
+    gate = AdmissionController(build(observer=recorder), theta)
     expected = gate.run(fresh_tasks(workload)).to_dict()
 
     async def live_run():
@@ -336,7 +338,7 @@ def test_gated_replay_matches_gated_simulator(pet_paper, run_async, dynamics):
         await service.stop()
         return service.finalize().to_dict()
 
-    assert gate.stats.rejected > 0
+    assert rejected_at_arrival(recorder)
     assert run_async(live_run()) == expected
 
 

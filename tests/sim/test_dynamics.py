@@ -314,24 +314,34 @@ class TestDynamicsDriver:
         assert system.result().makespan == 0.0
 
     def test_admission_controller_gates_requeued_victims(self, pet_small, oversub_workload):
+        from repro.analysis.timeline import TimelineRecorder
         from repro.system.admission import AdmissionController
 
+        recorder = TimelineRecorder()
         dyn = DynamicsSpec(failures=2, mean_downtime=8.0)
-        system = ServerlessSystem(pet_small, "MM", seed=5, dynamics=dyn)
+        system = ServerlessSystem(
+            pet_small, "MM", seed=5, dynamics=dyn, observer=recorder
+        )
         gate = AdmissionController(system, threshold=0.5)
         result = gate.run(fresh_tasks(oversub_workload))
         assert all(t.is_terminal for t in system.tasks)
         evicted = result.dynamics_stats["evicted"]
         if evicted:
-            # Victims re-faced the gate: each one shows up a second time
-            # in the admit/reject tallies beyond its original arrival.
-            assert gate.stats.total > result.total - result.unfinished
+            # Victims re-faced the gate.  Without a pruner, a proactive
+            # drop of a task the allocator had already admitted is the
+            # gate rejecting it at readmission.
+            arrived = {e.task_id for e in recorder.events if e.kind == "arrived"}
+            assert any(
+                e.kind == "dropped_proactive" and e.task_id in arrived
+                for e in recorder.events
+            )
             assert result.dynamics_stats["requeued"] <= evicted
         # Deadline-expired victims must stay *reactive* drops (the gate
         # only files live rejections under proactive): every proactive
-        # drop the gate produced was alive when judged.
-        for task in gate.rejected_tasks:
-            assert task.dropped_at <= task.deadline
+        # drop, all of them the gate's here, was alive when judged.
+        for task in system.tasks:
+            if task.status is TaskStatus.DROPPED_PROACTIVE:
+                assert task.dropped_at <= task.deadline
 
     def test_timeline_recorder_accepts_requeued_events(self, pet_small, oversub_workload):
         from repro.analysis.timeline import TimelineRecorder

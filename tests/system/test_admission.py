@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import generate_workload
+from repro.analysis.timeline import TimelineRecorder
 from repro.core.config import PruningConfig
 from repro.experiments.campaign import level_spec
 from repro.experiments.runner import pet_matrix
@@ -17,7 +18,7 @@ from repro.workload.spec import ArrivalPattern
 from repro.system.admission import AdmissionController
 from repro.system.serverless import ServerlessSystem
 
-from tests.conftest import fresh_tasks, make_deterministic_pet
+from tests.conftest import fresh_tasks, make_deterministic_pet, rejected_at_arrival
 
 
 def build(threshold=0.5, exec_time=10.0, pruning=None):
@@ -45,7 +46,8 @@ class TestNearTies:
         monkeypatch.setattr(sys.estimator, "chain_chance", chain)
         t = Task(task_id=0, task_type=0, arrival=0.0, deadline=50.0)
         assert ac.offer(t) == 0.5
-        assert ac.stats.admitted == 1 and ac.stats.rejected == 0
+        assert t.status is TaskStatus.RUNNING
+        assert sys.accounting.total_dropped_proactive == 0
         assert asked == [0]
 
 
@@ -57,26 +59,26 @@ class TestDecisions:
             Task(task_id=1, task_type=0, arrival=0.1, deadline=12.0),  # needs 20
         ]
         ac.run(tasks)
+        assert tasks[0].status is TaskStatus.COMPLETED_ON_TIME
         assert tasks[1].status is TaskStatus.DROPPED_PROACTIVE
-        assert ac.stats.rejected == 1
-        assert ac.stats.admitted == 1
-        assert ac.rejected_tasks == [tasks[1]]
+        assert tasks[1].dropped_at == pytest.approx(0.1)
+        assert sys.accounting.total_dropped_proactive == 1
 
     def test_viable_task_admitted(self):
         ac, sys = build()
         t = Task(task_id=0, task_type=0, arrival=0.0, deadline=50.0)
         ac.run([t])
         assert t.status is TaskStatus.COMPLETED_ON_TIME
-        assert ac.stats.rejection_rate == 0.0
+        assert sys.accounting.total_dropped_proactive == 0
 
     def test_threshold_zero_admits_all(self):
-        ac, _ = build(threshold=0.0)
+        ac, sys = build(threshold=0.0)
         tasks = [
             Task(task_id=0, task_type=0, arrival=0.0, deadline=200.0),
             Task(task_id=1, task_type=0, arrival=0.1, deadline=1.0),
         ]
         ac.run(tasks)
-        assert ac.stats.rejected == 0
+        assert sys.accounting.total_dropped_proactive == 0
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
@@ -98,7 +100,7 @@ class TestDecisions:
         assert hopeless.status is TaskStatus.DROPPED_PROACTIVE
         assert ac.offer(viable) == pytest.approx(1.0)
         assert viable.status is not TaskStatus.DROPPED_PROACTIVE
-        assert (ac.stats.admitted, ac.stats.rejected) == (1, 1)
+        assert sys.accounting.total_dropped_proactive == 1
         assert sys.accounting.total_arrived == 2
 
 
@@ -111,10 +113,14 @@ class TestDagCascade:
             level_spec("15k", ArrivalPattern.SPIKY, 0.2), dag_layers=3
         )
         tasks = generate_workload(spec, pet_paper, np.random.default_rng(0))
-        sys = ServerlessSystem(pet_paper, "MM", pruning=PruningConfig.paper_default(), seed=5)
+        recorder = TimelineRecorder()
+        sys = ServerlessSystem(
+            pet_paper, "MM", pruning=PruningConfig.paper_default(), seed=5,
+            observer=recorder,
+        )
         ac = AdmissionController(sys, threshold=0.5)
         ac.run(tasks)
-        rejected = {t.task_id for t in ac.rejected_tasks}
+        rejected = rejected_at_arrival(recorder)
         dependents = [t for t in tasks if rejected.intersection(t.deps)]
         assert dependents
         assert all(t.status is TaskStatus.DROPPED_PROACTIVE for t in dependents)
@@ -142,7 +148,7 @@ class TestVersusDeferring:
         res = ac.run(fresh_tasks(oversub_workload))
         assert res.total == len(oversub_workload)
         assert gated.accounting.total_arrived == len(oversub_workload)
-        assert res.dropped_proactive >= ac.stats.rejected
+        assert gated.accounting.total_dropped_proactive == res.dropped_proactive > 0
 
     def test_pruning_beats_admission_over_paired_trials(self):
         """§IV-B's argument for deferment on the paper's PET: over four

@@ -72,9 +72,10 @@ def test_cascade_accounting_identity(spec):
     assert result.unfinished == 0
     assert acc.total_dropped_cascade <= acc.total_dropped_proactive
     assert result.dag_stats["cascade_drops"] == acc.total_dropped_cascade
-    # Per-depth outcome counts partition the workload.
+    # Per-depth outcome counts partition the workload, outcome by outcome.
     depths = result.dag_stats["depths"]
-    assert sum(row["total"] for row in depths.values()) == result.total
+    for key in ("total", "on_time", "late", "dropped_missed", "dropped_proactive", "unfinished"):
+        assert sum(row[key] for row in depths.values()) == getattr(result, key), key
 
 
 def test_oversubscribed_dag_actually_cascades():

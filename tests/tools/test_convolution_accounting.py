@@ -21,11 +21,13 @@ import numpy as np
 import pytest
 
 from repro import PruningConfig, ServerlessSystem, WorkloadSpec, generate_workload
+from repro.analysis.timeline import TimelineRecorder
 from repro.experiments.runner import pet_matrix
 from repro.service import AsyncTimeline, SchedulerService, VirtualClock
 from repro.service.service import run_until_quiescent
 from repro.stochastic.pmf import PMF
 from repro.system.completion import CompletionEstimator
+from tests.conftest import rejected_at_arrival
 
 
 @pytest.fixture
@@ -53,10 +55,12 @@ def test_gated_service_pass(counted):
     spec = WorkloadSpec(num_tasks=300, time_span=120.0, pattern="bursty")
     tasks = generate_workload(spec, pet, np.random.default_rng(11))
 
+    recorder = TimelineRecorder()
+
     async def scenario():
         system = ServerlessSystem(
             pet, "MM", pruning=PruningConfig.drop_only(), seed=1,
-            sim=AsyncTimeline(VirtualClock()),
+            sim=AsyncTimeline(VirtualClock()), observer=recorder,
         )
         service = SchedulerService(system, admission_threshold=0.3)
         await service.start()
@@ -66,7 +70,9 @@ def test_gated_service_pass(counted):
         return service
 
     service = asyncio.run(scenario())
-    assert service.gate.stats.rejected > 0 and service.gate.stats.admitted > 0
+    # The gate admitted some arrivals and rejected others.
+    assert rejected_at_arrival(recorder)
+    assert any(e.kind == "arrived" for e in recorder.events)
     assert counted["chain"] == 0
     assert service.system.estimator.convolutions == counted["convolve_truncated"] > 0
 
