@@ -133,7 +133,9 @@ def _provenance() -> dict:
     """What besides the config determines a trial's outcome: the cache
     schema, the package version, the source tree, and the dependencies
     whose RNG bit-streams back the simulation (numpy Generator streams
-    may change between feature releases; scipy backs the aggregation).
+    may change between feature releases; scipy.special's Student-t
+    kernels ``stdtrit`` and ``stdtr`` back the aggregation's confidence
+    intervals and paired p-values).
     Any of these changing must miss rather than replay results the
     current environment no longer reproduces."""
     return {

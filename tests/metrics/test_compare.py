@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.metrics.compare import compare_paired
+from repro.metrics.compare import compare_paired, compare_paired_stats
 from repro.metrics.collector import SimulationResult
+from repro.metrics.robustness import AggregateStats
 
 
 def result(pct):
@@ -23,6 +24,12 @@ def result(pct):
         mapping_events=0,
         makespan=1.0,
     )
+
+
+def _stats(pcts):
+    """An aggregate that carries only its per-trial series."""
+    pcts = tuple(float(p) for p in pcts)
+    return AggregateStats(mean_pct=0.0, ci95_pct=0.0, trials=len(pcts), per_trial_pct=pcts)
 
 
 class TestComparePaired:
@@ -41,6 +48,25 @@ class TestComparePaired:
         ref = stats.ttest_rel(np.array(b, float), np.array(a, float)).pvalue
         assert cmp.p_value == pytest.approx(float(ref))
         assert cmp.significant
+
+    def test_p_value_matches_ttest_rel_on_random_pairs(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            n = int(rng.integers(2, 41))
+            a = rng.normal(50.0, 10.0, size=n)
+            b = a + rng.normal(rng.normal(0.0, 2.0), rng.uniform(0.5, 5.0), size=n)
+            cmp = compare_paired_stats(_stats(a), _stats(b))
+            ref = float(stats.ttest_rel(b, a).pvalue)
+            assert cmp.p_value == pytest.approx(ref, rel=1e-12), n
+
+    @pytest.mark.parametrize("confidence", [1.5, 1.0, True, -0.2, "0.95"])
+    def test_bad_confidence_rejected_by_name(self, confidence):
+        base = [result(p) for p in (40, 50, 60)]
+        var = [result(p) for p in (50, 62, 68)]
+        with pytest.raises(ValueError, match="^confidence must be"):
+            compare_paired(base, var, confidence=confidence)
+        with pytest.raises(ValueError, match="^confidence must be"):
+            compare_paired_stats(_stats([40, 50, 60]), _stats([50, 62, 68]), confidence)
 
     def test_constant_deltas_nan_p(self):
         base = [result(p) for p in (40, 50)]

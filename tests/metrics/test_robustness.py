@@ -1,6 +1,8 @@
 """Tests for cross-trial aggregation (mean ± 95 % CI)."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +44,35 @@ class TestConfidenceInterval:
         assert mean == pytest.approx(50.0)
         assert half == pytest.approx(t * sem)
 
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+    def test_critical_value_bit_equal_to_scipy_stats(self, confidence):
+        """The critical value is ``t.ppf``'s own kernel: equal bits, not
+        merely close, so committed ``ci95_pct`` values never move."""
+        for n in range(2, 62):
+            values = np.linspace(40.0, 60.0, n)
+            sem = float(values.std(ddof=1) / math.sqrt(n))
+            t_ref = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+            _, half = confidence_interval(values, confidence)
+            assert half == t_ref * sem, (n - 1, confidence)
+
+    @pytest.mark.parametrize(
+        "confidence, message",
+        [
+            (1.5, "confidence must be in (0, 1), got 1.5"),
+            (1.0, "confidence must be in (0, 1), got 1.0"),
+            (True, "confidence must be a number, got True"),
+            (-0.2, "confidence must be in (0, 1), got -0.2"),
+            ("0.95", "confidence must be a number, got '0.95'"),
+        ],
+    )
+    def test_bad_confidence_rejected_by_name(self, confidence, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            confidence_interval([40.0, 50.0, 60.0], confidence=confidence)
+
+    def test_bad_confidence_rejected_before_early_returns(self):
+        with pytest.raises(ValueError, match="confidence"):
+            confidence_interval([42.0], confidence=1.5)
+
     def test_single_value_zero_width(self):
         mean, half = confidence_interval([42.0])
         assert (mean, half) == (42.0, 0.0)
@@ -81,6 +112,11 @@ class TestAggregate:
         assert agg.trials == 3
         assert agg.per_trial_pct == (40.0, 50.0, 60.0)
 
+    def test_bad_confidence_rejected_by_name(self):
+        results = [result_with_robustness(p) for p in (40, 50, 60)]
+        with pytest.raises(ValueError, match="confidence must be in"):
+            aggregate_robustness(results, confidence=1.5)
+
     def test_str_format(self):
         agg = aggregate_robustness([result_with_robustness(50)])
         assert "50.0" in str(agg)
@@ -88,16 +124,28 @@ class TestAggregate:
 
 
 def test_program_import_leaves_scipy_stats_unloaded():
-    """``scipy.stats`` costs ~1 s to import, so the statistics helpers
-    import it on first use: importing the program, the service and the
-    campaign layer must not load it."""
+    """``scipy.special`` costs ~0.35 s and ~26 MB to import, so the
+    statistics helpers import it on first use: importing the program, the
+    service and the campaign layer loads neither it nor ``scipy.stats``.
+    Aggregating and comparing trials loads ``scipy.special`` only;
+    ``scipy.stats`` (~1 s, ~72 MB) is never loaded by the program."""
     src = str(Path(__file__).resolve().parents[2] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import sys, repro, repro.service, repro.experiments.campaign; "
+        "import sys, repro, repro.service, repro.experiments.campaign\n"
+        "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)\n"
+        "from repro.metrics import AggregateStats, aggregate_robustness, compare_paired_stats\n"
+        "from repro.metrics.collector import SimulationResult\n"
+        "def result(on_time):\n"
+        "    return SimulationResult(total=100, on_time=on_time, late=0,\n"
+        "        dropped_missed=100 - on_time, dropped_proactive=0, unfinished=0,\n"
+        "        defer_decisions=0, mapping_events=0, makespan=1.0)\n"
+        "a = aggregate_robustness([result(p) for p in (40, 50, 60)])\n"
+        "b = AggregateStats(0.0, 0.0, 3, (48.0, 55.0, 69.0))\n"
+        "assert 0.0 < compare_paired_stats(a, b).p_value < 1.0\n"
         "print('scipy.stats' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False", "False"]
