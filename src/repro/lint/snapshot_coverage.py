@@ -58,7 +58,6 @@ SNAPSHOT_CLASSES: tuple[SnapshotClassSpec, ...] = (
 EXCLUSIONS: dict[str, str] = {
     "Task.deps": "snapshot_service refuses DAG systems, so deps is always ()",
     "Machine.queue_limit": "build-time config; the restore target is built from the same config",
-    "Machine.observers": "re-subscribed by the target system's own constructor wiring",
     "Machine.on_reap": "installed by the allocator when the target system is built",
     "Pruner.config": "frozen config; the restore target is built from the same config",
     "Pruner.accounting": "shared Accounting instance, serialized at the snapshot top level",

@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate: engine, tasks, machines, cluster."""
 
-from .cluster import Cluster, QueueObserver
+from .cluster import Cluster
 from .dynamics import ClusterDynamics, DynamicsSpec
 from .engine import EventHandle, Priority, Simulator
 from .machine import Machine
@@ -13,7 +13,6 @@ __all__ = [
     "Priority",
     "Machine",
     "Cluster",
-    "QueueObserver",
     "DynamicsSpec",
     "ClusterDynamics",
     "Task",

@@ -17,10 +17,10 @@ This module adds that scenario axis:
   takes mappings.
 
 Everything is driven through the simulation engine's event queue at
-:data:`~repro.sim.engine.Priority.DYNAMICS` and announced to
-queue-delta observers (``on_offline``/``on_online``), so the incremental
-completion-estimator cache invalidates exactly like it does for ordinary
-queue mutations.
+:data:`~repro.sim.engine.Priority.DYNAMICS`.  Failure, drain and
+recovery step the machine's ``version`` like any queue mutation, so the
+incremental completion estimator reconciles its caches with the machine
+the same way.
 
 **Determinism contract** (what keeps parallel sweeps bit-identical to
 serial runs): the whole schedule — event times, downtimes, and every

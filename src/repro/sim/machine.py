@@ -15,13 +15,9 @@ in :mod:`repro.heuristics` and :mod:`repro.core`.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from typing import TYPE_CHECKING
 
 from .engine import EventHandle, Priority, Simulator
 from .task import Task, TaskStatus
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .cluster import QueueObserver
 
 __all__ = ["Machine", "ExecutionSampler", "CompletionCallback"]
 
@@ -61,18 +57,14 @@ class Machine:
         #: system").  The resource allocator installs this to record the
         #: reactive drop; without a hook the task is still skipped.
         self.on_reap: Callable[[Task], None] | None = None
-        #: Monotone counter bumped on any queue/running change.  The
-        #: structured queue-delta notifications below carry *what* changed;
-        #: the version remains as a coarse change detector (scalar-view
-        #: cache keys, safety checks, tests).
+        #: The machine's one change signal: a monotone counter that steps
+        #: once per change to the queue or the running task — an enqueue,
+        #: a removed or reaped task, the head leaving the queue, a task
+        #: starting or finishing, going offline or online.  Everything
+        #: derived from the machine keys on it, and the completion
+        #: estimator reconciles its caches against it (and counts its
+        #: steps as invalidations).
         self.version: int = 0
-        #: Subscribed :class:`~repro.sim.cluster.QueueObserver` instances.
-        #: Each state transition is announced *after* the machine's own
-        #: state (queue/running/version) is consistent, so observers may
-        #: inspect the machine directly from their callbacks.  Indices in
-        #: enqueue/dequeue/drop events refer to the queue as it was
-        #: immediately before the mutation.
-        self.observers: list[QueueObserver] = []
         # Cumulative busy time, for utilization/energy accounting.
         self.busy_time: float = 0.0
         self.completed_count: int = 0
@@ -82,10 +74,6 @@ class Machine:
         self._task_hooks: dict[int, tuple[ExecutionSampler, CompletionCallback]] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def queue_length(self) -> int:
-        return len(self.queue)
-
     @property
     def has_free_slot(self) -> bool:
         """Whether the FCFS queue can accept one more mapped task.
@@ -102,61 +90,9 @@ class Machine:
             return None
         return self.queue_limit - len(self.queue)
 
-    def tasks_in_queue(self) -> tuple[Task, ...]:
-        """Snapshot of queued (not yet running) tasks, FCFS order."""
-        return tuple(self.queue)
-
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` wall time spent executing tasks."""
         return self.busy_time / elapsed if elapsed > 0 else 0.0
-
-    # ------------------------------------------------------------------
-    # Queue-delta notifications
-    # ------------------------------------------------------------------
-    def subscribe(self, observer: QueueObserver) -> None:
-        """Register for queue-delta notifications (idempotent)."""
-        if observer not in self.observers:
-            self.observers.append(observer)
-
-    def unsubscribe(self, observer: QueueObserver) -> None:
-        if observer in self.observers:
-            self.observers.remove(observer)
-
-    def _emit_enqueue(self, index: int) -> None:
-        for obs in self.observers:
-            obs.on_enqueue(self, index)
-
-    def _emit_dequeue(self, index: int) -> None:
-        for obs in self.observers:
-            obs.on_dequeue(self, index)
-
-    def _emit_drop(self, index: int) -> None:
-        for obs in self.observers:
-            obs.on_drop(self, index)
-
-    def _emit_start(self) -> None:
-        for obs in self.observers:
-            obs.on_start(self)
-
-    def _emit_finish(self) -> None:
-        for obs in self.observers:
-            obs.on_finish(self)
-
-    # The offline/online events post-date the original QueueObserver
-    # protocol; they are dispatched by name so observers written against
-    # the five-method protocol keep working unchanged (the completion
-    # estimator additionally guards on ``version`` and fails safe).
-    def _emit_offline(self) -> None:
-        for obs in self.observers:
-            handler = getattr(obs, "on_offline", None)
-            if handler is not None:
-                handler(self)
-
-    def _emit_online(self) -> None:
-        for obs in self.observers:
-            handler = getattr(obs, "on_online", None)
-            if handler is not None:
-                handler(self)
 
     # ------------------------------------------------------------------
     def dispatch(
@@ -179,7 +115,6 @@ class Machine:
         self.queue.append(task)
         self._task_hooks[task.task_id] = (sampler, on_complete)
         self.version += 1
-        self._emit_enqueue(len(self.queue) - 1)
         if self.running is None:
             self._start_next(sim)
 
@@ -191,24 +126,21 @@ class Machine:
                 del self.queue[idx]
                 self._task_hooks.pop(task.task_id, None)
                 self.version += 1
-                self._emit_drop(idx)
                 return True
         return False
 
     def remove_many(self, tasks: Iterable[Task]) -> int:
+        """Remove every queued task among ``tasks`` (any iterable); the
+        version steps once per removed task.  Returns how many."""
         wanted = {id(t) for t in tasks}
-        removed_indices = [i for i, t in enumerate(self.queue) if id(t) in wanted]
-        if not removed_indices:
+        removed = [t for t in self.queue if id(t) in wanted]
+        if not removed:
             return 0
         self.queue = [t for t in self.queue if id(t) not in wanted]
-        for t in tasks:
+        for t in removed:
             self._task_hooks.pop(t.task_id, None)
-        self.version += 1
-        # Indices refer to the pre-removal queue, emitted in ascending
-        # order; suffix-invalidating observers only need the smallest.
-        for idx in removed_indices:
-            self._emit_drop(idx)
-        return len(removed_indices)
+        self.version += len(removed)
+        return len(removed)
 
     # ------------------------------------------------------------------
     # Cluster dynamics: failure, graceful drain, recovery.
@@ -239,7 +171,6 @@ class Machine:
         self._task_hooks.clear()
         self.online = False
         self.version += 1
-        self._emit_offline()
         return interrupted, evicted
 
     def drain(self) -> list[Task]:
@@ -254,7 +185,6 @@ class Machine:
             self._task_hooks.pop(task.task_id, None)
         self.online = False
         self.version += 1
-        self._emit_offline()
         return evicted
 
     def recover(self) -> None:
@@ -263,7 +193,6 @@ class Machine:
             raise RuntimeError(f"machine {self.machine_id} is already online")
         self.online = True
         self.version += 1
-        self._emit_online()
 
     # ------------------------------------------------------------------
     def _start_next(self, sim: Simulator) -> None:
@@ -279,7 +208,6 @@ class Machine:
             missed = self.queue.pop(0)
             self._task_hooks.pop(missed.task_id, None)
             self.version += 1
-            self._emit_drop(0)
             if self.on_reap is not None:
                 self.on_reap(missed)
         if not self.queue:
@@ -292,9 +220,7 @@ class Machine:
         task.mark_running(sim.now, exec_time)
         self.running = task
         self.running_started_at = sim.now
-        self.version += 1
-        self._emit_dequeue(0)
-        self._emit_start()
+        self.version += 2  # the head left the queue; a new task runs
 
         def _finish() -> None:
             self._finish_running(sim, task, on_complete)
@@ -318,7 +244,6 @@ class Machine:
         self._finish_handle = None
         self._task_hooks.pop(task.task_id, None)
         self.version += 1
-        self._emit_finish()
         # Keep the machine busy before handing control to the allocator:
         # FCFS head starts immediately, then the completion callback fires
         # a mapping event that can refill the freed slot.

@@ -29,10 +29,11 @@ does not depend on ``t``, against the PET's cumulative sums.
 
 * ``Q_k`` comes from a product cache keyed on ``(machine type, t_0, …,
   t_k)``, shared across machines and clock ticks.  Each machine keeps
-  its queue's products; the estimator subscribes to the machines'
-  queue-delta notifications (:class:`~repro.sim.cluster.QueueObserver`),
-  and a mutation at queue index ``i`` drops only the products from ``i``
-  on.
+  its queue's products with the queued task behind each.  When the
+  machine's ``version`` has moved, the state is reconciled against the
+  machine itself: the products are cut at the first queue position that
+  holds a different task, and the base is dropped when the running task
+  changed.
 * ``b`` comes from a cache of conditioned shapes per cut index, and the
   base records how it depends on ``now``, so a clock tick that leaves
   the running task's conditioning cut in place costs no convolution.
@@ -251,7 +252,9 @@ class _MachineState:
         "base_src_offset",
         "release_mean",
         "version_seen",
+        "version_first",
         "products",
+        "queued",
         "product_key",
         "chances_memo",
         "avail_memo",
@@ -273,6 +276,8 @@ class _MachineState:
         #: Only the valid prefix is kept.  It depends on the queue
         #: alone, so a new running-task base leaves it in place.
         self.products: list[_Product] = []
+        #: The queued task behind each entry of ``products``.
+        self.queued: list[Task] = []
         #: Product-cache key of the last entry of ``products``:
         #: ``(machine type, t_0, …, t_k)``.
         self.product_key: tuple = (machine.machine_type,)
@@ -298,7 +303,11 @@ class _MachineState:
         #: Cached ``base.finite_mean()`` for the scalar view; valid
         #: exactly as long as the base itself (None = not computed).
         self.release_mean: float | None = None
+        #: The machine's version when the state was last reconciled with
+        #: it (:meth:`CompletionEstimator._synced_state`) and when the
+        #: estimator first read it (invalidations count the steps since).
         self.version_seen: int = machine.version
+        self.version_first: int = machine.version
 
     def reset(self) -> None:
         """Forget the base (the running task or its belief changed)."""
@@ -313,6 +322,7 @@ class _MachineState:
     def truncate_suffix(self, index: int) -> None:
         """Drop the products of queue positions ``>= index``."""
         del self.products[index:]
+        del self.queued[index:]
         self.product_key = self.product_key[: index + 1]
 
 
@@ -331,8 +341,9 @@ class CompletionEstimator:
         "certainly late".  Must exceed the largest deadline slack in the
         workload for chance values to be exact.
     memoize:
-        ``True`` — delta-invalidated product caches; ``False`` — the
-        from-scratch oracle, no caching.  Anything else is rejected.
+        ``True`` — product caches reconciled with each machine's queue;
+        ``False`` — the from-scratch oracle, no caching.  Anything else
+        is rejected.
     max_support:
         Most finite-support bins a PCT keeps; overflow mass is folded
         into its tail.
@@ -382,7 +393,9 @@ class CompletionEstimator:
         # Stats counters (exposed through cache_stats / SimulationResult).
         self.cache_hits = 0
         self.cache_misses = 0
-        self.invalidations = 0
+        #: The part of :attr:`invalidations` no current state accounts
+        #: for: steps of replaced states, or a resumed count.
+        self._invalidations_retired = 0
         self.evictions = 0  #: entries either cache evicted
         self.convolutions = 0
         self.convolutions_avoided = 0
@@ -419,22 +432,6 @@ class CompletionEstimator:
     def expected_release(self, machine: Machine, now: float) -> float:
         """Expected time the *running* task (if any) finishes."""
         return self._scalar_chain(machine, now)[0]
-
-    def expected_completion(
-        self,
-        task_type: int,
-        machine: Machine,
-        now: float,
-        extra_load: float = 0.0,
-    ) -> float:
-        """Expected completion of a new ``task_type`` task appended to the
-        queue, optionally after ``extra_load`` time units of virtually
-        planned work (used by batch heuristics' virtual queues)."""
-        return (
-            self.expected_available(machine, now)
-            + extra_load
-            + self.model.mean(task_type, machine.machine_type)
-        )
 
     def _scalar_chain(self, machine: Machine, now: float) -> list[float]:
         """``chain[0]`` = expected release of the running task (or ``now``
@@ -509,9 +506,9 @@ class CompletionEstimator:
             and (now == state.anchor or self._base_still_valid(state, now))
         ):
             # Fast path: the cached base provably equals a fresh build at
-            # ``now`` (any running-task change bumps the version and any
-            # observer event resets release_mean), so no signature tuple
-            # needs building.
+            # ``now`` (any running-task change steps the version, and
+            # reconciling with a new running task resets release_mean),
+            # so no signature tuple needs building.
             return state.release_mean
         state = self._synced_state(machine)
         base = self._established_base(state, machine, now)
@@ -583,18 +580,28 @@ class CompletionEstimator:
     def _state_for(self, machine: Machine) -> _MachineState:
         state = self._states.get(machine.machine_id)
         if state is None or state.machine is not machine:
+            if state is not None:
+                self._invalidations_retired += state.machine.version - state.version_first
             state = _MachineState(machine)
             self._states[machine.machine_id] = state
-            machine.subscribe(self)
         return state
 
     def _synced_state(self, machine: Machine) -> _MachineState:
-        """The machine's state, wiped if a mutation bypassed the
-        notification protocol (fail safe)."""
+        """The machine's state, reconciled with the machine when its
+        version moved: the products are cut at the first queue position
+        that holds a different task, and the base is dropped when the
+        running task is no longer the one it was built for."""
         state = self._state_for(machine)
         if state.version_seen != machine.version:
-            state.reset()
-            state.truncate_suffix(0)
+            queue, queued = machine.queue, state.queued
+            k, n = 0, min(len(queue), len(queued))
+            while k < n and queue[k] is queued[k]:
+                k += 1
+            state.truncate_suffix(k)
+            running = machine.running
+            sig = () if running is None else (running.task_id, machine.running_started_at)
+            if state.base_sig != sig:
+                state.reset()
             state.version_seen = machine.version
         return state
 
@@ -682,50 +689,6 @@ class CompletionEstimator:
         if kind == "uncut":
             return cut <= 0
         return cut == state.base_cut  # "interior"
-
-    # -- queue-delta notifications (QueueObserver protocol) -------------
-    def _observed(self, machine: Machine) -> _MachineState | None:
-        state = self._states.get(machine.machine_id)
-        if state is None or state.machine is not machine:
-            return None
-        state.version_seen = machine.version
-        return state
-
-    def on_enqueue(self, machine: Machine, index: int) -> None:
-        state = self._observed(machine)
-        if state is None:
-            return
-        # The products stay valid; the version bump retires the memos.
-        self.invalidations += 1
-
-    def on_dequeue(self, machine: Machine, index: int) -> None:
-        self.on_drop(machine, index)
-
-    def on_drop(self, machine: Machine, index: int) -> None:
-        state = self._observed(machine)
-        if state is not None:
-            state.truncate_suffix(index)
-            self.invalidations += 1
-
-    def on_start(self, machine: Machine) -> None:
-        """The running task changed: the base is stale, the queue's
-        products stand."""
-        state = self._observed(machine)
-        if state is not None:
-            state.reset()
-            self.invalidations += 1
-
-    on_finish = on_start
-    on_online = on_start
-
-    def on_offline(self, machine: Machine) -> None:
-        """Machine failed/drained: its queue (and possibly its running
-        task) vanished wholesale — no product survives."""
-        state = self._observed(machine)
-        if state is not None:
-            state.reset()
-            state.truncate_suffix(0)
-            self.invalidations += 1
 
     # ------------------------------------------------------------------
     def chance_of_success(self, task: Task, machine: Machine, now: float) -> float:
@@ -939,6 +902,7 @@ class CompletionEstimator:
             )
         if state is not None:
             state.product_key = key
+            state.queued = list(queue)
         return products
 
     def _product_step(self, prev: _Product | None, pet: PMF, key: tuple | None) -> _Product:
@@ -1117,6 +1081,22 @@ class CompletionEstimator:
         return chances
 
     # ------------------------------------------------------------------
+    @property
+    def invalidations(self) -> int:
+        """Machine changes that invalidated memoized state: the version
+        steps of each machine since the estimator first read it."""
+        return self._invalidations_retired + sum(
+            state.machine.version - state.version_first for state in self._states.values()
+        )
+
+    @invalidations.setter
+    def invalidations(self, value: int) -> None:
+        """Resume the count at ``value``.  The machine states are
+        forgotten (their memos re-fill on the next query), so the count
+        runs on from the machines' versions at that next read."""
+        self._states.clear()
+        self._invalidations_retired = value
+
     def cache_stats(self) -> dict[str, int]:
         """Hit/miss/invalidation/convolution counters for this estimator."""
         return {key: getattr(self, attr) for key, attr in _STATS}

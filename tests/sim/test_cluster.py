@@ -13,7 +13,6 @@ class TestConstructors:
         c = Cluster.heterogeneous(4)
         assert len(c) == 4
         assert c.machine_types == (0, 1, 2, 3)
-        assert not c.is_homogeneous
 
     def test_heterogeneous_multiple_per_type(self):
         c = Cluster.heterogeneous(3, machines_per_type=2)
@@ -24,7 +23,6 @@ class TestConstructors:
         c = Cluster.homogeneous(5, machine_type=2)
         assert len(c) == 5
         assert c.machine_types == (2,) * 5
-        assert c.is_homogeneous
 
     def test_queue_limit_propagates(self):
         c = Cluster.heterogeneous(2, queue_limit=3)
@@ -52,24 +50,12 @@ class TestQueries:
         c = Cluster.heterogeneous(2, queue_limit=1)
         sim = Simulator()
         assert c.any_free_slot()
-        assert len(c.machines_with_free_slots()) == 2
         # Fill machine 0: one running + one queued.
         for i in range(2):
             t = Task(task_id=i, task_type=0, arrival=0.0, deadline=50.0)
             t.mark_mapped(0, 0.0)
             c[0].dispatch(t, sim, lambda *a: 5.0, lambda *a: None)
-        assert len(c.machines_with_free_slots()) == 1
         assert c.any_free_slot()
-
-    def test_total_queued_and_queued_tasks(self):
-        c = Cluster.heterogeneous(2)
-        sim = Simulator()
-        for i in range(3):
-            t = Task(task_id=i, task_type=0, arrival=0.0, deadline=50.0)
-            t.mark_mapped(0, 0.0)
-            c[0].dispatch(t, sim, lambda *a: 5.0, lambda *a: None)
-        assert c.total_queued() == 2  # first is running
-        assert [t.task_id for t in c.queued_tasks()] == [1, 2]
 
     def test_set_queue_limit(self):
         c = Cluster.heterogeneous(2)

@@ -32,7 +32,7 @@ class TestDispatch:
         dispatch(m, t, sim)
         assert m.running is t
         assert t.status is TaskStatus.RUNNING
-        assert m.queue_length == 0
+        assert m.queue == []
 
     def test_busy_machine_queues(self):
         sim, m = Simulator(), Machine(0, 0)
@@ -140,6 +140,16 @@ class TestRemove:
         assert removed == 2
         assert [t.task_id for t in m.queue] == [1, 4]
 
+    def test_remove_many_from_a_generator_drops_only_the_removed_hooks(self):
+        sim, m = Simulator(), Machine(0, 0)
+        tasks = [make_task(i) for i in range(5)]
+        for t in tasks:
+            dispatch(m, t, sim)
+        assert m.remove_many(t for t in tasks[2:4]) == 2
+        assert [t.task_id for t in m.queue] == [1, 4]
+        # Running task 0 and queued 1 and 4 keep their dispatch hooks.
+        assert sorted(m._task_hooks) == [0, 1, 4]
+
     def test_removed_task_never_runs(self):
         sim, m = Simulator(), Machine(0, 0)
         done = []
@@ -187,16 +197,6 @@ class TestVersionAndStats:
         sim.run()
         assert m.utilization(10.0) == pytest.approx(0.5)
         assert m.utilization(0.0) == 0.0
-
-    def test_tasks_in_queue_snapshot(self):
-        sim, m = Simulator(), Machine(0, 0)
-        t1, t2 = make_task(1), make_task(2)
-        dispatch(m, t1, sim)
-        dispatch(m, t2, sim)
-        snap = m.tasks_in_queue()
-        assert snap == (t2,)
-        m.remove(t2)
-        assert snap == (t2,)  # snapshot unaffected
 
 
 class TestCompletionCallback:

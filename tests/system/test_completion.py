@@ -54,15 +54,6 @@ class TestScalarView:
             put(cluster, sim, 0, i)
         assert est.expected_available(cluster[0], 0.0) == pytest.approx(30.0)
 
-    def test_expected_completion_adds_new_task(self, det_env):
-        _, cluster, sim, est = det_env
-        put(cluster, sim, 0, 0)
-        assert est.expected_completion(0, cluster[0], 0.0) == pytest.approx(20.0)
-
-    def test_expected_completion_extra_load(self, det_env):
-        _, cluster, _, est = det_env
-        assert est.expected_completion(0, cluster[0], 0.0, extra_load=7.0) == pytest.approx(17.0)
-
     def test_expected_release(self, det_env):
         _, cluster, sim, est = det_env
         put(cluster, sim, 0, 0)

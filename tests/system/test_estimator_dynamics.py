@@ -1,9 +1,10 @@
 """Estimator-cache invalidation under cluster dynamics.
 
-A machine dying (or draining/recovering) mid-queue wipes its whole
-cached state (base and queue products); the incremental estimator must
-answer every subsequent query exactly like a from-scratch reference —
-stale product state leaking through a failure would poison every chance-of-success the pruner sees.
+A machine dying (or draining/recovering) mid-queue loses its queue (and,
+on failure, its running task); the incremental estimator must answer
+every subsequent query exactly like a from-scratch reference — stale
+product state leaking through a failure would poison every chance of
+success the pruner sees.
 """
 
 import numpy as np
@@ -69,7 +70,7 @@ class TestFailureInvalidation:
         machine = cluster[0]
         interrupted, evicted = machine.fail(sim)
         assert interrupted is not None and len(evicted) == 4
-        assert inc.invalidations > inv0  # on_offline reached the cache
+        assert inc.invalidations > inv0  # the failure stepped the version
 
         # Post-failure: the dead machine's base is the idle delta; the
         # survivor is untouched.  Both must match a cold reference.
